@@ -14,6 +14,19 @@ conventions, used throughout:
   sigma-strips of width pi around k*pi ("horizontal", index k); for |c| > 1
   into graphs over sigma in phi-strips around k*pi ("vertical").  Even k is
   the family through (0, 0), odd k the family through (pi, pi).
+
+tau* solver.  Along the ray, branch k is the zero set of the band residual
+
+    h_b(tau) = (w(tau) - k*pi) + par * asin(q sin psi(tau)),   par = (-1)^k,
+
+with band coordinate w = sigma, oscillating angle psi = phi and q = c for
+horizontal ridges, and w = phi, psi = sigma, q = 1/c for vertical ones
+(|q| < 1 off the singular band).  With k' = w'/(q psi') its critical points
+satisfy sin^2 psi = (k'^2 - 1)/(k'^2 q^2 - 1), sign(cos psi) = -par*k', two
+per 2*pi of psi when |k'| <= 1 and none otherwise, so h_b is monotone
+between consecutive critical tau and a sign check at each of them brackets
+every crossing exactly; bisection finishes each bracket.  Crossings also
+need |w - k*pi| <= asin|q|, which bounds the pieces a strip walk visits.
 """
 
 from __future__ import annotations
@@ -153,18 +166,9 @@ def amp2_prime(I: float, a2: float, r: float) -> float:
 # ----------------------------------------------------------------------
 
 @jitted
-def _gn(tau, phi0, sig0, rphi, rsig, c, ac):
-    """Ridge residual normalized by max(1, |c|); zero exactly on the ridge."""
-    phi = phi0 + rphi * tau
-    sig = sig0 + rsig * tau
-    if ac <= 1.0:
-        return c * math.sin(phi) + math.sin(sig)
-    s = 1.0 if c > 0.0 else -1.0
-    return s * math.sin(phi) + math.sin(sig) / ac
-
-
-@jitted
 def _gn_prime(tau, phi0, sig0, rphi, rsig, c, ac):
+    """tau-derivative of the ridge residual normalized by max(1, |c|); its
+    modulus at a crossing is the transversality margin."""
     phi = phi0 + rphi * tau
     sig = sig0 + rsig * tau
     if ac <= 1.0:
@@ -215,128 +219,122 @@ def _bisect_hb(ta, tb, m, par, w0, lw, phi0, sig0, rphi, rsig, c, horizontal):
 
 
 @jitted
-def _scan_band(ta, tb, ns, m, par, w0, lw, phi0, sig0, rphi, rsig, c, ac,
-               horizontal, mode, tie_tol):
-    """Ridge crossings of branch m with tau in [ta, tb].
+def _strip(m, w0, lw, half):
+    """tau interval where |w0 + lw*tau - m*pi| <= half (lw != 0)."""
+    e1 = ((m * PI - half) - w0) / lw
+    e2 = ((m * PI + half) - w0) / lw
+    return min(e1, e2), max(e1, e2)
 
-    mode 0: smallest |tau| (ties resolved toward larger transversality);
-    mode 1: smallest tau;  mode 2: largest tau.
-    Returns (found, tau, margin).
 
-    Besides sign changes between samples, local |h_b| minima without a sign
-    change are re-scanned at 256x resolution: a near-grazing ray produces
-    crossing PAIRS closer than the sample spacing, and missing one would
-    silently select a farther contact.
+@jitted
+def _crit_tau(j, u1, u2, period):
+    """j-th critical point of h_b along the ray; nondecreasing in j."""
+    return (u1 if j % 2 == 0 else u2) + (j // 2) * period
+
+
+@jitted
+def _fold(root, d, phi0, sig0, rphi, rsig, c, ac, tie_tol, found, best_t,
+          best_key, best_marg):
+    """Merge a crossing into the running best: smallest key d*tau wins; within
+    tie_tol of the best key the larger transversality margin wins."""
+    key = d * root
+    marg = abs(_gn_prime(root, phi0, sig0, rphi, rsig, c, ac))
+    if not found or key < best_key - tie_tol:
+        return True, root, key, marg
+    if key < best_key + tie_tol and marg > best_marg:
+        return True, root, best_key, marg
+    return found, best_t, best_key, best_marg
+
+
+@jitted
+def _walk_band(lo, hi, d, m, w0, lw, phi0, sig0, rphi, rsig, c, ac,
+               horizontal, psi0, rpsi, q, tie_tol, found, best_t, best_key,
+               best_marg):
+    """Fold the crossings of branch m with tau in [lo, hi] into the running best.
+
+    The interval lies on one side of tau = 0 and is walked away from it
+    (d = +1 from lo, d = -1 from hi), so the key d*tau = |tau| grows along
+    the walk.  Breakpoints are the critical points of h_b, between which it
+    is monotone: a sign check at each breakpoint brackets every crossing
+    exactly, and the walk stops once no later crossing can beat or tie the
+    best.  Returns the updated (found, tau, key, margin).
     """
-    best_t = math.inf
-    best_key = math.inf
-    best_margin = 0.0
-    found = False
-    if not (tb > ta):
-        if tb == ta:
-            f0 = _hb(ta, m, par, w0, lw, phi0, sig0, rphi, rsig, c, horizontal)
-            if f0 == 0.0:
-                g = abs(_gn_prime(ta, phi0, sig0, rphi, rsig, c, ac))
-                return True, ta, g
-        return False, 0.0, 0.0
-    dt = (tb - ta) / ns
-    fm1 = math.inf  # |h_b| two samples back, for the dip detector
-    fprev = _hb(ta, m, par, w0, lw, phi0, sig0, rphi, rsig, c, horizontal)
-    tprev = ta
-    for i in range(1, ns + 2):
-        # one extra iteration flushes a dip ending at the last sample
-        if i <= ns:
-            t = ta + dt * i if i < ns else tb
-            f = _hb(t, m, par, w0, lw, phi0, sig0, rphi, rsig, c, horizontal)
+    par = 1.0 if (m % 2) == 0 else -1.0
+    # critical tau of h_b (module docstring): u1 + j*period, u2 + j*period;
+    # period = 0 means h_b is monotone on [lo, hi]
+    period = 0.0
+    u1 = 0.0
+    u2 = 0.0
+    if q * rpsi != 0.0:
+        k = lw / (q * rpsi)
+        if abs(k) <= 1.0:
+            den = 1.0 - k * k * q * q
+            sn = math.sqrt((1.0 - k * k) / den)
+            cs = abs(k) * math.sqrt((1.0 - q * q) / den)
+            if par * k > 0.0:
+                cs = -cs
+            period = 2.0 * PI / abs(rpsi)
+            u1 = ((math.atan2(sn, cs) - psi0) / rpsi) % period
+            u2 = ((math.atan2(-sn, cs) - psi0) / rpsi) % period
+            if u1 > u2:
+                u1, u2 = u2, u1
+            if period <= 1e-15 * (abs(lo) + abs(hi)):
+                # closer than the float spacing of tau: not separable
+                period = 0.0
+    # crossings need |w - m*pi| <= asin|q|; walk only the pieces meeting that
+    zlo, zhi = _strip(m, w0, lw, math.asin(abs(q)))
+    if d > 0.0:
+        s = max(lo, zlo)
+        e = min(hi, zhi)
+    else:
+        s = min(hi, zhi)
+        e = max(lo, zlo)
+    j = 0
+    if period > 0.0:
+        # start at the breakpoint on or before s in walk order
+        j = 2 * int(math.floor((s - u1) / period))
+        if d > 0.0:
+            j -= 2
+            while _crit_tau(j + 1, u1, u2, period) <= s:
+                j += 1
         else:
-            t = tb
-            f = fprev
-        nroots = 0
-        r0 = math.nan
-        r1 = math.nan
-        r2 = math.nan
-        if i <= ns:
-            if fprev == 0.0:
-                r0 = tprev
-                nroots = 1
-            elif (fprev > 0.0) != (f > 0.0):
-                r0 = _bisect_hb(tprev, t, m, par, w0, lw, phi0, sig0, rphi,
-                                rsig, c, horizontal)
-                nroots = 1
-        if (abs(fprev) < fm1 and abs(fprev) <= abs(f)
-                and abs(fprev) < 0.5 * (fm1 + abs(f))):
-            # dip in |h_b|: refine the two cells around tprev (catches
-            # crossing pairs hiding between samples, or triples in a cell)
-            lo = tprev - dt if tprev - dt > ta else ta
-            hi = t if t < tb else tb
-            sub = 256
-            ddt = (hi - lo) / sub
-            gprev = _hb(lo, m, par, w0, lw, phi0, sig0, rphi, rsig, c,
-                        horizontal)
-            tp2 = lo
-            for j in range(1, sub + 1):
-                tj = lo + ddt * j
-                gj = _hb(tj, m, par, w0, lw, phi0, sig0, rphi, rsig, c,
-                         horizontal)
-                if gprev == 0.0 or (gprev > 0.0) != (gj > 0.0):
-                    rt = tp2 if gprev == 0.0 else _bisect_hb(
-                        tp2, tj, m, par, w0, lw, phi0, sig0, rphi, rsig, c,
-                        horizontal)
-                    if nroots == 0:
-                        r0 = rt
-                    elif nroots == 1:
-                        r1 = rt
-                    elif nroots == 2:
-                        r2 = rt
-                    nroots += 1
-                    if nroots == 3:
-                        break
-                tp2 = tj
-                gprev = gj
-        for kk in range(nroots):
-            root = r0 if kk == 0 else (r1 if kk == 1 else r2)
-            if mode == 0:
-                key = abs(root)
-            elif mode == 1:
-                key = root
-            else:
-                key = -root
-            marg = abs(_gn_prime(root, phi0, sig0, rphi, rsig, c, ac))
-            if not found or key < best_key - tie_tol:
-                found = True
-                best_key = key
-                best_t = root
-                best_margin = marg
-            elif key < best_key + tie_tol and marg > best_margin:
-                best_t = root
-                best_margin = marg
-        if i <= ns:
-            fm1 = abs(fprev)
-            tprev = t
-            fprev = f
-    # Endpoint zero at tb
-    if fprev == 0.0:
-        key = abs(tb) if mode == 0 else (tb if mode == 1 else -tb)
-        if not found or key < best_key - tie_tol:
-            found = True
-            best_t = tb
-            best_margin = abs(_gn_prime(tb, phi0, sig0, rphi, rsig, c, ac))
-    return found, best_t, best_margin
+            j += 4
+            while _crit_tau(j - 1, u1, u2, period) >= s:
+                j -= 1
+        t = min(max(_crit_tau(j, u1, u2, period), lo), hi)
+    else:
+        t = lo if d > 0.0 else hi
+    f = _hb(t, m, par, w0, lw, phi0, sig0, rphi, rsig, c, horizontal)
+    if f == 0.0:
+        found, best_t, best_key, best_marg = _fold(
+            t, d, phi0, sig0, rphi, rsig, c, ac, tie_tol, found, best_t,
+            best_key, best_marg)
+    while d * (e - t) > 0.0:
+        if found and d * t > best_key + tie_tol:
+            break
+        if period > 0.0:
+            j += 1 if d > 0.0 else -1
+            tn = min(max(_crit_tau(j, u1, u2, period), lo), hi)
+        else:
+            tn = hi if d > 0.0 else lo
+        fn = _hb(tn, m, par, w0, lw, phi0, sig0, rphi, rsig, c, horizontal)
+        root = math.nan
+        if fn == 0.0:
+            root = tn
+        elif f != 0.0 and (f > 0.0) != (fn > 0.0):
+            root = _bisect_hb(min(t, tn), max(t, tn), m, par, w0, lw, phi0,
+                              sig0, rphi, rsig, c, horizontal)
+        if root == root:
+            found, best_t, best_key, best_marg = _fold(
+                root, d, phi0, sig0, rphi, rsig, c, ac, tie_tol, found,
+                best_t, best_key, best_marg)
+        t = tn
+        f = fn
+    return found, best_t, best_key, best_marg
 
 
 @jitted
-def _band_samples(ta, tb, lw, rphi, rsig, ns_base):
-    """Sample count so the phase advance per sample stays below ~0.5 rad."""
-    pr = max(abs(rphi), abs(rsig))
-    need = int((tb - ta) * pr / 0.5) + 1
-    ns = ns_base if ns_base > need else need
-    if ns > 200000:
-        ns = 200000
-    return ns
-
-
-@jitted
-def tau_star_kernel(I, theta, r, c, crit, kreq, ns_base, tol_cls, tie_tol):
+def tau_star_kernel(I, theta, r, c, crit, kreq, tol_cls, tie_tol):
     """Crossing time tau* of the connection line with the ridge set.
 
     Returns (status, tau, band_index, margin, phi_star, sigma_star).
@@ -355,12 +353,19 @@ def tau_star_kernel(I, theta, r, c, crit, kreq, ns_base, tol_cls, tie_tol):
     sig0 = r * theta
     rphi = -I
     rsig = -(r * I - 1.0)
+    # band coordinate w and oscillating angle psi: h_b = (w - m*pi) + par*asin(q sin psi)
     if horizontal:
         w0 = sig0
         lw = rsig
+        psi0 = phi0
+        rpsi = rphi
+        q = c
     else:
         w0 = phi0
         lw = rphi
+        psi0 = sig0
+        rpsi = rsig
+        q = 1.0 / c
     fmin = min(abs(rphi), abs(rsig))
     if fmin < 1e-12:
         fmin = 1e-12
@@ -369,85 +374,27 @@ def tau_star_kernel(I, theta, r, c, crit, kreq, ns_base, tol_cls, tie_tol):
     if abs(lw) < 1e-300:
         return TAU_UNREACHABLE, math.nan, 0, 0.0, math.nan, math.nan
 
-    if crit == CRIT_BRANCH:
-        m = kreq
-        par = 1.0 if (m % 2) == 0 else -1.0
-        e1 = ((m * PI - 0.5 * PI) - w0) / lw
-        e2 = ((m * PI + 0.5 * PI) - w0) / lw
-        ta = e1 if e1 < e2 else e2
-        tb = e2 if e2 > e1 else e1
-        if ta < -tau_max:
-            ta = -tau_max
-        if tb > tau_max:
-            tb = tau_max
-        if ta > tb:
-            return TAU_UNREACHABLE, math.nan, 0, 0.0, math.nan, math.nan
-        ns = _band_samples(ta, tb, lw, rphi, rsig, ns_base)
-        found, t, marg = _scan_band(ta, tb, ns, m, par, w0, lw, phi0, sig0,
-                                    rphi, rsig, c, ac, horizontal, 0, tie_tol)
-        if not found:
-            # clipped interval may have an even number of crossings
-            return TAU_UNREACHABLE, math.nan, 0, 0.0, math.nan, math.nan
-        return (TAU_OK, t, m, marg, phi0 + rphi * t, sig0 + rsig * t)
-
-    if crit == CRIT_DOWN or crit == CRIT_UP:
-        if abs(rsig) < 1e-300:
-            return TAU_UNREACHABLE, math.nan, 0, 0.0, math.nan, math.nan
-        want_dsig = -1.0 if crit == CRIT_DOWN else 1.0
-        dtau = 1.0 if rsig * want_dsig > 0.0 else -1.0
-        dw = lw * dtau
-        m = int(math.floor(w0 / PI + 0.5))
-        step_m = 1 if dw > 0.0 else -1
-        for _ in range(64):
-            par = 1.0 if (m % 2) == 0 else -1.0
-            e1 = ((m * PI - 0.5 * PI) - w0) / lw
-            e2 = ((m * PI + 0.5 * PI) - w0) / lw
-            ta = e1 if e1 < e2 else e2
-            tb = e2 if e2 > e1 else e1
-            # keep only the marching side
-            if dtau > 0.0:
-                if ta < 0.0:
-                    ta = 0.0
-                if ta > tau_max:
-                    return TAU_UNREACHABLE, math.nan, 0, 0.0, math.nan, math.nan
-                if tb > tau_max:
-                    tb = tau_max
-                mode = 1
-            else:
-                if tb > 0.0:
-                    tb = 0.0
-                if tb < -tau_max:
-                    return TAU_UNREACHABLE, math.nan, 0, 0.0, math.nan, math.nan
-                if ta < -tau_max:
-                    ta = -tau_max
-                mode = 2
-            if (m % 2) == 0 and tb >= ta:
-                ns = _band_samples(ta, tb, lw, rphi, rsig, ns_base)
-                found, t, marg = _scan_band(ta, tb, ns, m, par, w0, lw, phi0,
-                                            sig0, rphi, rsig, c, ac,
-                                            horizontal, mode, tie_tol)
-                if found:
-                    return (TAU_OK, t, m, marg, phi0 + rphi * t,
-                            sig0 + rsig * t)
-            m += step_m
-        return TAU_UNREACHABLE, math.nan, 0, 0.0, math.nan, math.nan
-
-    # CRIT_MINABS: expand in both directions, nearest crossing wins
-    m0 = int(math.floor(w0 / PI + 0.5))
-    best_found = False
+    found = False
     best_t = math.inf
+    best_key = math.inf
     best_marg = 0.0
-    for side in range(2):
+
+    # march strips outward from the launch point: on the side of decreasing/
+    # increasing sigma (down/up, even family only), or on both sides (minabs
+    # over every strip, branch over strip kreq alone)
+    marching = crit == CRIT_DOWN or crit == CRIT_UP
+    if marching and abs(rsig) < 1e-300:
+        return TAU_UNREACHABLE, math.nan, 0, 0.0, math.nan, math.nan
+    m0 = kreq if crit == CRIT_BRANCH else int(math.floor(w0 / PI + 0.5))
+    for side in range(1 if marching else 2):
         dtau = 1.0 if side == 0 else -1.0
-        dw = lw * dtau
-        step_m = 1 if dw > 0.0 else -1
+        if marching:
+            want_dsig = -1.0 if crit == CRIT_DOWN else 1.0
+            dtau = 1.0 if rsig * want_dsig > 0.0 else -1.0
+        step_m = 1 if lw * dtau > 0.0 else -1
         m = m0
-        for _ in range(64):
-            par = 1.0 if (m % 2) == 0 else -1.0
-            e1 = ((m * PI - 0.5 * PI) - w0) / lw
-            e2 = ((m * PI + 0.5 * PI) - w0) / lw
-            ta = e1 if e1 < e2 else e2
-            tb = e2 if e2 > e1 else e1
+        for _ in range(1 if crit == CRIT_BRANCH else 64):
+            ta, tb = _strip(m, w0, lw, 0.5 * PI)
             if dtau > 0.0:
                 if ta < 0.0:
                     ta = 0.0
@@ -457,27 +404,19 @@ def tau_star_kernel(I, theta, r, c, crit, kreq, ns_base, tol_cls, tie_tol):
             entry = ta if dtau > 0.0 else -tb
             if entry > tau_max:
                 break
-            if best_found and entry > abs(best_t) + tie_tol:
+            if found and entry > best_key + tie_tol:
                 break
             if dtau > 0.0 and tb > tau_max:
                 tb = tau_max
             if dtau < 0.0 and ta < -tau_max:
                 ta = -tau_max
-            if tb >= ta:
-                ns = _band_samples(ta, tb, lw, rphi, rsig, ns_base)
-                found, t, marg = _scan_band(ta, tb, ns, m, par, w0, lw, phi0,
-                                            sig0, rphi, rsig, c, ac,
-                                            horizontal, 0, tie_tol)
-                if found:
-                    if (not best_found) or abs(t) < abs(best_t) - tie_tol:
-                        best_found = True
-                        best_t = t
-                        best_marg = marg
-                    elif abs(t) < abs(best_t) + tie_tol and marg > best_marg:
-                        best_t = t
-                        best_marg = marg
+            if tb >= ta and (not marching or (m % 2) == 0):
+                found, best_t, best_key, best_marg = _walk_band(
+                    ta, tb, dtau, m, w0, lw, phi0, sig0, rphi, rsig, c, ac,
+                    horizontal, psi0, rpsi, q, tie_tol, found, best_t,
+                    best_key, best_marg)
             m += step_m
-    if not best_found:
+    if not found:
         return TAU_UNREACHABLE, math.nan, 0, 0.0, math.nan, math.nan
     # recover the band index of the winner
     if horizontal:
@@ -489,7 +428,7 @@ def tau_star_kernel(I, theta, r, c, crit, kreq, ns_base, tol_cls, tie_tol):
 
 
 @jitted
-def lstar_kernel(I, theta, r, a1, a2, crit, kreq, ns_base, tol_cls, tie_tol):
+def lstar_kernel(I, theta, r, a1, a2, crit, kreq, tol_cls, tie_tol):
     """Reduced splitting value and gradient at the selected crossing.
 
     Returns (status, tau, band, margin, phi*, sigma*, L, dL/dtheta, dL/dI).
@@ -500,7 +439,7 @@ def lstar_kernel(I, theta, r, a1, a2, crit, kreq, ns_base, tol_cls, tie_tol):
     a2 = float(a2)
     c = crest_coef(I, a1, a2, r)
     status, tau, kb, margin, phis, sigs = tau_star_kernel(
-        I, theta, r, c, crit, kreq, ns_base, tol_cls, tie_tol)
+        I, theta, r, c, crit, kreq, tol_cls, tie_tol)
     if status != TAU_OK:
         return status, tau, kb, margin, phis, sigs, math.nan, math.nan, math.nan
     d = r * I - 1.0
@@ -538,16 +477,15 @@ def theta_plus_kernel(I: float, horizontal: bool) -> float:
 
 
 @jitted
-def sweep_kernel(Ivals, thvals, r, a1, a2, crit, kreq, ns_base, tol_cls,
-                 tie_tol, status, tau, band, margin, lstar, dth, dI):
+def sweep_kernel(Ivals, thvals, r, a1, a2, crit, kreq, tol_cls, tie_tol,
+                 status, tau, band, margin, lstar, dth, dI):
     """Fill (nI, nth) output arrays for a criterion over a grid."""
     nI = Ivals.shape[0]
     nth = thvals.shape[0]
     for i in range(nI):
         for j in range(nth):
             st, t, kb, mg, ph, sg, L, g1, g2 = lstar_kernel(
-                Ivals[i], thvals[j], r, a1, a2, crit, kreq, ns_base,
-                tol_cls, tie_tol)
+                Ivals[i], thvals[j], r, a1, a2, crit, kreq, tol_cls, tie_tol)
             status[i, j] = st
             tau[i, j] = t
             band[i, j] = kb

@@ -16,7 +16,6 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -98,7 +97,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--threads", type=int, default=0,
-                   help="grid-sweep worker threads (0 = all cores)")
+                   help="accepted for compatibility; has no effect (sweeps "
+                        "run serially)")
     p.add_argument("--config", type=str, default=None,
                    help="KEY=VAL file supplying flag defaults (flags win)")
     p.add_argument("--tol-override", action="append", default=[],
@@ -111,6 +111,11 @@ def _validate_grids(args) -> None:
         val = getattr(args, name, None)
         if val is not None and val < 2:
             raise ConfigError(f"--{name.replace('_', '-')} must be >= 2")
+    for name in ("I_min", "I_max", "I_start", "I_end"):
+        val = getattr(args, name, None)
+        if val is not None and not math.isfinite(val):
+            raise ConfigError(f"--{name.replace('_', '-')} must be finite, "
+                              f"got {val}")
     if getattr(args, "I_min", 0.0) >= getattr(args, "I_max", 1.0):
         raise ConfigError("--I-min must be below --I-max")
 
@@ -143,7 +148,12 @@ def _tol_from(args) -> Tolerances:
         key = key.strip()
         if key not in {f.name for f in dataclasses.fields(Tolerances)}:
             raise ConfigError(f"unknown tolerance {key!r}")
-        overrides[key] = float(val)
+        try:
+            overrides[key] = float(val)
+        except ValueError:
+            raise ConfigError(f"bad value for tolerance {key!r}: {val!r}")
+        if not math.isfinite(overrides[key]):
+            raise ConfigError(f"tolerance {key!r} must be finite, got {val!r}")
     return DEFAULT_TOL.override(**overrides) if overrides else DEFAULT_TOL
 
 
@@ -242,11 +252,8 @@ def cmd_crests(args) -> int:
     return EXIT_OK
 
 
-def _sweep_rows(params, tol, criterion, I_vals, th_vals, threads):
+def _sweep_rows(params, tol, criterion, I_vals, th_vals):
     crit = TauCriterion.parse(criterion)
-    if threads <= 0:
-        import os
-        threads = os.cpu_count() or 1
     nI, nth = len(I_vals), len(th_vals)
     status = np.empty((nI, nth), dtype=np.int64)
     tau = np.empty((nI, nth))
@@ -255,20 +262,9 @@ def _sweep_rows(params, tol, criterion, I_vals, th_vals, threads):
     lstar = np.empty((nI, nth))
     dth = np.empty((nI, nth))
     dI = np.empty((nI, nth))
-
-    def work(i):
-        K.sweep_kernel(I_vals[i:i + 1], th_vals, params.r, params.a1,
-                       params.a2, crit.code, crit.k, 64, tol.tol_cls,
-                       tol.tie_tol, status[i:i + 1], tau[i:i + 1],
-                       band[i:i + 1], margin[i:i + 1], lstar[i:i + 1],
-                       dth[i:i + 1], dI[i:i + 1])
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(work, range(nI)))
-    else:
-        for i in range(nI):
-            work(i)
+    K.sweep_kernel(I_vals, th_vals, params.r, params.a1, params.a2, crit.code,
+                   crit.k, tol.tol_cls, tol.tie_tol, status, tau, band, margin,
+                   lstar, dth, dI)
     return status, tau, band, margin, lstar, dth, dI
 
 
@@ -279,7 +275,7 @@ def cmd_portrait(args) -> int:
     th_vals = np.linspace(0.0, TWO_PI, args.theta_n or args.grid_n,
                           endpoint=False)
     status, tau, band, margin, lstar, dth, dI = _sweep_rows(
-        params, tol, args.criterion, I_vals, th_vals, args.threads)
+        params, tol, args.criterion, I_vals, th_vals)
     em = Emitter(args.out, args.format, "portrait",
                  _header(params, args, {"criterion": args.criterion}),
                  ["I", "theta", "lstar", "dlstar_dtheta", "idot_sign",
@@ -303,7 +299,7 @@ def cmd_tau_field(args) -> int:
     th_vals = np.linspace(0.0, TWO_PI, args.theta_n or args.grid_n,
                           endpoint=False)
     status, tau, band, margin, lstar, dth, dI = _sweep_rows(
-        params, tol, args.criterion, I_vals, th_vals, args.threads)
+        params, tol, args.criterion, I_vals, th_vals)
     em = Emitter(args.out, args.format, "tau_field",
                  _header(params, args, {"criterion": args.criterion}),
                  ["I", "theta", "tau_star", "branch", "margin", "degenerate",

@@ -26,8 +26,9 @@ from .errors import (ConfigError, SingularCrest, StuckAtResonance,
                      TangencyDegenerate, UnreachableBranch, WindowEmpty)
 from .inner import InnerState, TorusRegion, region_of, torus_value
 from .params import DEFAULT_TOL, SystemParams, Tolerances
-from .scattering import (ScatteringState, TauCriterion, branch,
-                         grad_reduced_poincare, reduced_poincare, theta_plus)
+from .scattering import (ScatteringState, TauCriterion, _grad_of, _lstar_raw,
+                         branch, grad_reduced_poincare, reduced_poincare,
+                         theta_plus)
 
 TWO_PI = 2.0 * math.pi
 
@@ -239,14 +240,14 @@ def build_pseudo_orbit(I_start: float, I_end: float, params: SystemParams,
         tangency wedge; the construction stays in low-residual corridors).
         """
         res = K.lstar_kernel(I, th, canon.r, canon.a1, canon.a2,
-                             K.CRIT_BRANCH, 1, 64, tol.tol_cls, tol.tie_tol)
+                             K.CRIT_BRANCH, 1, tol.tol_cls, tol.tie_tol)
         status, tau, kb, margin_t, _, _, L0, dth_L, dI_L = res
         if status != K.TAU_OK or margin_t < tol.tol_degen or dth_L <= 0.0:
             return None
         I_new = I + eps * dth_L
         th_new = (th - eps * dI_L) % TWO_PI
         res1 = K.lstar_kernel(I_new, th_new, canon.r, canon.a1, canon.a2,
-                              K.CRIT_BRANCH, 1, 64, tol.tol_cls, tol.tie_tol)
+                              K.CRIT_BRANCH, 1, tol.tol_cls, tol.tie_tol)
         if res1[0] != K.TAU_OK:
             return None
         L1 = res1[6]
@@ -368,15 +369,14 @@ def verify_pseudo_orbit(orbit: PseudoOrbit,
                 failures.append(f"leg {idx}: endpoint chain broken")
             prev_dst = leg.dst
             try:
-                L0 = reduced_poincare(leg.src.I, leg.src.theta, crit, p, tol)
+                res = _lstar_raw(leg.src.I, leg.src.theta, crit, p, tol)
                 L1 = reduced_poincare(leg.dst.I, leg.dst.theta, crit, p, tol)
-                dI_L, dth_L = grad_reduced_poincare(
-                    leg.src.I, leg.src.theta, crit, p, tol)
+                dI_L, dth_L = _grad_of(res, leg.src.I, leg.src.theta, tol)
             except (SingularCrest, UnreachableBranch,
                     TangencyDegenerate) as exc:
                 failures.append(f"leg {idx}: re-solve failed: {exc}")
                 continue
-            lev = abs(L1 - L0)
+            lev = abs(L1 - res[6])
             max_level = max(max_level, lev)
             if lev > level_budget:
                 failures.append(

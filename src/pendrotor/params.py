@@ -75,6 +75,10 @@ class SystemParams:
     harmonics: tuple[int, int, int, int] | None = None
 
     def __post_init__(self):
+        for name in ("a1", "a2", "eps", "r"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got "
+                                  f"{getattr(self, name)}")
         if self.eps < 0:
             raise ConfigError("eps must be >= 0")
         if not (0.0 < self.r <= 1.0):

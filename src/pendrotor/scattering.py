@@ -35,8 +35,6 @@ from .params import DEFAULT_TOL, SystemParams, Tolerances
 
 TWO_PI = 2.0 * math.pi
 
-NS_BASE = 64  # base sample count per ridge strip in the tau* scan
-
 
 # ----------------------------------------------------------------------
 # criteria and result types
@@ -173,6 +171,11 @@ def melnikov_quadrature(I: float, phi: float, s: float, params: SystemParams,
 # tau* and the reduced function
 # ----------------------------------------------------------------------
 
+def _check_finite(I: float, theta: float) -> None:
+    if not (math.isfinite(I) and math.isfinite(theta)):
+        raise ConfigError(f"(I, theta) must be finite, got ({I}, {theta})")
+
+
 def _raise_for_status(status: int, I: float, theta: float,
                       criterion: TauCriterion) -> None:
     if status == K.TAU_SINGULAR:
@@ -193,11 +196,12 @@ def solve_tau_star(I: float, theta: float, criterion: TauCriterion,
     transversality below ``tol.tol_degen``) are returned with
     ``degenerate=True``; map evaluations refuse them.
     """
+    _check_finite(I, theta)
     th = theta % TWO_PI
     c = K.crest_coef(I, params.a1, params.a2, params.r)
     status, tau, kband, margin, phis, sigs = K.tau_star_kernel(
-        I, th, params.r, c, criterion.code, criterion.k, NS_BASE,
-        tol.tol_cls, tol.tie_tol)
+        I, th, params.r, c, criterion.code, criterion.k, tol.tol_cls,
+        tol.tie_tol)
     _raise_for_status(status, I, th, criterion)
     kind = CrestKind.HORIZONTAL if abs(c) < 1.0 else CrestKind.VERTICAL
     return TauSolution(
@@ -209,10 +213,10 @@ def solve_tau_star(I: float, theta: float, criterion: TauCriterion,
 
 def _lstar_raw(I: float, theta: float, criterion: TauCriterion,
                params: SystemParams, tol: Tolerances):
+    _check_finite(I, theta)
     th = theta % TWO_PI
     res = K.lstar_kernel(I, th, params.r, params.a1, params.a2,
-                         criterion.code, criterion.k, NS_BASE, tol.tol_cls,
-                         tol.tie_tol)
+                         criterion.code, criterion.k, tol.tol_cls, tol.tie_tol)
     status = res[0]
     _raise_for_status(status, I, th, criterion)
     return res
@@ -236,7 +240,13 @@ def grad_reduced_poincare(I: float, theta: float, criterion: TauCriterion,
     - tau* dL*/dtheta.  Raises :class:`TangencyDegenerate` at near-tangent
     contacts, where the contact ceases to be differentiable.
     """
-    res = _lstar_raw(I, theta, criterion, params, tol)
+    return _grad_of(_lstar_raw(I, theta, criterion, params, tol), I, theta,
+                    tol)
+
+
+def _grad_of(res, I: float, theta: float,
+             tol: Tolerances) -> tuple[float, float]:
+    """(dL*/dI, dL*/dtheta) of a ``_lstar_raw`` result at (I, theta)."""
     _, tau, _, margin, _, _, _, dth, dI = res
     if margin < tol.tol_degen:
         raise TangencyDegenerate(

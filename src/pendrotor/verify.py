@@ -135,10 +135,9 @@ def lemma_symmetry_check(params: SystemParams, n_I: int = 60, n_th: int = 60,
             continue
         for th in ths:
             r0 = K.lstar_kernel(I, th, params.r, params.a1, params.a2,
-                                K.CRIT_BRANCH, 0, 64, tol.tol_cls,
-                                tol.tie_tol)
+                                K.CRIT_BRANCH, 0, tol.tol_cls, tol.tie_tol)
             r2 = K.lstar_kernel(I, TWO_PI - th, params.r, params.a1,
-                                params.a2, K.CRIT_BRANCH, 2, 64, tol.tol_cls,
+                                params.a2, K.CRIT_BRANCH, 2, tol.tol_cls,
                                 tol.tie_tol)
             if r0[0] != K.TAU_OK or r2[0] != K.TAU_OK:
                 continue
@@ -172,8 +171,7 @@ def drift_sign_check(params: SystemParams, n_I: int = 41, n_th: int = 25,
         ths = np.linspace(math.pi + 1e-3, thp - 1e-3, n_th)
         for th in ths:
             res = K.lstar_kernel(I, th, params.r, params.a1, params.a2,
-                                 K.CRIT_BRANCH, 1, 64, tol.tol_cls,
-                                 tol.tie_tol)
+                                 K.CRIT_BRANCH, 1, tol.tol_cls, tol.tie_tol)
             if res[0] != K.TAU_OK:
                 bad += 1
                 continue

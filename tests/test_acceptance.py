@@ -119,11 +119,9 @@ def test_c04_down_up_reflection_symmetry(p075):
         for th in ths:
             total += 1
             r0 = K.lstar_kernel(I, th, p075.r, p075.a1, p075.a2,
-                                K.CRIT_BRANCH, 0, 64, tol.tol_cls,
-                                tol.tie_tol)
+                                K.CRIT_BRANCH, 0, tol.tol_cls, tol.tie_tol)
             r2 = K.lstar_kernel(I, TWO_PI - th, p075.r, p075.a1, p075.a2,
-                                K.CRIT_BRANCH, 2, 64, tol.tol_cls,
-                                tol.tie_tol)
+                                K.CRIT_BRANCH, 2, tol.tol_cls, tol.tie_tol)
             if r0[0] != K.TAU_OK or r2[0] != K.TAU_OK:
                 continue
             if min(r0[3], r2[3]) < 1e-3:  # tangency-affected contacts
@@ -166,8 +164,7 @@ def test_c05_positive_drift_window_and_theta_plus(p075):
         assert thp == formula(I, kind is pr.CrestKind.HORIZONTAL)
         for th in np.linspace(math.pi + 1e-3, thp - 1e-3, 50):
             res = K.lstar_kernel(I, th, p075.r, p075.a1, p075.a2,
-                                 K.CRIT_BRANCH, 1, 64, tol.tol_cls,
-                                 tol.tie_tol)
+                                 K.CRIT_BRANCH, 1, tol.tol_cls, tol.tie_tol)
             checked += 1
             if res[0] != K.TAU_OK or not res[7] > 0.0:
                 failures += 1

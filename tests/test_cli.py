@@ -300,6 +300,27 @@ class TestVerifyCmd:
                      "--tol-override", "nosuch=1"]) == 2
 
 
+class TestBadNumericInput:
+    @pytest.mark.parametrize("argv", [
+        ["portrait", "--mu", "0.5", "--I-min", "nan"],
+        ["portrait", "--mu", "0.5", "--I-max", "inf"],
+        ["diffuse", "--a1", "0.75", "--a2", "1", "--eps", "0.01",
+         "--I-start", "nan"],
+        ["diffuse", "--a1", "0.75", "--a2", "1", "--eps", "0.01",
+         "--I-end=-inf"],
+        ["portrait", "--mu", "nan"],
+        ["portrait", "--a1", "inf", "--a2", "1"],
+        ["thresholds", "--mu", "0.5", "--eps", "nan"],
+        ["verify", "--mu", "0.75", "--tol-override", "tol_root=abc"],
+        ["verify", "--mu", "0.75", "--tol-override", "tol_cls=nan"],
+    ])
+    def test_exits_2_with_message(self, argv, capsys):
+        assert main(argv + ["--grid-n", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+
+
 class TestConfigFile:
     def test_flags_win_over_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"

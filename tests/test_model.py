@@ -190,3 +190,20 @@ class TestParams:
             pr.SystemParams(a1=0.0, a2=1.0, eps=0.01).require_nontrivial()
         with pytest.raises(pr.ConfigError):
             pr.SystemParams(a1=1.0, a2=1.0, eps=0.0).require_nontrivial()
+
+    @pytest.mark.parametrize("field", ["a1", "a2", "eps", "r"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        kwargs = {"a1": 0.75, "a2": 1.0, "eps": 0.01, "r": 1.0, field: value}
+        with pytest.raises(pr.ConfigError, match="finite"):
+            pr.SystemParams(**kwargs)
+
+
+class TestNonFiniteTauQuery:
+    @pytest.mark.parametrize("I,theta", [(1.0, math.nan), (math.nan, 1.0),
+                                         (math.inf, 2.0), (0.4, -math.inf)])
+    def test_config_error(self, p075, I, theta):
+        with pytest.raises(pr.ConfigError, match="finite"):
+            pr.solve_tau_star(I, theta, pr.MINABS, p075)
+        with pytest.raises(pr.ConfigError, match="finite"):
+            pr.reduced_poincare(I, theta, pr.branch(1), p075)

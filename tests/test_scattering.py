@@ -1,10 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 import pendrotor as pr
 from pendrotor import _kernels as K
+from pendrotor.crests import crest_phi, crest_sigma
 from pendrotor.oracles import brute_tau_scan
 from pendrotor.scattering import grad_theta_forms
 
@@ -165,6 +170,116 @@ class TestTauStar:
         with pytest.raises(pr.SingularCrest):
             pr.solve_tau_star(I_c, 2.0, pr.MINABS, p,
                               pr.DEFAULT_TOL.override(tol_cls=1e-5))
+
+
+def _ridge_root(I, theta, tau0, p):
+    """Root of c sin(phi) + sin(sigma) along the ray, by mpmath from tau0."""
+    c = K.crest_coef(I, p.a1, p.a2, p.r)
+    with mpmath.workdps(40):
+        th, I_, r = mpmath.mpf(theta), mpmath.mpf(I), mpmath.mpf(p.r)
+
+        def g(t):
+            return (c * mpmath.sin(th - I_ * t)
+                    + mpmath.sin(r * th - (r * I_ - 1) * t))
+
+        return float(mpmath.findroot(g, mpmath.mpf(tau0)))
+
+
+def _band(I, theta, tau, p):
+    """Unwrapped ridge branch of a crossing, from its strip coordinate."""
+    c = K.crest_coef(I, p.a1, p.a2, p.r)
+    w = (p.r * theta - (p.r * I - 1.0) * tau if abs(c) < 1.0
+         else theta - I * tau)
+    return int(math.floor(w / math.pi + 0.5))
+
+
+def _check_against_oracles(I, theta, crit, p):
+    """The solver's tau* is a true crossing of the right branch, and no
+    crossing the uniform h=1e-5 scan sees is nearer; where the contact is
+    transversal (margin >= 1e-3) both agree to 1e-6."""
+    try:
+        sol = pr.solve_tau_star(I, theta, crit, p)
+    except pr.UnreachableBranch:
+        if crit.kind in ("branch", "minabs"):
+            with pytest.raises(pr.UnreachableBranch):
+                brute_tau_scan(I, theta, crit, p, h=1e-5)
+        return
+    tau = sol.tau_star
+    ref = brute_tau_scan(I, theta, crit, p, h=1e-5)
+    if sol.margin >= 1e-3:
+        assert tau == pytest.approx(ref, abs=1e-6)
+        return
+    assert abs(tau) <= abs(ref) + 1e-9
+    assert _ridge_root(I, theta, tau, p) == pytest.approx(
+        tau, abs=1e-9 * (1.0 + abs(tau)))
+    band = _band(I, theta, tau, p)
+    if crit.kind == "branch":
+        assert band == crit.k
+    elif crit.kind in ("down", "up"):
+        assert band % 2 == 0
+
+
+_CRITS = st.sampled_from([pr.DOWN, pr.UP, pr.MINABS, pr.branch(0),
+                          pr.branch(1), pr.branch(2)])
+
+
+class TestBracketAdversarial:
+    """Near-grazing rays and near-singular ridges for the exact bracket."""
+
+    @given(data=st.data(), r=st.sampled_from([0.5, 0.8, 1.0]),
+           u=st.floats(0.02, 0.98), log_off=st.floats(-9.0, -3.0),
+           sign=st.sampled_from([-1.0, 1.0]))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_rays_near_tangency_points(self, data, r, u, log_off, sign):
+        p = pr.SystemParams(a1=0.75, a2=1.0, r=r)
+        spans = [(iv.lo, iv.hi) for iv in
+                 pr.find_thresholds(p, (-3.0, 3.0)).intervals if iv.tangency]
+        lo, hi = data.draw(st.sampled_from(spans))
+        I = lo + u * (hi - lo)
+        # rays launched in [0, 2pi) through a tangency point of the ridge
+        rays = []
+        for tp in pr.tangency_points(I, p):
+            k = tp.branch.k
+            if tp.branch.kind is pr.CrestKind.HORIZONTAL:
+                phi, sig = tp.angle, crest_sigma(I, tp.angle, k, p)
+            else:
+                phi, sig = crest_phi(I, tp.angle, k, p), tp.angle
+            for a in range(-3, 4):
+                for b in range(-3, 4):
+                    ph, sg = phi + TWO_PI * a, sig + TWO_PI * b
+                    tau = sg - r * ph
+                    th = ph + I * tau
+                    if 0.0 <= th < TWO_PI and abs(tau) < math.pi:
+                        rays.append((th, _band(I, th, tau, p)))
+        if not rays:
+            return
+        th, k = data.draw(st.sampled_from(rays))
+        # one offset sign splits the contact into a close crossing pair, the
+        # other lifts the ray off the ridge there
+        theta = th + sign * 10.0 ** log_off
+        crit = data.draw(st.sampled_from([pr.branch(k), pr.branch(k),
+                                          pr.MINABS, pr.DOWN, pr.UP]))
+        _check_against_oracles(I, theta % TWO_PI, crit, p)
+
+    @given(data=st.data(), r=st.sampled_from([0.5, 0.8, 1.0]),
+           log_gap=st.floats(math.log10(2e-9), -6.0),
+           sign=st.sampled_from([-1.0, 1.0]), theta=st.floats(0.0, 6.28),
+           crit=_CRITS)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_crest_coefficient_near_one(self, data, r, log_gap, sign, theta,
+                                        crit):
+        p = pr.SystemParams(a1=0.75, a2=1.0, r=r)
+        I_c = data.draw(st.sampled_from(
+            pr.find_thresholds(p, (-3.0, 3.0)).alpha_thresholds))
+        target = 1.0 + sign * 10.0 ** log_gap
+
+        def gap(I):
+            return abs(K.crest_coef(I, p.a1, p.a2, r)) - target
+
+        I = brentq(gap, I_c - 1e-4, I_c + 1e-4, xtol=1e-15, rtol=1e-15)
+        c = abs(K.crest_coef(I, p.a1, p.a2, r))
+        assert pr.DEFAULT_TOL.tol_cls < abs(c - 1.0) < 1.01e-6
+        _check_against_oracles(I, theta, crit, p)
 
 
 class TestReducedPoincare:
@@ -390,14 +505,14 @@ class TestKernelScalarTypes:
         tol = pr.DEFAULT_TOL
         for I, th in ((0.4, 2.0), (-1.3, 4.0)):
             res = K.lstar_kernel(np.float64(I), np.float64(th), p075.r,
-                                 p075.a1, p075.a2, crit, k, 64, tol.tol_cls,
+                                 p075.a1, p075.a2, crit, k, tol.tol_cls,
                                  tol.tie_tol)
             assert res[0] == K.TAU_OK
             assert all(type(x) in (float, int) for x in res), \
                 [type(x).__name__ for x in res]
             # same values as the Python-float call
             ref = K.lstar_kernel(I, th, p075.r, p075.a1, p075.a2, crit, k,
-                                 64, tol.tol_cls, tol.tie_tol)
+                                 tol.tol_cls, tol.tie_tol)
             assert res == ref
 
     @pytest.mark.parametrize("crit,k", CASES)
@@ -406,7 +521,7 @@ class TestKernelScalarTypes:
         I = np.float64(0.4)
         c = K.crest_coef(I, p075.a1, p075.a2, p075.r)
         res = K.tau_star_kernel(I, np.float64(2.0), np.float64(p075.r), c,
-                                crit, k, 64, tol.tol_cls, tol.tie_tol)
+                                crit, k, tol.tol_cls, tol.tie_tol)
         assert res[0] == K.TAU_OK
         assert all(type(x) in (float, int) for x in res), \
             [type(x).__name__ for x in res]
