@@ -27,8 +27,7 @@ from .errors import (ConfigError, SingularCrest, StuckAtResonance,
 from .inner import InnerState, TorusRegion, region_of, torus_value
 from .params import DEFAULT_TOL, SystemParams, Tolerances
 from .scattering import (ScatteringState, TauCriterion, _grad_of, _lstar_raw,
-                         branch, grad_reduced_poincare, reduced_poincare,
-                         theta_plus)
+                         branch, grad_reduced_poincare, theta_plus)
 
 TWO_PI = 2.0 * math.pi
 
@@ -232,28 +231,32 @@ def build_pseudo_orbit(I_start: float, I_end: float, params: SystemParams,
                 f"({rho:.6f}, {thp:.6f})")
         return rho + margin, thp - margin
 
-    def probe_step(I: float, th: float):
-        """Next jump from (I, th), or None if it breaks a construction rule.
+    def solve(I: float, th: float):
+        return K.lstar_kernel(I, th, canon.r, canon.a1, canon.a2,
+                              K.CRIT_BRANCH, 1, tol.tol_cls, tol.tie_tol)
+
+    def probe_step(I: float, th: float, res):
+        """Next jump from (I, th), whose L* solve is ``res``, or None if it
+        breaks a construction rule.
 
         Rules: transversal contact, positive drift, and per-leg level
         residual inside the budget (the drift curvature grows near the
         tangency wedge; the construction stays in low-residual corridors).
+        The destination's solve comes last in the result, so that the next
+        step, which starts there, need not repeat it.
         """
-        res = K.lstar_kernel(I, th, canon.r, canon.a1, canon.a2,
-                             K.CRIT_BRANCH, 1, tol.tol_cls, tol.tie_tol)
         status, tau, kb, margin_t, _, _, L0, dth_L, dI_L = res
         if status != K.TAU_OK or margin_t < tol.tol_degen or dth_L <= 0.0:
             return None
         I_new = I + eps * dth_L
         th_new = (th - eps * dI_L) % TWO_PI
-        res1 = K.lstar_kernel(I_new, th_new, canon.r, canon.a1, canon.a2,
-                              K.CRIT_BRANCH, 1, tol.tol_cls, tol.tie_tol)
+        res1 = solve(I_new, th_new)
         if res1[0] != K.TAU_OK:
             return None
         L1 = res1[6]
         if abs(L1 - L0) > level_cap:
             return None
-        return I_new, th_new, L0, abs(L1 - L0), tau, kb
+        return I_new, th_new, L0, abs(L1 - L0), tau, kb, res1
 
     I = I_start
     lo, hi = window(I)
@@ -262,6 +265,7 @@ def build_pseudo_orbit(I_start: float, I_end: float, params: SystemParams,
         th = 0.5 * (lo + hi)
     legs: list = []
     stall_arcs = 0
+    nxt = None  # the step from (I, th), when the inner arc already probed it
 
     while I < I_end:
         if len(legs) >= policy.max_legs:
@@ -269,14 +273,17 @@ def build_pseudo_orbit(I_start: float, I_end: float, params: SystemParams,
                 f"leg budget {policy.max_legs} exhausted at I = {I:.6f}")
         # --- jump run: follow one level of L* while inside the window
         progressed = False
+        res = None  # the L* solve at (I, th), when a step already made it
         while I < I_end:
             lo, hi = window(I)
             if not (lo < th < hi):
                 break
-            nxt = probe_step(I, th)
+            if nxt is None:
+                nxt = probe_step(I, th, solve(I, th) if res is None else res)
             if nxt is None:
                 break  # reroute around tangency / high-curvature spots
-            I_new, th_new, L0, resid, tau, kb = nxt
+            I_new, th_new, L0, resid, tau, kb, res = nxt
+            nxt = None
             legs.append(ScatterLeg(
                 src=ScatteringState(I, th), dst=ScatteringState(I_new, th_new),
                 level=L0, residual=resid, tau_star=tau, branch_k=kb))
@@ -314,9 +321,11 @@ def build_pseudo_orbit(I_start: float, I_end: float, params: SystemParams,
                 lo, hi = window(Icur)
             except WindowEmpty:
                 continue
-            if lo < th_n < hi and probe_step(Icur, th_n) is not None:
-                hit = n
-                break
+            if lo < th_n < hi:
+                nxt = probe_step(Icur, th_n, solve(Icur, th_n))
+                if nxt is not None:
+                    hit = n
+                    break
         if hit < 0:
             raise StuckAtResonance(
                 f"no stroboscopic return into the window within "
@@ -362,21 +371,25 @@ def verify_pseudo_orbit(orbit: PseudoOrbit,
     brackets: list[TransversalityReport] = []
     crit = branch(1)
     prev_dst = None
+    dst_res = None  # the _lstar_raw solve at prev_dst, when a jump leg made it
 
     for idx, leg in enumerate(orbit.legs):
         if isinstance(leg, ScatterLeg):
             if prev_dst is not None and leg.src != prev_dst:
                 failures.append(f"leg {idx}: endpoint chain broken")
+                dst_res = None
             prev_dst = leg.dst
+            res, dst_res = dst_res, None
             try:
-                res = _lstar_raw(leg.src.I, leg.src.theta, crit, p, tol)
-                L1 = reduced_poincare(leg.dst.I, leg.dst.theta, crit, p, tol)
+                if res is None:
+                    res = _lstar_raw(leg.src.I, leg.src.theta, crit, p, tol)
+                dst_res = _lstar_raw(leg.dst.I, leg.dst.theta, crit, p, tol)
                 dI_L, dth_L = _grad_of(res, leg.src.I, leg.src.theta, tol)
             except (SingularCrest, UnreachableBranch,
                     TangencyDegenerate) as exc:
                 failures.append(f"leg {idx}: re-solve failed: {exc}")
                 continue
-            lev = abs(L1 - res[6])
+            lev = abs(dst_res[6] - res[6])
             max_level = max(max_level, lev)
             if lev > level_budget:
                 failures.append(
@@ -407,6 +420,7 @@ def verify_pseudo_orbit(orbit: PseudoOrbit,
                         or abs(leg.src.phi % TWO_PI - prev_dst.theta) > 1e-15):
                     failures.append(f"leg {idx}: endpoint chain broken")
             prev_dst = ScatteringState(leg.dst.I, leg.dst.phi % TWO_PI)
+            dst_res = None
             Iv, phv, _, _, status = integrate_inner(
                 leg.src.I, leg.src.phi, 0.0, leg.src.s, 0.0, leg.duration,
                 p.eps, p.a1, p.a2, p.r, 0.1 * policy.arc_rtol,

@@ -2,8 +2,10 @@
 
 These deliberately avoid the strip-based geometry of the production solver:
 the ray is sampled on a uniform fine grid and the first sign change matching
-the criterion is taken.  They exist to cross-validate the fast path and are
-also wired into ``pendrotor verify``.
+the criterion is taken.  The only shortcut is to leave unsampled a stretch of
+the ray whose every crossing the scan's own band classifier would reject;
+that cannot change the result (see ``brute_tau_scan``).  The oracles exist
+to cross-validate the fast path and are also wired into ``pendrotor verify``.
 """
 
 from __future__ import annotations
@@ -52,13 +54,22 @@ def _band_of(t, phi0, sig0, rphi, rsig, horizontal):
 
 def brute_tau_scan(I: float, theta: float, criterion: TauCriterion,
                    params: SystemParams, h: float = 1e-5,
-                   chunk: int = 65536,
+                   chunk: int = 8192,
                    tol: Tolerances = DEFAULT_TOL) -> float:
     """First criterion-matching ridge crossing found by uniform ray marching.
 
     Scans the ray at step h, refines each detected sign change by bisection
     inside its cell, classifies the crossing's unwrapped branch, and accepts
     per the criterion semantics.  Raises like the production solver.
+
+    The ray is taken ``chunk`` cells at a time, and a chunk is skipped
+    unevaluated when no band between those of its end samples is accepted
+    (``branch=k`` needs band k, ``down``/``up`` an even band).  This is
+    exact: the strip coordinate w = w0 + r_w*tau is affine, and rounded
+    ``+``, ``*`` and ``floor`` are monotone, so a root refined inside any
+    cell of the chunk lies in a band between the end samples' bands.  A
+    skipped chunk held only crossings the scan would have rejected, so the
+    result is the same as that of the full scan.
     """
     th = theta % TWO_PI
     c = K.crest_coef(I, params.a1, params.a2, params.r)
@@ -78,17 +89,23 @@ def brute_tau_scan(I: float, theta: float, criterion: TauCriterion,
     else:
         dirs = [1.0, -1.0]
 
-    def accept(band: int) -> bool:
+    def accepts(b1: int, b2: int) -> bool:
+        """Whether some band from b1 to b2 is accepted by the criterion."""
+        lo, hi = min(b1, b2), max(b1, b2)
         if criterion.kind in ("down", "up"):
-            return band % 2 == 0
+            return hi > lo or lo % 2 == 0
         if criterion.kind == "branch":
-            return band == criterion.k
+            return lo <= criterion.k <= hi
         return True
+
+    def band(t: float) -> int:
+        return _band_of(t, phi0, sig0, rphi, rsig, horizontal)
 
     # exact start on the ridge
     g0 = float(_residual_grid(np.array([0.0]), phi0, sig0, rphi, rsig, c,
                               ac)[0])
-    if g0 == 0.0 and accept(_band_of(0.0, phi0, sig0, rphi, rsig, horizontal)):
+    b0 = band(0.0)
+    if g0 == 0.0 and accepts(b0, b0):
         return 0.0
 
     # March each direction chunk by chunk, always advancing the direction
@@ -108,15 +125,19 @@ def brute_tau_scan(I: float, theta: float, criterion: TauCriterion,
             done[d] = True
             continue
         n = min(chunk, n_cap - start)
-        taus = d * h * np.arange(start, start + n + 1)
+        step = d * h
+        if not accepts(band(step * start), band(step * (start + n))):
+            starts[d] = start + n
+            continue
+        taus = step * np.arange(start, start + n + 1)
         g = _residual_grid(taus, phi0, sig0, rphi, rsig, c, ac)
         sgn = np.signbit(g)
         flips = np.nonzero(sgn[1:] != sgn[:-1])[0]
         for idx in flips:
             ta, tb = sorted((float(taus[idx]), float(taus[idx + 1])))
             root = _refine(ta, tb, phi0, sig0, rphi, rsig, c, ac)
-            band = _band_of(root, phi0, sig0, rphi, rsig, horizontal)
-            if accept(band):
+            b = band(root)
+            if accepts(b, b):
                 done[d] = True
                 if best is None or abs(root) < abs(best):
                     best = root

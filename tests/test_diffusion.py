@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import pendrotor as pr
+from pendrotor import _kernels as K
 from pendrotor.diffusion import ScatterLeg
 
 TWO_PI = 2.0 * math.pi
@@ -135,3 +136,24 @@ class TestBuildVerify:
             if min(abs(tr.theta), abs(tr.theta - math.pi),
                    abs(tr.theta - TWO_PI)) > 0.05:
                 assert abs(tr.bracket) > 0.0
+
+
+class TestSolveReuse:
+    """Each jump leg's destination solve serves the next leg's source."""
+
+    def test_c09_orbit_solves_once_per_jump_leg(self, p075, monkeypatch):
+        calls = [0]
+        lstar = K.lstar_kernel
+
+        def counted(*args):
+            calls[0] += 1
+            return lstar(*args)
+
+        monkeypatch.setattr(K, "lstar_kernel", counted)
+        orbit = pr.build_pseudo_orbit(-1.0, 1.0, p075)
+        n_build = calls[0]
+        calls[0] = 0
+        rep = pr.verify_pseudo_orbit(orbit)
+        assert rep.ok, rep.failures[:3]
+        assert n_build <= 1.2 * orbit.n_scatter
+        assert calls[0] <= 1.3 * orbit.n_scatter

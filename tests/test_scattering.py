@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 import pendrotor as pr
 from pendrotor import _kernels as K
 from pendrotor.crests import crest_phi, crest_sigma
-from pendrotor.oracles import brute_tau_scan
+from pendrotor.oracles import _band_of, _refine, _residual_grid, brute_tau_scan
 from pendrotor.scattering import grad_theta_forms
 
 TWO_PI = 2.0 * math.pi
@@ -170,6 +170,108 @@ class TestTauStar:
         with pytest.raises(pr.SingularCrest):
             pr.solve_tau_star(I_c, 2.0, pr.MINABS, p,
                               pr.DEFAULT_TOL.override(tol_cls=1e-5))
+
+
+def _plain_scan(I, theta, crit, p, h):
+    """The uniform ray scan with nothing skipped: every cell out to the
+    scan's |tau| limit in each direction, the first accepted crossing of
+    each direction, the nearer of those (the first direction on a tie)."""
+    th = theta % TWO_PI
+    c = K.crest_coef(I, p.a1, p.a2, p.r)
+    ac = abs(c)
+    phi0, sig0 = th, p.r * th
+    rphi, rsig = -I, -(p.r * I - 1.0)
+    fmin = max(min(abs(rphi), abs(rsig)), 1e-12)
+    tau_lim = 8.0 * math.pi * max(1.0, 1.0 / fmin)
+    n_cap = int(tau_lim / h) + 2
+
+    def band(t):
+        return _band_of(t, phi0, sig0, rphi, rsig, ac < 1.0)
+
+    def accept(b):
+        if crit.kind in ("down", "up"):
+            return b % 2 == 0
+        return crit.kind == "minabs" or b == crit.k
+
+    g0 = _residual_grid(np.zeros(1), phi0, sig0, rphi, rsig, c, ac)[0]
+    if g0 == 0.0 and accept(band(0.0)):
+        return 0.0
+    if crit.kind == "down":
+        dirs = [-1.0 if rsig > 0 else 1.0]
+    elif crit.kind == "up":
+        dirs = [1.0 if rsig > 0 else -1.0]
+    else:
+        dirs = [1.0, -1.0]
+    best = None
+    for d in dirs:
+        taus = d * h * np.arange(0, n_cap + 1)
+        sgn = np.signbit(_residual_grid(taus, phi0, sig0, rphi, rsig, c, ac))
+        for idx in np.nonzero(sgn[1:] != sgn[:-1])[0]:
+            ta, tb = sorted((float(taus[idx]), float(taus[idx + 1])))
+            root = _refine(ta, tb, phi0, sig0, rphi, rsig, c, ac)
+            if accept(band(root)):
+                if best is None or abs(root) < abs(best):
+                    best = root
+                break
+    if best is None:
+        raise pr.UnreachableBranch("no crossing")
+    return best
+
+
+def _scan_or_error(scan, *args, **kwargs):
+    try:
+        return scan(*args, **kwargs)
+    except pr.UnreachableBranch:
+        return "unreachable"
+
+
+_ALL_CRITS = [pr.DOWN, pr.UP, pr.MINABS] + [pr.branch(k) for k in range(-1, 4)]
+
+
+class TestBruteScanSkip:
+    """The oracle skips chunks whose bands its criterion rejects; that must
+    not change a single result."""
+
+    @staticmethod
+    def _queries(seed, n_per_r):
+        """Seeded queries at r = 0.5, 0.8 and 1 cycling through every
+        criterion, away from the resonances and from |c| = 1."""
+        rng = np.random.default_rng(seed)
+        out = []
+        for r in (0.5, 0.8, 1.0):
+            p = pr.SystemParams(a1=0.75, a2=1.0, r=r)
+            for i in range(n_per_r):
+                I = 0.0
+                while (min(abs(I), abs(r * I - 1.0)) < 0.3 or abs(
+                        abs(K.crest_coef(I, p.a1, p.a2, r)) - 1.0) < 1e-3):
+                    I = rng.uniform(-3.0, 3.0)
+                out.append((I, rng.uniform(0.0, TWO_PI),
+                            _ALL_CRITS[i % len(_ALL_CRITS)], p))
+        return out
+
+    def test_chunk_size_does_not_change_results(self):
+        for I, th, crit, p in self._queries(41, 14):
+            got = [_scan_or_error(brute_tau_scan, I, th, crit, p, h=1e-5,
+                                  chunk=chunk)
+                   for chunk in (1024, 8192, 65536)]
+            assert got[0] == got[1] == got[2], (I, th, crit, p.r, got)
+
+    def test_equals_plain_scan(self):
+        for I, th, crit, p in self._queries(42, 21):
+            got = _scan_or_error(brute_tau_scan, I, th, crit, p, h=1e-4)
+            ref = _scan_or_error(_plain_scan, I, th, crit, p, 1e-4)
+            assert got == ref, (I, th, crit, p.r, got, ref)
+
+    def test_unreachable_branch_raises(self, p075):
+        for k in (40, -40):
+            with pytest.raises(pr.UnreachableBranch):
+                brute_tau_scan(0.4, 1.0, pr.branch(k), p075)
+
+    def test_start_on_accepted_ridge_returns_zero(self, p075):
+        # theta = 0 puts the ray's start on the band-0 ridge exactly
+        for crit in (pr.DOWN, pr.UP, pr.MINABS, pr.branch(0)):
+            assert brute_tau_scan(0.4, 0.0, crit, p075) == 0.0
+        assert brute_tau_scan(0.4, 0.0, pr.branch(1), p075) != 0.0
 
 
 def _ridge_root(I, theta, tau0, p):
