@@ -12,7 +12,6 @@ variants, the resonant inner dynamics on the invariant cylinder, and
 constructive drift pseudo-orbits that carry the action across resonances.
 """
 
-from ._jit import NUMBA_ENABLED
 from .params import SystemParams, Tolerances, DEFAULT_TOL
 from .errors import (PendrotorError, ConfigError, PoleAtOne, PoleAtOneOverR,
                      OutOfDomain, NoSolutionInWindow, SingularCrest,
@@ -39,10 +38,13 @@ from .inner import (InnerState, TorusRegion, RESONANCE_HALF_WIDTH,
                     resonance_half_width_pendulum, inner_flow,
                     energy_balance_residual, stroboscopic_sections)
 from .diffusion import (TransversalityReport, poisson_bracket, transversality,
-                        ScatterLeg, InnerLeg, DiffusionPolicy, PseudoOrbit,
+                        ScatterLeg, InnerLeg, PseudoOrbit,
                         VerificationReport, build_pseudo_orbit,
                         verify_pseudo_orbit)
 
 __version__ = "0.1.0"
+
+# the kernels run as plain Python; the benchmark's environment record reads this
+NUMBA_ENABLED = False
 
 __all__ = [name for name in dir() if not name.startswith("_")]

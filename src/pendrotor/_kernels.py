@@ -1,9 +1,8 @@
-"""Scalar hot kernels (numba-compiled unless PENDROTOR_NO_NUMBA is set).
+"""Scalar hot kernels, in plain Python.
 
-Everything here works on plain floats/ints so the same source runs compiled
-or uncompiled; the solver entry points coerce their float arguments, so the
-uncompiled path returns Python floats/ints just as numba does.  Geometry
-conventions, used throughout:
+Everything here works on plain floats/ints; the solver entry points coerce
+their float arguments, so they return Python floats/ints whatever scalar
+type the caller passes.  Geometry conventions, used throughout:
 
 * reduced angles (phi, sigma) with sigma = r*phi - s;
 * a connection line launched from the point (theta, r*theta) moves as
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import math
 
-from ._jit import jitted
+import numpy as np
 
 # status codes returned by the tau* solver
 TAU_OK = 0
@@ -53,7 +52,6 @@ PI = math.pi
 # stable special-function cores
 # ----------------------------------------------------------------------
 
-@jitted
 def h_ratio_fn(x: float) -> float:
     """x / sinh(x), extended by 1 at x = 0.  Even, positive, decays ~2|x|e^-|x|."""
     ax = abs(x)
@@ -64,7 +62,6 @@ def h_ratio_fn(x: float) -> float:
     return 2.0 * ax * math.exp(-ax)
 
 
-@jitted
 def h_ratio_prime(x: float) -> float:
     """Derivative of x/sinh(x).  Odd; series near 0 avoids cancellation."""
     ax = abs(x)
@@ -79,7 +76,6 @@ def h_ratio_prime(x: float) -> float:
     return -v if x > 0.0 else v
 
 
-@jitted
 def sinh_quot(u: float, v: float) -> float:
     """sinh(u)/sinh(v), overflow-safe for large same-scale arguments."""
     au = abs(u)
@@ -94,7 +90,6 @@ def sinh_quot(u: float, v: float) -> float:
     return s * math.exp(au - av) * (1.0 - math.exp(-2.0 * au)) / (1.0 - math.exp(-2.0 * av))
 
 
-@jitted
 def alpha_r_raw(I: float, r: float) -> float:
     """I^2 sinh(pi(rI-1)/2) / ((rI-1)^2 sinh(pi I/2)); +/-inf at I = 1/r.
 
@@ -115,7 +110,6 @@ def alpha_r_raw(I: float, r: float) -> float:
     return (I * I / (d * d)) * sinh_quot(u, v)
 
 
-@jitted
 def beta_r_raw(I: float, r: float) -> float:
     """I * alpha_r(I) / (rI - 1)."""
     d = r * I - 1.0
@@ -124,7 +118,6 @@ def beta_r_raw(I: float, r: float) -> float:
     return I * alpha_r_raw(I, r) / d
 
 
-@jitted
 def crest_coef(I: float, a1: float, a2: float, r: float) -> float:
     """c = mu * alpha_r(I) = I*A1(I) / ((rI-1)*A2(I)); signed, +/-inf at poles."""
     d = r * I - 1.0
@@ -141,22 +134,18 @@ def crest_coef(I: float, a1: float, a2: float, r: float) -> float:
     return num / den
 
 
-@jitted
 def amp1(I: float, a1: float) -> float:
     return 4.0 * a1 * h_ratio_fn(0.5 * PI * I)
 
 
-@jitted
 def amp2(I: float, a2: float, r: float) -> float:
     return 4.0 * a2 * h_ratio_fn(0.5 * PI * (r * I - 1.0))
 
 
-@jitted
 def amp1_prime(I: float, a1: float) -> float:
     return 2.0 * PI * a1 * h_ratio_prime(0.5 * PI * I)
 
 
-@jitted
 def amp2_prime(I: float, a2: float, r: float) -> float:
     return 2.0 * PI * a2 * r * h_ratio_prime(0.5 * PI * (r * I - 1.0))
 
@@ -165,7 +154,6 @@ def amp2_prime(I: float, a2: float, r: float) -> float:
 # tau* geometry helpers
 # ----------------------------------------------------------------------
 
-@jitted
 def _gn_prime(tau, phi0, sig0, rphi, rsig, c, ac):
     """tau-derivative of the ridge residual normalized by max(1, |c|); its
     modulus at a crossing is the transversality margin."""
@@ -177,7 +165,6 @@ def _gn_prime(tau, phi0, sig0, rphi, rsig, c, ac):
     return s * math.cos(phi) * rphi + math.cos(sig) * rsig / ac
 
 
-@jitted
 def _hb(tau, m, par, w0, lw, phi0, sig0, rphi, rsig, c, horizontal):
     """Signed distance to the branch-m graph along the strip coordinate.
 
@@ -195,7 +182,6 @@ def _hb(tau, m, par, w0, lw, phi0, sig0, rphi, rsig, c, horizontal):
     return (w0 + lw * tau - m * PI) + par * math.asin(x)
 
 
-@jitted
 def _bisect_hb(ta, tb, m, par, w0, lw, phi0, sig0, rphi, rsig, c, horizontal):
     """Root of _hb in [ta, tb] assuming a sign change; returns the root."""
     fa = _hb(ta, m, par, w0, lw, phi0, sig0, rphi, rsig, c, horizontal)
@@ -218,7 +204,6 @@ def _bisect_hb(ta, tb, m, par, w0, lw, phi0, sig0, rphi, rsig, c, horizontal):
     return 0.5 * (a + b)
 
 
-@jitted
 def _strip(m, w0, lw, half):
     """tau interval where |w0 + lw*tau - m*pi| <= half (lw != 0)."""
     e1 = ((m * PI - half) - w0) / lw
@@ -226,13 +211,11 @@ def _strip(m, w0, lw, half):
     return min(e1, e2), max(e1, e2)
 
 
-@jitted
 def _crit_tau(j, u1, u2, period):
     """j-th critical point of h_b along the ray; nondecreasing in j."""
     return (u1 if j % 2 == 0 else u2) + (j // 2) * period
 
 
-@jitted
 def _fold(root, d, phi0, sig0, rphi, rsig, c, ac, tie_tol, found, best_t,
           best_key, best_marg):
     """Merge a crossing into the running best: smallest key d*tau wins; within
@@ -246,7 +229,6 @@ def _fold(root, d, phi0, sig0, rphi, rsig, c, ac, tie_tol, found, best_t,
     return found, best_t, best_key, best_marg
 
 
-@jitted
 def _walk_band(lo, hi, d, m, w0, lw, phi0, sig0, rphi, rsig, c, ac,
                horizontal, psi0, rpsi, q, tie_tol, found, best_t, best_key,
                best_marg):
@@ -333,14 +315,13 @@ def _walk_band(lo, hi, d, m, w0, lw, phi0, sig0, rphi, rsig, c, ac,
     return found, best_t, best_key, best_marg
 
 
-@jitted
 def tau_star_kernel(I, theta, r, c, crit, kreq, tol_cls, tie_tol):
     """Crossing time tau* of the connection line with the ridge set.
 
     Returns (status, tau, band_index, margin, phi_star, sigma_star).
     """
-    # numpy scalars (e.g. from np.linspace) would otherwise flow through the
-    # uncompiled path into every returned value
+    # numpy scalars (e.g. from np.linspace) would otherwise flow into every
+    # returned value, and make every step of the solve several times slower
     I = float(I)
     theta = float(theta)
     r = float(r)
@@ -427,7 +408,6 @@ def tau_star_kernel(I, theta, r, c, crit, kreq, tol_cls, tie_tol):
             sig0 + rsig * best_t)
 
 
-@jitted
 def lstar_kernel(I, theta, r, a1, a2, crit, kreq, tol_cls, tie_tol):
     """Reduced splitting value and gradient at the selected crossing.
 
@@ -456,7 +436,6 @@ def lstar_kernel(I, theta, r, a1, a2, crit, kreq, tol_cls, tie_tol):
     return status, tau, kb, margin, phis, sigs, L, dth, dI
 
 
-@jitted
 def theta_plus_kernel(I: float, horizontal: bool) -> float:
     """Upper end of the guaranteed positive-drift window (pi, theta_plus)."""
     if horizontal:
@@ -476,12 +455,17 @@ def theta_plus_kernel(I: float, horizontal: bool) -> float:
     return 1.5 * PI
 
 
-@jitted
-def sweep_kernel(Ivals, thvals, r, a1, a2, crit, kreq, tol_cls, tie_tol,
-                 status, tau, band, margin, lstar, dth, dI):
-    """Fill (nI, nth) output arrays for a criterion over a grid."""
+def sweep_kernel(Ivals, thvals, r, a1, a2, crit, kreq, tol_cls, tie_tol):
+    """lstar_kernel for a criterion over the grid Ivals x thvals.
+
+    Returns (nI, nth) arrays (status, tau, band, margin, lstar, dth, dI);
+    status and band are int64.
+    """
     nI = Ivals.shape[0]
     nth = thvals.shape[0]
+    status = np.empty((nI, nth), dtype=np.int64)
+    band = np.empty((nI, nth), dtype=np.int64)
+    tau, margin, lstar, dth, dI = np.empty((5, nI, nth))
     for i in range(nI):
         for j in range(nth):
             st, t, kb, mg, ph, sg, L, g1, g2 = lstar_kernel(
@@ -493,3 +477,4 @@ def sweep_kernel(Ivals, thvals, r, a1, a2, crit, kreq, tol_cls, tie_tol,
             lstar[i, j] = L
             dth[i, j] = g1
             dI[i, j] = g2
+    return status, tau, band, margin, lstar, dth, dI

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 
-from ._jit import jitted
-
 ODE_OK = 0
 ODE_STEPFAIL = 1
 
@@ -37,7 +35,6 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0,
                                 22.0 / 525.0, -1.0 / 40.0)
 
 
-@jitted
 def _rhs(t, y0, y1, s0, eps, a1, a2, r):
     psi = r * y1 - (s0 + t)
     f0 = eps * (a1 * math.sin(y1) + r * a2 * math.sin(psi))
@@ -46,7 +43,6 @@ def _rhs(t, y0, y1, s0, eps, a1, a2, r):
     return f0, f1, f2
 
 
-@jitted
 def integrate_inner(y0, y1, y2, s0, t0, t1, eps, a1, a2, r, rtol, atol):
     """Advance (I, phi, E) from t0 to t1.  Returns (I, phi, E, nsteps, status)."""
     t = t0

@@ -21,8 +21,7 @@ import numpy as np
 
 from . import _kernels as K
 from .crests import classify, crest_phi, crest_residual, crest_sigma, find_thresholds
-from .diffusion import (DiffusionPolicy, ScatterLeg,
-                        build_pseudo_orbit, verify_pseudo_orbit)
+from .diffusion import ScatterLeg, build_pseudo_orbit, verify_pseudo_orbit
 from .errors import ConfigError, OutOfDomain, PendrotorError
 from .inner import InnerState, region_of, stroboscopic_sections, torus_value
 from .params import DEFAULT_TOL, SystemParams, Tolerances
@@ -254,18 +253,8 @@ def cmd_crests(args) -> int:
 
 def _sweep_rows(params, tol, criterion, I_vals, th_vals):
     crit = TauCriterion.parse(criterion)
-    nI, nth = len(I_vals), len(th_vals)
-    status = np.empty((nI, nth), dtype=np.int64)
-    tau = np.empty((nI, nth))
-    band = np.empty((nI, nth), dtype=np.int64)
-    margin = np.empty((nI, nth))
-    lstar = np.empty((nI, nth))
-    dth = np.empty((nI, nth))
-    dI = np.empty((nI, nth))
-    K.sweep_kernel(I_vals, th_vals, params.r, params.a1, params.a2, crit.code,
-                   crit.k, tol.tol_cls, tol.tie_tol, status, tau, band, margin,
-                   lstar, dth, dI)
-    return status, tau, band, margin, lstar, dth, dI
+    return K.sweep_kernel(I_vals, th_vals, params.r, params.a1, params.a2,
+                          crit.code, crit.k, tol.tol_cls, tol.tie_tol)
 
 
 def cmd_portrait(args) -> int:
@@ -339,9 +328,7 @@ def cmd_diffuse(args) -> int:
     if params.eps == 0.0:
         raise ConfigError("diffusion needs eps > 0")
     params.require_nontrivial()
-    policy = DiffusionPolicy()
-    orbit = build_pseudo_orbit(args.I_start, args.I_end, params,
-                               policy=policy, tol=tol)
+    orbit = build_pseudo_orbit(args.I_start, args.I_end, params, tol=tol)
     report = verify_pseudo_orbit(orbit, tol)
     em = Emitter(args.out, args.format, "pseudo_orbit",
                  _header(params, args, {

@@ -152,8 +152,7 @@ def has_tangency(I: float, params: SystemParams,
 
 
 def tangency_points(I: float, params: SystemParams,
-                    tol: Tolerances = DEFAULT_TOL,
-                    slope_tol: float = 1e-9) -> list[TangencyPoint]:
+                    tol: Tolerances = DEFAULT_TOL) -> list[TangencyPoint]:
     """Angles where a connection line is tangent to a ridge branch.
 
     Horizontal regime: phi = +/- arctan sqrt((c^2-m^2)/(m^2(1-c^2))) and the
@@ -178,7 +177,7 @@ def tangency_points(I: float, params: SystemParams,
             root = math.sqrt(max(1e-300, 1.0 - (c * s) ** 2))
             dslope = c * math.cos(phi) / root
             for k, par in ((0, 1.0), (1, -1.0)):
-                if abs(-par * dslope - m) < max(slope_tol, 1e-9 * abs(m)):
+                if abs(-par * dslope - m) < 1e-9 * max(1.0, abs(m)):
                     out.append(TangencyPoint(
                         I=I, angle=phi % (2.0 * math.pi),
                         branch=CrestBranch(k=k, kind=kind, I=I)))
@@ -194,7 +193,7 @@ def tangency_points(I: float, params: SystemParams,
             root = math.sqrt(max(1e-300, 1.0 - s * s))
             dslope = (math.cos(sig) / c) / root
             for k, par in ((0, 1.0), (1, -1.0)):
-                if abs(-par * dslope - minv) < max(slope_tol, 1e-9 * abs(minv)):
+                if abs(-par * dslope - minv) < 1e-9 * max(1.0, abs(minv)):
                     out.append(TangencyPoint(
                         I=I, angle=sig % (2.0 * math.pi),
                         branch=CrestBranch(k=k, kind=kind, I=I)))

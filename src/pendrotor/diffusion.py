@@ -31,6 +31,20 @@ from .scattering import (ScatteringState, TauCriterion, _grad_of, _lstar_raw,
 
 TWO_PI = 2.0 * math.pi
 
+# margins and budgets of the drift construction (not of the underlying maps)
+DELTA = 0.05              # rho = pi + delta
+MARGIN_COEFF = 10.0       # window margin = max(coeff*eps^2, floor)
+MARGIN_FLOOR = 0.01
+LEVEL_COEFF = 10.0        # per-leg |dL*| budget, in eps^2 units
+ARC_RTOL = 1e-12
+ARC_ATOL = 1e-12
+T_MAX_FACTOR = 1e3        # inner-return budget t_max = factor/eps
+MAX_LEGS = 500_000
+MAX_STALL_ARCS = 80
+REINT_BUDGET = 1e-8       # verification: arc re-integration
+F_LEVEL_COEFF = 60.0      # advisory resonance F-drift scale
+TANGENT_BRACKET = 1e-6    # |{F, L*}| below this reads as a tangent line
+
 
 # ----------------------------------------------------------------------
 # transversality
@@ -53,7 +67,20 @@ def poisson_bracket(I: float, theta: float, criterion: TauCriterion,
     I^2/2 outside the bands).  A nonzero bracket means the jump map moves
     points across the inner invariant curves.
     """
+    return transversality(I, theta, criterion, params, tol).bracket
+
+
+def transversality(I: float, theta: float, criterion: TauCriterion,
+                   params: SystemParams,
+                   tol: Tolerances = DEFAULT_TOL) -> TransversalityReport:
     dI_L, dth_L = grad_reduced_poincare(I, theta, criterion, params, tol)
+    return _transversality(I, theta, dI_L, dth_L, params)
+
+
+def _transversality(I: float, theta: float, dI_L: float, dth_L: float,
+                    params: SystemParams) -> TransversalityReport:
+    """{F_region, L*} at (I, theta) and its verdict, from the gradient
+    (dL*/dI, dL*/dtheta) already in hand."""
     th = theta % TWO_PI
     region = region_of(I, params)
     if region is TorusRegion.RES0:
@@ -65,16 +92,9 @@ def poisson_bracket(I: float, theta: float, criterion: TauCriterion,
     else:
         F_I = I
         F_th = 0.0
-    return F_th * dI_L - F_I * dth_L
-
-
-def transversality(I: float, theta: float, criterion: TauCriterion,
-                   params: SystemParams, tol_bracket: float = 1e-6,
-                   tol: Tolerances = DEFAULT_TOL) -> TransversalityReport:
-    b = poisson_bracket(I, theta, criterion, params, tol)
-    verdict = "tangent-line" if abs(b) < tol_bracket else "transversal"
-    return TransversalityReport(I=I, theta=theta % TWO_PI, bracket=b,
-                                verdict=verdict)
+    b = F_th * dI_L - F_I * dth_L
+    verdict = "tangent-line" if abs(b) < TANGENT_BRACKET else "transversal"
+    return TransversalityReport(I=I, theta=th, bracket=b, verdict=verdict)
 
 
 # ----------------------------------------------------------------------
@@ -100,26 +120,6 @@ class InnerLeg:
     sections: np.ndarray  # rows (t, I, phi), phi unwrapped
 
 
-@dataclass(frozen=True)
-class DiffusionPolicy:
-    """Tunable margins of the construction (not of the underlying maps)."""
-
-    delta: float = 0.05              # rho = pi + delta
-    margin_coeff: float = 10.0       # window margin = max(coeff*eps^2, floor)
-    margin_floor: float = 0.01
-    level_coeff: float = 10.0        # per-leg |dL*| budget, in eps^2 units
-    arc_rtol: float = 1e-12
-    arc_atol: float = 1e-12
-    t_max_factor: float = 1e3        # inner-return budget t_max = factor/eps
-    max_legs: int = 500_000
-    max_stall_arcs: int = 80
-    reint_budget: float = 1e-8       # verification: arc re-integration
-    f_level_coeff: float = 60.0      # advisory resonance F-drift scale
-
-    def margin(self, eps: float) -> float:
-        return max(self.margin_coeff * eps * eps, self.margin_floor)
-
-
 @dataclass
 class PseudoOrbit:
     legs: list
@@ -129,7 +129,6 @@ class PseudoOrbit:
     original_params: SystemParams
     frame_phi_shift: float
     frame_s_shift: float
-    policy: DiffusionPolicy
 
     @property
     def n_scatter(self) -> int:
@@ -198,8 +197,6 @@ def _theta_plus_safe(I: float, params: SystemParams,
 
 
 def build_pseudo_orbit(I_start: float, I_end: float, params: SystemParams,
-                       policy: DiffusionPolicy | None = None,
-                       theta0: float | None = None,
                        tol: Tolerances = DEFAULT_TOL) -> PseudoOrbit:
     """Construct a drift pseudo-orbit carrying I from I_start up to I_end.
 
@@ -215,13 +212,12 @@ def build_pseudo_orbit(I_start: float, I_end: float, params: SystemParams,
         raise ConfigError("pseudo-orbit windows are implemented for r = 1")
     if I_end <= I_start:
         raise ConfigError("need I_end > I_start")
-    policy = policy or DiffusionPolicy()
     canon, phi_shift, s_shift = _canonical_frame(params)
     eps = canon.eps
-    rho = math.pi + policy.delta
-    margin = policy.margin(eps)
-    level_cap = 0.9 * policy.level_coeff * eps * eps
-    n_max_periods = max(4, int(policy.t_max_factor / eps / TWO_PI))
+    rho = math.pi + DELTA
+    margin = max(MARGIN_COEFF * eps * eps, MARGIN_FLOOR)
+    level_cap = 0.9 * LEVEL_COEFF * eps * eps
+    n_max_periods = max(4, int(T_MAX_FACTOR / eps / TWO_PI))
 
     def window(I: float) -> tuple[float, float]:
         thp = _theta_plus_safe(I, canon, tol)
@@ -260,17 +256,15 @@ def build_pseudo_orbit(I_start: float, I_end: float, params: SystemParams,
 
     I = I_start
     lo, hi = window(I)
-    th = theta0 % TWO_PI if theta0 is not None else 0.5 * (lo + hi)
-    if not (lo < th < hi):
-        th = 0.5 * (lo + hi)
+    th = 0.5 * (lo + hi)
     legs: list = []
     stall_arcs = 0
     nxt = None  # the step from (I, th), when the inner arc already probed it
 
     while I < I_end:
-        if len(legs) >= policy.max_legs:
+        if len(legs) >= MAX_LEGS:
             raise StuckAtResonance(
-                f"leg budget {policy.max_legs} exhausted at I = {I:.6f}")
+                f"leg budget {MAX_LEGS} exhausted at I = {I:.6f}")
         # --- jump run: follow one level of L* while inside the window
         progressed = False
         res = None  # the L* solve at (I, th), when a step already made it
@@ -295,7 +289,7 @@ def build_pseudo_orbit(I_start: float, I_end: float, params: SystemParams,
             stall_arcs = 0
         else:
             stall_arcs += 1
-            if stall_arcs > policy.max_stall_arcs:
+            if stall_arcs > MAX_STALL_ARCS:
                 raise StuckAtResonance(
                     f"no jump progress after {stall_arcs} consecutive inner "
                     f"arcs near I = {I:.6f}")
@@ -308,7 +302,7 @@ def build_pseudo_orbit(I_start: float, I_end: float, params: SystemParams,
         for n in range(n_max_periods):
             Icur, phicur, _, _, status = integrate_inner(
                 Icur, phicur, 0.0, 0.0, t, t + TWO_PI, canon.eps, canon.a1,
-                canon.a2, canon.r, policy.arc_rtol, policy.arc_atol)
+                canon.a2, canon.r, ARC_RTOL, ARC_ATOL)
             if status != ODE_OK:
                 raise StuckAtResonance(
                     f"inner integrator step collapse at I = {Icur:.6f}")
@@ -338,7 +332,7 @@ def build_pseudo_orbit(I_start: float, I_end: float, params: SystemParams,
 
     return PseudoOrbit(legs=legs, I_start=I_start, I_end=I_end, params=canon,
                        original_params=params, frame_phi_shift=phi_shift,
-                       frame_s_shift=s_shift, policy=policy)
+                       frame_s_shift=s_shift)
 
 
 # ----------------------------------------------------------------------
@@ -357,9 +351,8 @@ def verify_pseudo_orbit(orbit: PseudoOrbit,
     """
     p = orbit.params
     eps = p.eps
-    policy = orbit.policy
-    rho = math.pi + policy.delta
-    level_budget = policy.level_coeff * eps * eps
+    rho = math.pi + DELTA
+    level_budget = LEVEL_COEFF * eps * eps
     failures: list[str] = []
     max_level = 0.0
     max_reint = 0.0
@@ -412,8 +405,8 @@ def verify_pseudo_orbit(orbit: PseudoOrbit,
                 monotone_violations += 1
                 failures.append(f"leg {idx}: action did not increase")
             if region_of(leg.src.I, p) is not TorusRegion.NONRES:
-                brackets.append(transversality(leg.src.I, leg.src.theta,
-                                               crit, p, tol=tol))
+                brackets.append(_transversality(leg.src.I, leg.src.theta,
+                                                dI_L, dth_L, p))
         else:
             if prev_dst is not None:
                 if (abs(leg.src.I - prev_dst.I) > 0.0
@@ -423,18 +416,17 @@ def verify_pseudo_orbit(orbit: PseudoOrbit,
             dst_res = None
             Iv, phv, _, _, status = integrate_inner(
                 leg.src.I, leg.src.phi, 0.0, leg.src.s, 0.0, leg.duration,
-                p.eps, p.a1, p.a2, p.r, 0.1 * policy.arc_rtol,
-                0.1 * policy.arc_atol)
+                p.eps, p.a1, p.a2, p.r, 0.1 * ARC_RTOL, 0.1 * ARC_ATOL)
             if status != ODE_OK:
                 failures.append(f"leg {idx}: verification re-integration "
                                 f"failed")
                 continue
             reint = max(abs(Iv - leg.dst.I), abs(phv - leg.dst.phi))
             max_reint = max(max_reint, reint)
-            if reint > policy.reint_budget:
+            if reint > REINT_BUDGET:
                 failures.append(
                     f"leg {idx}: re-integration residual {reint:.3e} > "
-                    f"{policy.reint_budget:.3e}")
+                    f"{REINT_BUDGET:.3e}")
             reg = region_of(leg.src.I, p)
             if reg is not TorusRegion.NONRES and region_of(leg.dst.I, p) is reg:
                 f0 = torus_value(leg.src, p)
@@ -443,7 +435,7 @@ def verify_pseudo_orbit(orbit: PseudoOrbit,
                 amp = max(abs(leg.src.I), abs(leg.dst.I),
                           abs(leg.src.I - 1.0 / p.r),
                           abs(leg.dst.I - 1.0 / p.r))
-                budget = (policy.f_level_coeff * leg.n_periods
+                budget = (F_LEVEL_COEFF * leg.n_periods
                           * (eps * eps + eps * amp * amp))
                 f_budget = max(f_budget, budget)
                 if drift > max_f_drift:
@@ -458,7 +450,7 @@ def verify_pseudo_orbit(orbit: PseudoOrbit,
         ok=ok, n_scatter=orbit.n_scatter, n_inner=orbit.n_inner,
         max_level_residual=max_level, level_budget=level_budget,
         max_reintegration_residual=max_reint,
-        reintegration_budget=policy.reint_budget,
+        reintegration_budget=REINT_BUDGET,
         max_endpoint_mismatch=max_mismatch,
         window_violations=window_violations,
         monotone_violations=monotone_violations,

@@ -157,3 +157,28 @@ class TestSolveReuse:
         assert rep.ok, rep.failures[:3]
         assert n_build <= 1.2 * orbit.n_scatter
         assert calls[0] <= 1.3 * orbit.n_scatter
+
+    def test_c09_verify_brackets_reuse_the_leg_gradient(self, p075,
+                                                        monkeypatch):
+        # the transversality bracket at a resonant jump leg's source comes
+        # from the gradient the level check already holds, not a new solve
+        orbit = pr.build_pseudo_orbit(-1.0, 1.0, p075)
+        calls = [0]
+        lstar = K.lstar_kernel
+
+        def counted(*args):
+            calls[0] += 1
+            return lstar(*args)
+
+        monkeypatch.setattr(K, "lstar_kernel", counted)
+        rep = pr.verify_pseudo_orbit(orbit)
+        monkeypatch.undo()
+        assert rep.ok, rep.failures[:3]
+        assert calls[0] <= 1.1 * orbit.n_scatter
+        fresh = [pr.transversality(leg.src.I, leg.src.theta, pr.branch(1),
+                                   orbit.params)
+                 for leg in orbit.legs if isinstance(leg, ScatterLeg)
+                 and pr.region_of(leg.src.I, orbit.params)
+                 is not pr.TorusRegion.NONRES]
+        assert fresh
+        assert rep.resonant_brackets == fresh

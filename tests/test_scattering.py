@@ -597,7 +597,7 @@ class TestThetaPlus:
 
 
 class TestKernelScalarTypes:
-    """The uncompiled kernels must return Python scalars, as numba does."""
+    """The kernels must return Python scalars."""
 
     CASES = ((K.CRIT_DOWN, 0), (K.CRIT_UP, 0), (K.CRIT_MINABS, 0),
              (K.CRIT_BRANCH, 1))
@@ -627,3 +627,28 @@ class TestKernelScalarTypes:
         assert res[0] == K.TAU_OK
         assert all(type(x) in (float, int) for x in res), \
             [type(x).__name__ for x in res]
+
+
+class TestSweepKernel:
+    """sweep_kernel allocates its outputs and agrees with lstar_kernel."""
+
+    @pytest.mark.parametrize("crit,k", TestKernelScalarTypes.CASES)
+    def test_entries_equal_lstar_kernel(self, p075, crit, k):
+        tol = pr.DEFAULT_TOL
+        Ivals = np.linspace(-1.5, 1.5, 5)
+        thvals = np.linspace(0.0, TWO_PI, 7, endpoint=False)
+        out = K.sweep_kernel(Ivals, thvals, p075.r, p075.a1, p075.a2, crit,
+                             k, tol.tol_cls, tol.tie_tol)
+        assert len(out) == 7
+        assert all(a.shape == (5, 7) for a in out)
+        assert out[0].dtype == np.int64 and out[2].dtype == np.int64
+        # (status, tau, band, margin, L, dL/dtheta, dL/dI) of lstar_kernel
+        expected = np.empty((7, 5, 7))
+        for i, I in enumerate(Ivals):
+            for j, th in enumerate(thvals):
+                res = K.lstar_kernel(float(I), float(th), p075.r, p075.a1,
+                                     p075.a2, crit, k, tol.tol_cls,
+                                     tol.tie_tol)
+                expected[:, i, j] = [res[n] for n in (0, 1, 2, 3, 6, 7, 8)]
+        for got, want in zip(out, expected):
+            np.testing.assert_array_equal(got, want)
