@@ -1,4 +1,5 @@
-"""Adaptive Dormand-Prince 5(4) integrator specialized to the inner flow.
+"""Adaptive Dormand-Prince 8(5,3) integrator (DOP853) specialized to the
+inner flow.
 
 State vector y = (I, phi, E) where E accumulates the explicit time
 derivative of the restricted Hamiltonian (energy-balance quadrature):
@@ -6,6 +7,14 @@ derivative of the restricted Hamiltonian (energy-balance quadrature):
     dI/dt   = eps * (a1 sin(phi) + r a2 sin(r phi - s))
     dphi/dt = I
     dE/dt   = eps * a2 sin(r phi - s),        s = s0 + t.
+
+The stages are unrolled by hand; dphi/dt = I makes each stage's phi
+derivative the stage's own I value, and sin(r phi - s) is evaluated once
+per stage for both dI/dt and dE/dt.  The step is accepted when the
+combined 5th/3rd-order error estimate of Hairer, Norsett & Wanner,
+"Solving Ordinary Differential Equations I" (2nd ed., Springer 1993),
+Sec. II.10, is at most 1: an RMS over (I, phi, E) of each component's
+error over atol + rtol * |y|.
 
 The stepper clips steps onto requested output times, so states at arbitrary
 times come out at full integration accuracy (no interpolation error).
@@ -18,29 +27,105 @@ import math
 ODE_OK = 0
 ODE_STEPFAIL = 1
 
-# Dormand-Prince 5(4) tableau
-_C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
-_A21 = 0.2
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = (19372.0 / 6561.0, -25360.0 / 2187.0,
-                          64448.0 / 6561.0, -212.0 / 729.0)
-_A61, _A62, _A63, _A64, _A65 = (9017.0 / 3168.0, -355.0 / 33.0,
-                                46732.0 / 5247.0, 49.0 / 176.0,
-                                -5103.0 / 18656.0)
-_B1, _B3, _B4, _B5, _B6 = (35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0,
-                           -2187.0 / 6784.0, 11.0 / 84.0)
-_E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0,
-                                71.0 / 1920.0, -17253.0 / 339200.0,
-                                22.0 / 525.0, -1.0 / 40.0)
+# DOP853 tableau (Hairer, Norsett & Wanner, Sec. II.10; their dop853.f).
+# _Ai_j is the weight of stage j in stage i; stage 1 is the FSAL
+# derivative at the step start and stage 12 sits at t + h.
+_C2 = 0.526001519587677318785587544488e-01
+_C3 = 0.789002279381515978178381316732e-01
+_C4 = 0.118350341907227396726757197510
+_C5 = 0.281649658092772603273242802490
+_C6 = 0.333333333333333333333333333333
+_C7 = 0.25
+_C8 = 0.307692307692307692307692307692
+_C9 = 0.651282051282051282051282051282
+_C10 = 0.6
+_C11 = 0.857142857142857142857142857142
 
+_A2_1 = 5.26001519587677318785587544488e-2
 
-def _rhs(t, y0, y1, s0, eps, a1, a2, r):
-    psi = r * y1 - (s0 + t)
-    f0 = eps * (a1 * math.sin(y1) + r * a2 * math.sin(psi))
-    f1 = y0
-    f2 = eps * a2 * math.sin(psi)
-    return f0, f1, f2
+_A3_1 = 1.97250569845378994544595329183e-2
+_A3_2 = 5.91751709536136983633785987549e-2
+
+_A4_1 = 2.95875854768068491816892993775e-2
+_A4_3 = 8.87627564304205475450678981324e-2
+
+_A5_1 = 2.41365134159266685502369798665e-1
+_A5_3 = -8.84549479328286085344864962717e-1
+_A5_4 = 9.24834003261792003115737966543e-1
+
+_A6_1 = 3.7037037037037037037037037037e-2
+_A6_4 = 1.70828608729473871279604482173e-1
+_A6_5 = 1.25467687566822425016691814123e-1
+
+_A7_1 = 3.7109375e-2
+_A7_4 = 1.70252211019544039314978060272e-1
+_A7_5 = 6.02165389804559606850219397283e-2
+_A7_6 = -1.7578125e-2
+
+_A8_1 = 3.70920001185047927108779319836e-2
+_A8_4 = 1.70383925712239993810214054705e-1
+_A8_5 = 1.07262030446373284651809199168e-1
+_A8_6 = -1.53194377486244017527936158236e-2
+_A8_7 = 8.27378916381402288758473766002e-3
+
+_A9_1 = 6.24110958716075717114429577812e-1
+_A9_4 = -3.36089262944694129406857109825
+_A9_5 = -8.68219346841726006818189891453e-1
+_A9_6 = 2.75920996994467083049415600797e1
+_A9_7 = 2.01540675504778934086186788979e1
+_A9_8 = -4.34898841810699588477366255144e1
+
+_A10_1 = 4.77662536438264365890433908527e-1
+_A10_4 = -2.48811461997166764192642586468
+_A10_5 = -5.90290826836842996371446475743e-1
+_A10_6 = 2.12300514481811942347288949897e1
+_A10_7 = 1.52792336328824235832596922938e1
+_A10_8 = -3.32882109689848629194453265587e1
+_A10_9 = -2.03312017085086261358222928593e-2
+
+_A11_1 = -9.3714243008598732571704021658e-1
+_A11_4 = 5.18637242884406370830023853209
+_A11_5 = 1.09143734899672957818500254654
+_A11_6 = -8.14978701074692612513997267357
+_A11_7 = -1.85200656599969598641566180701e1
+_A11_8 = 2.27394870993505042818970056734e1
+_A11_9 = 2.49360555267965238987089396762
+_A11_10 = -3.0467644718982195003823669022
+
+_A12_1 = 2.27331014751653820792359768449
+_A12_4 = -1.05344954667372501984066689879e1
+_A12_5 = -2.00087205822486249909675718444
+_A12_6 = -1.79589318631187989172765950534e1
+_A12_7 = 2.79488845294199600508499808837e1
+_A12_8 = -2.85899827713502369474065508674
+_A12_9 = -8.87285693353062954433549289258
+_A12_10 = 1.23605671757943030647266201528e1
+_A12_11 = 6.43392746015763530355970484046e-1
+
+# 8th-order weights
+_B1 = 5.42937341165687622380535766363e-2
+_B6 = 4.45031289275240888144113950566
+_B7 = 1.89151789931450038304281599044
+_B8 = -5.8012039600105847814672114227
+_B9 = 3.1116436695781989440891606237e-1
+_B10 = -1.52160949662516078556178806805e-1
+_B11 = 2.01365400804030348374776537501e-1
+_B12 = 4.47106157277725905176885569043e-2
+
+# 3rd-order error weights are _B - _BHH (zero _BHH where not listed)
+_BHH1 = 0.244094488188976377952755905512
+_BHH9 = 0.733846688281611857341361741547
+_BHH12 = 0.220588235294117647058823529412e-1
+
+# 5th-order error weights
+_E1 = 0.1312004499419488073250102996e-1
+_E6 = -0.1225156446376204440720569753e+1
+_E7 = -0.4957589496572501915214079952
+_E8 = 0.1664377182454986536961530415e+1
+_E9 = -0.3503288487499736816886487290
+_E10 = 0.3341791187130174790297318841
+_E11 = 0.8192320648511571246570742613e-1
+_E12 = -0.2235530786388629525884427845e-1
 
 
 def integrate_inner(y0, y1, y2, s0, t0, t1, eps, a1, a2, r, rtol, atol):
@@ -53,50 +138,118 @@ def integrate_inner(y0, y1, y2, s0, t0, t1, eps, a1, a2, r, rtol, atol):
     if eps == 0.0:
         # integrable limit: I constant, phi advances linearly
         return y0, y1 + y0 * (t1 - t0), y2, 0, ODE_OK
+    sin = math.sin
+    ea1 = eps * a1
+    ea2 = eps * a2
     h = direction * min(0.1, span)
-    k10, k11, k12 = _rhs(t, y0, y1, s0, eps, a1, a2, r)
+    # stage i: I value u_i (also dphi/dt), phi value v, dI/dt p_i, dE/dt q_i
+    q1 = ea2 * sin(r * y1 - (s0 + t))
+    p1 = ea1 * sin(y1) + r * q1
     nsteps = 0
     while True:
         if direction * (t1 - t) <= 0.0:
             return y0, y1, y2, nsteps, ODE_OK
         if direction * (t + h - t1) > 0.0:
             h = t1 - t
-        # stages
-        w0 = y0 + h * _A21 * k10
-        w1 = y1 + h * _A21 * k11
-        k20, k21, k22 = _rhs(t + _C2 * h, w0, w1, s0, eps, a1, a2, r)
-        w0 = y0 + h * (_A31 * k10 + _A32 * k20)
-        w1 = y1 + h * (_A31 * k11 + _A32 * k21)
-        k30, k31, k32 = _rhs(t + _C3 * h, w0, w1, s0, eps, a1, a2, r)
-        w0 = y0 + h * (_A41 * k10 + _A42 * k20 + _A43 * k30)
-        w1 = y1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31)
-        k40, k41, k42 = _rhs(t + _C4 * h, w0, w1, s0, eps, a1, a2, r)
-        w0 = y0 + h * (_A51 * k10 + _A52 * k20 + _A53 * k30 + _A54 * k40)
-        w1 = y1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41)
-        k50, k51, k52 = _rhs(t + _C5 * h, w0, w1, s0, eps, a1, a2, r)
-        w0 = y0 + h * (_A61 * k10 + _A62 * k20 + _A63 * k30 + _A64 * k40 + _A65 * k50)
-        w1 = y1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41 + _A65 * k51)
-        k60, k61, k62 = _rhs(t + h, w0, w1, s0, eps, a1, a2, r)
-        z0 = y0 + h * (_B1 * k10 + _B3 * k30 + _B4 * k40 + _B5 * k50 + _B6 * k60)
-        z1 = y1 + h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61)
-        z2 = y2 + h * (_B1 * k12 + _B3 * k32 + _B4 * k42 + _B5 * k52 + _B6 * k62)
-        k70, k71, k72 = _rhs(t + h, z0, z1, s0, eps, a1, a2, r)
-        # embedded error estimate
-        e0 = h * (_E1 * k10 + _E3 * k30 + _E4 * k40 + _E5 * k50 + _E6 * k60 + _E7 * k70)
-        e1 = h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61 + _E7 * k71)
-        e2 = h * (_E1 * k12 + _E3 * k32 + _E4 * k42 + _E5 * k52 + _E6 * k62 + _E7 * k72)
-        s0c = atol + rtol * max(abs(y0), abs(z0))
-        s1c = atol + rtol * max(abs(y1), abs(z1))
-        s2c = atol + rtol * max(abs(y2), abs(z2))
-        err = math.sqrt(((e0 / s0c) ** 2 + (e1 / s1c) ** 2 + (e2 / s2c) ** 2) / 3.0)
+        st = s0 + t
+        u2 = y0 + h * (_A2_1 * p1)
+        v = y1 + h * (_A2_1 * y0)
+        q2 = ea2 * sin(r * v - (st + _C2 * h))
+        p2 = ea1 * sin(v) + r * q2
+        u3 = y0 + h * (_A3_1 * p1 + _A3_2 * p2)
+        v = y1 + h * (_A3_1 * y0 + _A3_2 * u2)
+        q3 = ea2 * sin(r * v - (st + _C3 * h))
+        p3 = ea1 * sin(v) + r * q3
+        u4 = y0 + h * (_A4_1 * p1 + _A4_3 * p3)
+        v = y1 + h * (_A4_1 * y0 + _A4_3 * u3)
+        q4 = ea2 * sin(r * v - (st + _C4 * h))
+        p4 = ea1 * sin(v) + r * q4
+        u5 = y0 + h * (_A5_1 * p1 + _A5_3 * p3 + _A5_4 * p4)
+        v = y1 + h * (_A5_1 * y0 + _A5_3 * u3 + _A5_4 * u4)
+        q5 = ea2 * sin(r * v - (st + _C5 * h))
+        p5 = ea1 * sin(v) + r * q5
+        u6 = y0 + h * (_A6_1 * p1 + _A6_4 * p4 + _A6_5 * p5)
+        v = y1 + h * (_A6_1 * y0 + _A6_4 * u4 + _A6_5 * u5)
+        q6 = ea2 * sin(r * v - (st + _C6 * h))
+        p6 = ea1 * sin(v) + r * q6
+        u7 = y0 + h * (_A7_1 * p1 + _A7_4 * p4 + _A7_5 * p5 + _A7_6 * p6)
+        v = y1 + h * (_A7_1 * y0 + _A7_4 * u4 + _A7_5 * u5 + _A7_6 * u6)
+        q7 = ea2 * sin(r * v - (st + _C7 * h))
+        p7 = ea1 * sin(v) + r * q7
+        u8 = y0 + h * (_A8_1 * p1 + _A8_4 * p4 + _A8_5 * p5 + _A8_6 * p6
+                       + _A8_7 * p7)
+        v = y1 + h * (_A8_1 * y0 + _A8_4 * u4 + _A8_5 * u5 + _A8_6 * u6
+                      + _A8_7 * u7)
+        q8 = ea2 * sin(r * v - (st + _C8 * h))
+        p8 = ea1 * sin(v) + r * q8
+        u9 = y0 + h * (_A9_1 * p1 + _A9_4 * p4 + _A9_5 * p5 + _A9_6 * p6
+                       + _A9_7 * p7 + _A9_8 * p8)
+        v = y1 + h * (_A9_1 * y0 + _A9_4 * u4 + _A9_5 * u5 + _A9_6 * u6
+                      + _A9_7 * u7 + _A9_8 * u8)
+        q9 = ea2 * sin(r * v - (st + _C9 * h))
+        p9 = ea1 * sin(v) + r * q9
+        u10 = y0 + h * (_A10_1 * p1 + _A10_4 * p4 + _A10_5 * p5 + _A10_6 * p6
+                        + _A10_7 * p7 + _A10_8 * p8 + _A10_9 * p9)
+        v = y1 + h * (_A10_1 * y0 + _A10_4 * u4 + _A10_5 * u5 + _A10_6 * u6
+                      + _A10_7 * u7 + _A10_8 * u8 + _A10_9 * u9)
+        q10 = ea2 * sin(r * v - (st + _C10 * h))
+        p10 = ea1 * sin(v) + r * q10
+        u11 = y0 + h * (_A11_1 * p1 + _A11_4 * p4 + _A11_5 * p5 + _A11_6 * p6
+                        + _A11_7 * p7 + _A11_8 * p8 + _A11_9 * p9
+                        + _A11_10 * p10)
+        v = y1 + h * (_A11_1 * y0 + _A11_4 * u4 + _A11_5 * u5 + _A11_6 * u6
+                      + _A11_7 * u7 + _A11_8 * u8 + _A11_9 * u9
+                      + _A11_10 * u10)
+        q11 = ea2 * sin(r * v - (st + _C11 * h))
+        p11 = ea1 * sin(v) + r * q11
+        u12 = y0 + h * (_A12_1 * p1 + _A12_4 * p4 + _A12_5 * p5 + _A12_6 * p6
+                        + _A12_7 * p7 + _A12_8 * p8 + _A12_9 * p9
+                        + _A12_10 * p10 + _A12_11 * p11)
+        v = y1 + h * (_A12_1 * y0 + _A12_4 * u4 + _A12_5 * u5 + _A12_6 * u6
+                      + _A12_7 * u7 + _A12_8 * u8 + _A12_9 * u9
+                      + _A12_10 * u10 + _A12_11 * u11)
+        q12 = ea2 * sin(r * v - (st + h))
+        p12 = ea1 * sin(v) + r * q12
+        # 8th-order solution
+        b0 = (_B1 * p1 + _B6 * p6 + _B7 * p7 + _B8 * p8 + _B9 * p9
+              + _B10 * p10 + _B11 * p11 + _B12 * p12)
+        b1 = (_B1 * y0 + _B6 * u6 + _B7 * u7 + _B8 * u8 + _B9 * u9
+              + _B10 * u10 + _B11 * u11 + _B12 * u12)
+        b2 = (_B1 * q1 + _B6 * q6 + _B7 * q7 + _B8 * q8 + _B9 * q9
+              + _B10 * q10 + _B11 * q11 + _B12 * q12)
+        z0 = y0 + h * b0
+        z1 = y1 + h * b1
+        z2 = y2 + h * b2
+        # combined 5th/3rd-order error estimate, scaled per component
+        sc = atol + rtol * max(abs(y0), abs(z0))
+        e = (_E1 * p1 + _E6 * p6 + _E7 * p7 + _E8 * p8 + _E9 * p9
+             + _E10 * p10 + _E11 * p11 + _E12 * p12) / sc
+        n5 = e * e
+        e = (b0 - _BHH1 * p1 - _BHH9 * p9 - _BHH12 * p12) / sc
+        n3 = e * e
+        sc = atol + rtol * max(abs(y1), abs(z1))
+        e = (_E1 * y0 + _E6 * u6 + _E7 * u7 + _E8 * u8 + _E9 * u9
+             + _E10 * u10 + _E11 * u11 + _E12 * u12) / sc
+        n5 += e * e
+        e = (b1 - _BHH1 * y0 - _BHH9 * u9 - _BHH12 * u12) / sc
+        n3 += e * e
+        sc = atol + rtol * max(abs(y2), abs(z2))
+        e = (_E1 * q1 + _E6 * q6 + _E7 * q7 + _E8 * q8 + _E9 * q9
+             + _E10 * q10 + _E11 * q11 + _E12 * q12) / sc
+        n5 += e * e
+        e = (b2 - _BHH1 * q1 - _BHH9 * q9 - _BHH12 * q12) / sc
+        n3 += e * e
+        err = 0.0 if n5 == 0.0 else abs(h) * n5 / math.sqrt(3.0 * (n5 + 0.01 * n3))
         if err <= 1.0:
             t = t + h
             y0, y1, y2 = z0, z1, z2
-            k10, k11, k12 = k70, k71, k72  # FSAL
+            # FSAL: the derivative at the new point starts the next step
+            q1 = ea2 * sin(r * y1 - (s0 + t))
+            p1 = ea1 * sin(y1) + r * q1
             nsteps += 1
-            fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+            fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.125))
             h = h * fac
         else:
-            h = h * max(0.2, 0.9 * err ** -0.2)
+            h = h * max(0.2, 0.9 * err ** -0.125)
         if abs(h) < 1e-14 * max(1.0, abs(t)):
             return y0, y1, y2, nsteps, ODE_STEPFAIL

@@ -36,8 +36,8 @@ DELTA = 0.05              # rho = pi + delta
 MARGIN_COEFF = 10.0       # window margin = max(coeff*eps^2, floor)
 MARGIN_FLOOR = 0.01
 LEVEL_COEFF = 10.0        # per-leg |dL*| budget, in eps^2 units
-ARC_RTOL = 1e-12
-ARC_ATOL = 1e-12
+ARC_RTOL = 1e-13
+ARC_ATOL = 1e-13
 T_MAX_FACTOR = 1e3        # inner-return budget t_max = factor/eps
 MAX_LEGS = 500_000
 MAX_STALL_ARCS = 80

@@ -33,7 +33,9 @@ class Tolerances:
     tol_degen    transversality margin below which tau* is flagged degenerate
     tol_disc     band around theta = pi/2, 3pi/2 treated as discontinuity
     tol_quad     absolute error target of the splitting-integral quadrature
-    tol_ode      local error per unit time of the inner-flow integrator
+    tol_ode      rtol = atol of the inner-flow integrator: each step's
+                 error estimate, RMS over (I, phi, E) of the error over
+                 atol + rtol*|y|, is at most 1
     tie_tol      |tau| tie window for the minimal-|tau| criterion
     """
 

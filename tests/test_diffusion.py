@@ -6,7 +6,7 @@ import pytest
 
 import pendrotor as pr
 from pendrotor import _kernels as K
-from pendrotor.diffusion import ScatterLeg
+from pendrotor.diffusion import REINT_BUDGET, ScatterLeg
 
 TWO_PI = 2.0 * math.pi
 
@@ -182,3 +182,16 @@ class TestSolveReuse:
                  is not pr.TorusRegion.NONRES]
         assert fresh
         assert rep.resonant_brackets == fresh
+
+
+class TestArcsVerify:
+    """Long inner arcs re-integrate within the unchanged budget."""
+
+    @pytest.mark.parametrize("I_start, I_end",
+                             [(-1.9, 0.3), (-1.6, 0.3), (-2.0, -0.3)])
+    def test_range_verifies(self, p075, I_start, I_end):
+        orbit = pr.build_pseudo_orbit(I_start, I_end, p075)
+        assert orbit.final_I >= I_end
+        rep = pr.verify_pseudo_orbit(orbit)
+        assert rep.ok, rep.failures[:3]
+        assert rep.max_reintegration_residual <= REINT_BUDGET

@@ -79,6 +79,59 @@ class TestFlow:
         assert status == ODE_STEPFAIL
 
 
+class TestDOP853:
+    """The inner-flow stepper is DOP853: its tableau and its accuracy."""
+
+    def test_tableau_matches_scipy(self):
+        from scipy.integrate._ivp import dop853_coefficients as ref
+
+        from pendrotor import _ode
+
+        def coef(name):
+            return getattr(_ode, name, 0.0)
+
+        assert ref.N_STAGES == 12
+        for i in range(2, 13):
+            for j in range(1, i):
+                assert coef(f"_A{i}_{j}") == ref.A[i - 1, j - 1], (i, j)
+        for i in range(2, 12):
+            assert coef(f"_C{i}") == ref.C[i - 1], i
+        # stage 12 and the FSAL stage sit at the step end
+        assert ref.C[11] == ref.C[12] == 1.0
+        for j in range(1, 13):
+            b = coef(f"_B{j}")
+            assert b == ref.B[j - 1], j
+            assert b - coef(f"_BHH{j}") == ref.E3[j - 1], j
+            assert coef(f"_E{j}") == ref.E5[j - 1], j
+        # the FSAL stage carries no error weight
+        assert ref.E3[12] == ref.E5[12] == 0.0
+
+    def test_fifty_periods_against_tight_scipy(self, p075):
+        # at 8th order each run ends within 2e-9 of a much tighter scipy
+        # DOP853 in under 1,000 steps on average; a 5th-order pair needs
+        # over three times the steps at this tolerance
+        from pendrotor._ode import ODE_OK, integrate_inner
+        T = 50 * TWO_PI
+
+        def rhs(t, y):
+            psi = p075.r * y[1] - t
+            return [p075.eps * (p075.a1 * math.sin(y[1])
+                                + p075.r * p075.a2 * math.sin(psi)), y[0]]
+
+        total = 0
+        for I0 in (0.5, -1.3, 1.05, 0.02):
+            I, phi, _, nsteps, status = integrate_inner(
+                I0, 0.0, 0.0, 0.0, 0.0, T, p075.eps, p075.a1, p075.a2,
+                p075.r, 1e-12, 1e-12)
+            assert status == ODE_OK
+            ref = solve_ivp(rhs, (0.0, T), [I0, 0.0], method="DOP853",
+                            rtol=2.5e-14, atol=1e-15)
+            assert abs(I - ref.y[0, -1]) <= 2e-9, I0
+            assert abs(phi - ref.y[1, -1]) <= 2e-9, I0
+            total += nsteps
+        assert total <= 4000
+
+
 class TestTorusModels:
     def test_res0_value_at_quarter_turn(self, p075):
         st = InnerState(I=0.0, phi=math.pi / 2, s=0.0)
