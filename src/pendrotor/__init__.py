@@ -18,8 +18,8 @@ from .errors import (PendrotorError, ConfigError, PoleAtOne, PoleAtOneOverR,
                      TangencyDegenerate, UnreachableBranch,
                      QuadratureNotConverged, StepFailure, OnDiscontinuity,
                      WindowEmpty, StuckAtResonance)
-from .model import (separatrix, cos_q0, SeparatrixPoint, AmplitudePair,
-                    amplitude_A1, amplitude_A2, amplitude_pair,
+from .model import (separatrix, cos_q0, SeparatrixPoint,
+                    amplitude_A1, amplitude_A2,
                     amplitude_A1_prime, amplitude_A2_prime,
                     alpha, beta, alpha_r, beta_r)
 from .crests import (CrestKind, CrestBranch, TangencyPoint, IntervalInfo,

@@ -128,8 +128,12 @@ _E11 = 0.8192320648511571246570742613e-1
 _E12 = -0.2235530786388629525884427845e-1
 
 
-def integrate_inner(y0, y1, y2, s0, t0, t1, eps, a1, a2, r, rtol, atol):
-    """Advance (I, phi, E) from t0 to t1.  Returns (I, phi, E, nsteps, status)."""
+def integrate_inner(y0, y1, s0, t0, t1, eps, a1, a2, r, rtol, atol):
+    """Advance (I, phi) from t0 to t1, with E = 0 at t0.
+
+    Returns (I, phi, E, nsteps, status).
+    """
+    y2 = 0.0
     t = t0
     direction = 1.0 if t1 >= t0 else -1.0
     span = abs(t1 - t0)

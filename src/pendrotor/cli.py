@@ -312,7 +312,8 @@ def cmd_inner_portrait(args) -> int:
                  ["orbit", "n", "t", "I", "phi_mod", "region", "torus_value"])
     for i, I0 in enumerate(I_vals):
         state = InnerState(I=float(I0), phi=0.0, s=0.0)
-        rows = stroboscopic_sections(state, args.periods, params, tol)
+        rows = stroboscopic_sections(state, args.periods, params,
+                                      tol.tol_ode)
         for n in range(rows.shape[0]):
             t, I, phi = rows[n]
             st = InnerState(I=I, phi=phi, s=t)

@@ -39,11 +39,6 @@ class CrestBranch:
     kind: CrestKind
     I: float
 
-    @property
-    def family(self) -> str:
-        """'M' for even branch index (through (0,0)), 'm' for odd."""
-        return "M" if self.k % 2 == 0 else "m"
-
 
 @dataclass(frozen=True)
 class TangencyPoint:
@@ -227,10 +222,11 @@ def _bisect_level(curve: str, level: float, lo: float, hi: float, r: float,
 
 
 def _component_crossings(curve: str, level: float, lo: float, hi: float,
-                         r: float, tol_root: float, n: int = 4000) -> list[float]:
-    """All solutions of |curve(I)| = level in (lo, hi), by scan + bisection."""
+                         r: float, tol_root: float) -> list[float]:
+    """All solutions of |curve(I)| = level in (lo, hi), by a 4000-point scan
+    plus bisection."""
     pole = 1.0 / r
-    pts = list(np.linspace(lo, hi, n))
+    pts = list(np.linspace(lo, hi, 4000))
     # geometric refinement toward an interior/endpoint pole
     if lo < pole < hi or abs(lo - pole) < 1e-12 or abs(hi - pole) < 1e-12:
         for kk in range(1, 48):

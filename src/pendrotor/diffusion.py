@@ -15,16 +15,16 @@ is measured by the Poisson bracket {F_region, L*}; it vanishes on theta in
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from . import _kernels as K
-from ._ode import ODE_OK, integrate_inner
-from .errors import (ConfigError, SingularCrest, StuckAtResonance,
-                     TangencyDegenerate, UnreachableBranch, WindowEmpty)
-from .inner import InnerState, TorusRegion, region_of, torus_value
+from .errors import (ConfigError, SingularCrest, StepFailure,
+                     StuckAtResonance, TangencyDegenerate, UnreachableBranch,
+                     WindowEmpty)
+from .inner import (InnerState, TorusRegion, inner_flow, region_of, sections,
+                    torus_value)
 from .params import DEFAULT_TOL, SystemParams, Tolerances
 from .scattering import (ScatteringState, TauCriterion, _grad_of, _lstar_raw,
                          branch, grad_reduced_poincare, theta_plus)
@@ -36,8 +36,7 @@ DELTA = 0.05              # rho = pi + delta
 MARGIN_COEFF = 10.0       # window margin = max(coeff*eps^2, floor)
 MARGIN_FLOOR = 0.01
 LEVEL_COEFF = 10.0        # per-leg |dL*| budget, in eps^2 units
-ARC_RTOL = 1e-13
-ARC_ATOL = 1e-13
+ARC_TOL = 1e-13           # inner-arc integrator rtol = atol
 T_MAX_FACTOR = 1e3        # inner-return budget t_max = factor/eps
 MAX_LEGS = 500_000
 MAX_STALL_ARCS = 80
@@ -117,7 +116,6 @@ class InnerLeg:
     dst: InnerState
     duration: float
     n_periods: int
-    sections: np.ndarray  # rows (t, I, phi), phi unwrapped
 
 
 @dataclass
@@ -295,21 +293,8 @@ def build_pseudo_orbit(I_start: float, I_end: float, params: SystemParams,
                     f"arcs near I = {I:.6f}")
         # --- inner arc: integrate whole periods until a section re-enters
         src = InnerState(I=I, phi=th, s=0.0)
-        sections = np.empty((n_max_periods, 3))
-        Icur, phicur = I, th
-        t = 0.0
-        hit = -1
-        for n in range(n_max_periods):
-            Icur, phicur, _, _, status = integrate_inner(
-                Icur, phicur, 0.0, 0.0, t, t + TWO_PI, canon.eps, canon.a1,
-                canon.a2, canon.r, ARC_RTOL, ARC_ATOL)
-            if status != ODE_OK:
-                raise StuckAtResonance(
-                    f"inner integrator step collapse at I = {Icur:.6f}")
-            t += TWO_PI
-            sections[n, 0] = t
-            sections[n, 1] = Icur
-            sections[n, 2] = phicur
+        arc = itertools.islice(sections(src, canon, ARC_TOL), n_max_periods)
+        for n, (t, Icur, phicur) in enumerate(arc):
             th_n = phicur % TWO_PI
             try:
                 lo, hi = window(Icur)
@@ -318,16 +303,13 @@ def build_pseudo_orbit(I_start: float, I_end: float, params: SystemParams,
             if lo < th_n < hi:
                 nxt = probe_step(Icur, th_n, solve(Icur, th_n))
                 if nxt is not None:
-                    hit = n
                     break
-        if hit < 0:
+        else:
             raise StuckAtResonance(
                 f"no stroboscopic return into the window within "
                 f"{n_max_periods} periods from I = {I:.6f}")
         dst = InnerState(I=Icur, phi=phicur, s=t)
-        legs.append(InnerLeg(src=src, dst=dst, duration=t,
-                             n_periods=hit + 1,
-                             sections=sections[:hit + 1].copy()))
+        legs.append(InnerLeg(src=src, dst=dst, duration=t, n_periods=n + 1))
         I, th = Icur, phicur % TWO_PI
 
     return PseudoOrbit(legs=legs, I_start=I_start, I_end=I_end, params=canon,
@@ -353,6 +335,7 @@ def verify_pseudo_orbit(orbit: PseudoOrbit,
     eps = p.eps
     rho = math.pi + DELTA
     level_budget = LEVEL_COEFF * eps * eps
+    reint_tol = tol.override(tol_ode=0.1 * ARC_TOL)
     failures: list[str] = []
     max_level = 0.0
     max_reint = 0.0
@@ -414,14 +397,13 @@ def verify_pseudo_orbit(orbit: PseudoOrbit,
                     failures.append(f"leg {idx}: endpoint chain broken")
             prev_dst = ScatteringState(leg.dst.I, leg.dst.phi % TWO_PI)
             dst_res = None
-            Iv, phv, _, _, status = integrate_inner(
-                leg.src.I, leg.src.phi, 0.0, leg.src.s, 0.0, leg.duration,
-                p.eps, p.a1, p.a2, p.r, 0.1 * ARC_RTOL, 0.1 * ARC_ATOL)
-            if status != ODE_OK:
+            try:
+                end = inner_flow(leg.src, leg.duration, p, reint_tol)
+            except StepFailure:
                 failures.append(f"leg {idx}: verification re-integration "
                                 f"failed")
                 continue
-            reint = max(abs(Iv - leg.dst.I), abs(phv - leg.dst.phi))
+            reint = max(abs(end.I - leg.dst.I), abs(end.phi - leg.dst.phi))
             max_reint = max(max_reint, reint)
             if reint > REINT_BUDGET:
                 failures.append(

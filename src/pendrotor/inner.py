@@ -19,7 +19,9 @@ corrections to these profiles are truncated.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,10 +68,9 @@ def region_of(I: float, params: SystemParams,
     return TorusRegion.NONRES
 
 
-def torus_value(state: InnerState, params: SystemParams,
-                half_width: float = RESONANCE_HALF_WIDTH) -> float:
+def torus_value(state: InnerState, params: SystemParams) -> float:
     """Truncated first-order invariant for the region of state.I."""
-    region = region_of(state.I, params, half_width)
+    region = region_of(state.I, params)
     if region is TorusRegion.RES0:
         return 0.5 * state.I ** 2 + params.eps * params.a1 * math.cos(state.phi)
     if region is TorusRegion.RES1:
@@ -80,20 +81,16 @@ def torus_value(state: InnerState, params: SystemParams,
     return 0.5 * state.I ** 2
 
 
-def resonance_half_width_pendulum(params: SystemParams,
-                                  which: TorusRegion = TorusRegion.RES0
-                                  ) -> float:
-    """Separatrix half-width in I of the resonant pendulum, 2 sqrt(eps a)."""
-    a = abs(params.a1) if which is TorusRegion.RES0 else abs(params.a2)
-    return 2.0 * math.sqrt(params.eps * a)
+def resonance_half_width_pendulum(params: SystemParams) -> float:
+    """Separatrix half-width in I of the I = 0 resonant pendulum,
+    2 sqrt(eps |a1|)."""
+    return 2.0 * math.sqrt(params.eps * abs(params.a1))
 
 
 def inner_flow(state: InnerState, t: float, params: SystemParams,
                tol: Tolerances = DEFAULT_TOL) -> InnerState:
     """Flow the inner equations for time t (exact in the eps = 0 limit)."""
-    I, phi, _, status = _advance(state, t, params, tol.tol_ode)
-    if status != ODE_OK:
-        raise StepFailure(f"step size collapsed near t = {t}")
+    I, phi, _ = _advance(state, t, params, tol.tol_ode)
     return InnerState(I=I, phi=phi, s=state.s + t)
 
 
@@ -106,40 +103,49 @@ def energy_balance_residual(state: InnerState, t: float,
     integrated alongside the flow; the residual measures integrator
     consistency.
     """
-    I, phi, bal, status = _advance(state, t, params, tol.tol_ode)
-    if status != ODE_OK:
-        raise StepFailure(f"step size collapsed near t = {t}")
+    I, phi, bal = _advance(state, t, params, tol.tol_ode)
     end = InnerState(I=I, phi=phi, s=state.s + t)
     return abs(restricted_hamiltonian(end, params)
                - restricted_hamiltonian(state, params) - bal)
 
 
 def _advance(state: InnerState, t: float, params: SystemParams,
-             tol_ode: float) -> tuple[float, float, float, int]:
+             tol_ode: float) -> tuple[float, float, float]:
     I, phi, bal, _, status = integrate_inner(
-        state.I, state.phi, 0.0, state.s, 0.0, t, params.eps, params.a1,
+        state.I, state.phi, state.s, 0.0, t, params.eps, params.a1,
         params.a2, params.r, tol_ode, tol_ode)
-    return I, phi, bal, status
+    if status != ODE_OK:
+        raise StepFailure(f"step size collapsed near t = {t}")
+    return I, phi, bal
+
+
+def sections(state: InnerState, params: SystemParams,
+             tol_ode: float) -> Iterator[tuple[float, float, float]]:
+    """The stroboscopic sections s = s0 + 2*pi*n, n = 1, 2, ..., without end.
+
+    Yields (t, I, phi) with t the time since ``state`` and phi unwrapped.
+    Every period is one integrator call that starts afresh at the section.
+    """
+    I, phi = state.I, state.phi
+    t = 0.0
+    for n in itertools.count():
+        I, phi, _, _, status = integrate_inner(
+            I, phi, state.s, t, t + TWO_PI, params.eps, params.a1,
+            params.a2, params.r, tol_ode, tol_ode)
+        if status != ODE_OK:
+            raise StepFailure(f"step size collapsed in period {n} at "
+                              f"I = {I:.6f}")
+        t += TWO_PI
+        yield t, I, phi
 
 
 def stroboscopic_sections(state: InnerState, n_periods: int,
                           params: SystemParams,
-                          tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+                          tol_ode: float = DEFAULT_TOL.tol_ode) -> np.ndarray:
     """States at the next ``n_periods`` sections s = s0 + 2*pi*n.
 
     Returns an array of rows (t, I, phi); phi is unwrapped.
     """
-    out = np.empty((n_periods, 3))
-    I, phi = state.I, state.phi
-    t = 0.0
-    for n in range(n_periods):
-        I, phi, _, _, status = integrate_inner(
-            I, phi, 0.0, state.s, t, t + TWO_PI, params.eps, params.a1,
-            params.a2, params.r, tol.tol_ode, tol.tol_ode)
-        if status != ODE_OK:
-            raise StepFailure(f"step size collapsed in period {n}")
-        t += TWO_PI
-        out[n, 0] = t
-        out[n, 1] = I
-        out[n, 2] = phi
-    return out
+    return np.fromiter(itertools.islice(sections(state, params, tol_ode),
+                                        n_periods),
+                       dtype=np.dtype((float, 3)), count=n_periods)

@@ -34,13 +34,6 @@ class SeparatrixPoint:
     q0: float
 
 
-@dataclass(frozen=True)
-class AmplitudePair:
-    I: float
-    A1: float
-    A2: float
-
-
 def separatrix(tau: float, sign: int = 1) -> SeparatrixPoint:
     """Point on the pendulum separatrix branch selected by ``sign``.
 
@@ -70,11 +63,6 @@ def amplitude_A1(I: float, params: SystemParams) -> float:
 def amplitude_A2(I: float, params: SystemParams) -> float:
     """Second-harmonic amplitude profile; A2(1/r) = 4 a2 exactly."""
     return K.amp2(I, params.a2, params.r)
-
-
-def amplitude_pair(I: float, params: SystemParams) -> AmplitudePair:
-    return AmplitudePair(I=I, A1=amplitude_A1(I, params),
-                         A2=amplitude_A2(I, params))
 
 
 def amplitude_A1_prime(I: float, params: SystemParams) -> float:

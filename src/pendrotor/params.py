@@ -63,17 +63,17 @@ class SystemParams:
     eps            perturbation size (already rescaled by k1^2 if the
                    parameters came from a general harmonic pair)
     r              frequency ratio of the second harmonic, in (0, 1]
-    pendulum_sign  the +/- in front of the pendulum part; only the
-                   separatrix branch depends on it (cos q0 does not, so all
-                   splitting-level quantities are sign-invariant)
     harmonics      optional original (k1, k2, l1, l2) before reduction
+
+    The +/- in front of the pendulum part is not a parameter: only the
+    separatrix branch depends on it (cos q0 does not), so every
+    splitting-level quantity is sign-invariant.
     """
 
     a1: float
     a2: float
     eps: float = 0.0
     r: float = 1.0
-    pendulum_sign: int = 1
     harmonics: tuple[int, int, int, int] | None = None
 
     def __post_init__(self):
@@ -85,8 +85,6 @@ class SystemParams:
             raise ConfigError("eps must be >= 0")
         if not (0.0 < self.r <= 1.0):
             raise ConfigError(f"r must lie in (0, 1], got {self.r}")
-        if self.pendulum_sign not in (-1, 1):
-            raise ConfigError("pendulum_sign must be +1 or -1")
 
     @classmethod
     def from_harmonics(
@@ -98,7 +96,6 @@ class SystemParams:
         l1: int,
         l2: int,
         eps: float,
-        pendulum_sign: int = 1,
     ) -> "SystemParams":
         """Reduce a general harmonic pair (k1,l1), (k2,l2) to canonical form.
 
@@ -121,7 +118,6 @@ class SystemParams:
             a2=a2,
             eps=eps * k1 * k1,
             r=r,
-            pendulum_sign=pendulum_sign,
             harmonics=(k1, k2, l1, l2),
         )
 
@@ -137,11 +133,6 @@ class SystemParams:
             return None
         k1, k2, l1, l2 = self.harmonics
         return k1 * l2 - k2 * l1
-
-    @property
-    def resonance_actions(self) -> tuple[float, float]:
-        """Actions of the two first-order resonances, I = 0 and I = 1/r."""
-        return (0.0, 1.0 / self.r)
 
     def require_nontrivial(self) -> None:
         """Hypotheses for drift runs: both amplitudes and independence."""

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _kernels as K
 from .crests import find_thresholds
-from .errors import PendrotorError
+from .errors import ConfigError, PendrotorError
 from .oracles import brute_tau_scan
 from .params import DEFAULT_TOL, SystemParams, Tolerances
 from .scattering import (MINABS, DOWN, UP, TauCriterion, branch,
@@ -41,6 +41,13 @@ class CheckResult:
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+def _require_r_one(params: SystemParams) -> None:
+    if params.r != 1.0:
+        raise ConfigError(
+            f"the self-check suite's reflection and drift-window checks are "
+            f"derived for r = 1, got r = {params.r}")
 
 
 def melnikov_check(params: SystemParams, n: int = 100, seed: int = 0,
@@ -82,7 +89,7 @@ def _sample_criterion(rng) -> TauCriterion:
 
 
 def tau_oracle_check(params: SystemParams, n: int = 200, seed: int = 0,
-                     tol_cmp: float = 1e-6, h: float = 1e-5,
+                     tol_cmp: float = 1e-6,
                      tol: Tolerances = DEFAULT_TOL) -> CheckResult:
     """Production tau* solver against the uniform fine-grid ray scan."""
     rng = np.random.default_rng(seed)
@@ -103,7 +110,7 @@ def tau_oracle_check(params: SystemParams, n: int = 200, seed: int = 0,
             continue
         if sol.degenerate or sol.margin < 1e-3:
             continue
-        ref = brute_tau_scan(I, theta, crit, params, h=h, tol=tol)
+        ref = brute_tau_scan(I, theta, crit, params, h=1e-5, tol=tol)
         worst = max(worst, abs(sol.tau_star - ref))
         used += 1
     return CheckResult("tau_star_vs_ray_scan", worst <= tol_cmp, worst,
@@ -111,19 +118,20 @@ def tau_oracle_check(params: SystemParams, n: int = 200, seed: int = 0,
 
 
 def lemma_symmetry_check(params: SystemParams, n_I: int = 60, n_th: int = 60,
-                         tol_cmp: float = 1e-8,
-                         I_range: tuple[float, float] = (-2.0, 2.0),
-                         margin_mask: float = 1e-3,
                          tol: Tolerances = DEFAULT_TOL) -> CheckResult:
-    """dL0*/dtheta(I, theta) = -dL2*/dtheta(I, 2pi - theta) on a masked grid.
+    """dL0*/dtheta(I, theta) = -dL2*/dtheta(I, 2pi - theta) on a masked grid
+    over I in [-2, 2], to within 1e-8.
 
-    The reflection through (pi, pi) exchanges the even ridge branches 0 and
-    2 and reverses the ray parameter, so the two down/up reduced functions
-    are exact mirror images wherever both contacts are clean; points with a
-    transversality margin below ``margin_mask`` (tangency-affected) or with
-    failed solves are masked.
+    At r = 1 the reflection through (pi, pi) exchanges the even ridge
+    branches 0 and 2 and reverses the ray parameter, so the two down/up
+    reduced functions are exact mirror images wherever both contacts are
+    clean; points with a transversality margin below 1e-3
+    (tangency-affected) or with failed solves are masked.  Other r raise
+    :class:`ConfigError`.
     """
-    Is = np.linspace(I_range[0], I_range[1], n_I)
+    _require_r_one(params)
+    tol_cmp = 1e-8
+    Is = np.linspace(-2.0, 2.0, n_I)
     ths = np.linspace(1e-3, TWO_PI - 1e-3, n_th)
     worst = 0.0
     used = 0
@@ -141,7 +149,7 @@ def lemma_symmetry_check(params: SystemParams, n_I: int = 60, n_th: int = 60,
                                 tol.tie_tol)
             if r0[0] != K.TAU_OK or r2[0] != K.TAU_OK:
                 continue
-            if r0[3] < margin_mask or r2[3] < margin_mask:
+            if r0[3] < 1e-3 or r2[3] < 1e-3:
                 continue
             worst = max(worst, abs(r0[7] + r2[7]))
             used += 1
@@ -150,22 +158,23 @@ def lemma_symmetry_check(params: SystemParams, n_I: int = 60, n_th: int = 60,
 
 
 def drift_sign_check(params: SystemParams, n_I: int = 41, n_th: int = 25,
-                     I_range: tuple[float, float] = (-2.0, 2.0),
-                     exclude: float = 0.02,
                      tol: Tolerances = DEFAULT_TOL) -> CheckResult:
     """Odd-branch map increases I throughout theta in (pi, theta_plus(I)).
 
-    Sampled away from the resonant actions {0, 1} and the crest-regime
-    switches, where theta_plus changes its closed form.
+    Sampled over I in [-2, 2], farther than 0.02 from the resonant actions
+    {0, 1} and the crest-regime switches, where theta_plus changes its
+    closed form.  The closed forms hold at r = 1 only; other r raise
+    :class:`ConfigError`.
     """
+    _require_r_one(params)
     report = find_thresholds(params)
     switches = list(report.alpha_thresholds) + [0.0, 1.0]
-    Is = np.linspace(I_range[0], I_range[1], n_I)
+    Is = np.linspace(-2.0, 2.0, n_I)
     worst = math.inf
     used = 0
     bad = 0
     for I in Is:
-        if any(abs(I - s) < exclude for s in switches):
+        if any(abs(I - s) < 0.02 for s in switches):
             continue
         thp = theta_plus(I, params, tol)
         ths = np.linspace(math.pi + 1e-3, thp - 1e-3, n_th)
@@ -186,14 +195,16 @@ def drift_sign_check(params: SystemParams, n_I: int = 41, n_th: int = 25,
 
 def run_suite(params: SystemParams, n_melnikov: int = 60, n_tau: int = 150,
               seed: int = 0, tol_melnikov: float = 1e-8,
-              tol_tau: float = 1e-6, tol_lemma: float = 1e-8,
-              tol: Tolerances = DEFAULT_TOL,
+              tol_tau: float = 1e-6, tol: Tolerances = DEFAULT_TOL,
               corrupt: str | None = None) -> list[CheckResult]:
+    """All four checks; raises :class:`ConfigError` before any of them runs
+    when r != 1."""
+    _require_r_one(params)
     return [
         melnikov_check(params, n=n_melnikov, seed=seed, tol_cmp=tol_melnikov,
                        tol=tol, corrupt=corrupt),
         tau_oracle_check(params, n=n_tau, seed=seed, tol_cmp=tol_tau,
                          tol=tol),
-        lemma_symmetry_check(params, tol_cmp=tol_lemma, tol=tol),
+        lemma_symmetry_check(params, tol=tol),
         drift_sign_check(params, tol=tol),
     ]

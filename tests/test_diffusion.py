@@ -6,7 +6,7 @@ import pytest
 
 import pendrotor as pr
 from pendrotor import _kernels as K
-from pendrotor.diffusion import REINT_BUDGET, ScatterLeg
+from pendrotor.diffusion import ARC_TOL, REINT_BUDGET, InnerLeg, ScatterLeg
 
 TWO_PI = 2.0 * math.pi
 
@@ -195,3 +195,22 @@ class TestArcsVerify:
         rep = pr.verify_pseudo_orbit(orbit)
         assert rep.ok, rep.failures[:3]
         assert rep.max_reintegration_residual <= REINT_BUDGET
+
+
+class TestArcSections:
+    """Inner arcs and inner-portrait run the same section generator."""
+
+    def test_arc_ends_on_its_last_section(self, p075):
+        orbit = pr.build_pseudo_orbit(-0.2, 0.2, p075)
+        arcs = [leg for leg in orbit.legs if isinstance(leg, InnerLeg)]
+        assert arcs
+        for leg in arcs:
+            rows = pr.stroboscopic_sections(leg.src, leg.n_periods,
+                                            orbit.params, tol_ode=ARC_TOL)
+            t, I, phi = rows[-1]
+            assert (t, I, phi) == (leg.duration, leg.dst.I, leg.dst.phi)
+
+    def test_zero_periods(self, p075):
+        rows = pr.stroboscopic_sections(pr.InnerState(0.3, 0.0, 0.0), 0,
+                                        p075, tol_ode=ARC_TOL)
+        assert rows.shape == (0, 3)

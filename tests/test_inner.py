@@ -73,7 +73,7 @@ class TestFlow:
         # the tolerance demands; the stepper must report the collapse
         from pendrotor._ode import ODE_STEPFAIL, integrate_inner
         t0 = 1e13
-        *_, status = integrate_inner(0.3, 0.1, 0.0, 0.0, t0, t0 + 100.0,
+        *_, status = integrate_inner(0.3, 0.1, 0.0, t0, t0 + 100.0,
                                      p075.eps, p075.a1, p075.a2, p075.r,
                                      1e-13, 1e-16)
         assert status == ODE_STEPFAIL
@@ -121,7 +121,7 @@ class TestDOP853:
         total = 0
         for I0 in (0.5, -1.3, 1.05, 0.02):
             I, phi, _, nsteps, status = integrate_inner(
-                I0, 0.0, 0.0, 0.0, 0.0, T, p075.eps, p075.a1, p075.a2,
+                I0, 0.0, 0.0, 0.0, T, p075.eps, p075.a1, p075.a2,
                 p075.r, 1e-12, 1e-12)
             assert status == ODE_OK
             ref = solve_ivp(rhs, (0.0, T), [I0, 0.0], method="DOP853",

@@ -1,7 +1,11 @@
 import json
 
 import numpy as np
+import pytest
 
+import pendrotor as pr
+from pendrotor import verify
+from pendrotor.cli import main
 from pendrotor.verify import CheckResult, drift_sign_check, lemma_symmetry_check
 
 
@@ -31,3 +35,36 @@ class TestCheckResultTypes:
         res = drift_sign_check(p075, n_I=5, n_th=5)
         _assert_plain(res)
         assert res.n > 0 and res.passed is True
+
+
+class TestRequiresROne:
+    """The reflection and drift-window checks are derived for r = 1."""
+
+    def test_run_suite_refuses_before_any_check(self, monkeypatch):
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return 0.0
+
+        monkeypatch.setattr(verify, "melnikov_quadrature", counted)
+        p = pr.SystemParams(a1=0.75, a2=1.0, eps=0.01, r=0.5)
+        with pytest.raises(pr.ConfigError, match="r = 1"):
+            verify.run_suite(p, n_melnikov=4, n_tau=4)
+        assert calls[0] == 0
+
+    def test_lemma_symmetry_check_refuses(self):
+        p = pr.SystemParams(a1=0.75, a2=1.0, eps=0.01, r=0.5)
+        with pytest.raises(pr.ConfigError, match="r = 1"):
+            lemma_symmetry_check(p, n_I=5, n_th=5)
+
+    @pytest.mark.parametrize("params", [
+        ["--mu", "0.75", "--r", "0.5"],
+        ["--a1", "0.75", "--a2", "1", "--k1", "2", "--k2", "1", "--l1", "0",
+         "--l2", "1"],
+    ])
+    def test_cli_exits_2(self, params, capsys):
+        assert main(["verify", "--eps", "0.01"] + params) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
