@@ -28,7 +28,7 @@ from .crests import (CrestKind, CrestBranch, TangencyPoint, IntervalInfo,
                      tangency_points, solve_level_crossing)
 from .scattering import (TauCriterion, TauSolution, ScatteringState,
                          PiecewiseMapAtlas, ATLAS, DOWN, UP, MINABS, branch,
-                         melnikov_closed, melnikov_quadrature,
+                         melnikov_closed, melnikov_quadrature, lstar, sweep,
                          solve_tau_star, reduced_poincare,
                          grad_reduced_poincare, grad_theta_forms,
                          scattering_step, extended_map_domain,

@@ -436,25 +436,6 @@ def lstar_kernel(I, theta, r, a1, a2, crit, kreq, tol_cls, tie_tol):
     return status, tau, kb, margin, phis, sigs, L, dth, dI
 
 
-def theta_plus_kernel(I: float, horizontal: bool) -> float:
-    """Upper end of the guaranteed positive-drift window (pi, theta_plus)."""
-    if horizontal:
-        if I <= 0.0:
-            return 1.5 * PI
-        if I < 1.0:
-            return (2.0 - I) * PI
-        if I < 1.5:
-            return PI * I
-        return 1.5 * PI
-    if I <= -0.5:
-        return 1.5 * PI
-    if I < 0.0:
-        return (1.0 - I) * PI
-    if I <= 1.0:
-        return (1.0 + I) * PI
-    return 1.5 * PI
-
-
 def sweep_kernel(Ivals, thvals, r, a1, a2, crit, kreq, tol_cls, tie_tol):
     """lstar_kernel for a criterion over the grid Ivals x thvals.
 

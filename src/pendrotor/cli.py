@@ -19,13 +19,12 @@ import sys
 
 import numpy as np
 
-from . import _kernels as K
 from .crests import classify, crest_phi, crest_residual, crest_sigma, find_thresholds
 from .diffusion import ScatterLeg, build_pseudo_orbit, verify_pseudo_orbit
 from .errors import ConfigError, OutOfDomain, PendrotorError
 from .inner import InnerState, region_of, stroboscopic_sections, torus_value
 from .params import DEFAULT_TOL, SystemParams, Tolerances
-from .scattering import ATLAS, TauCriterion
+from .scattering import ATLAS, TauCriterion, sweep
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -106,15 +105,24 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def _validate_grids(args) -> None:
-    for name in ("grid_n", "theta_n", "angle_n", "periods"):
+    """Check the grid, count and action flags; parses the --I values."""
+    for name, least in (("grid_n", 2), ("theta_n", 2), ("angle_n", 2),
+                        ("periods", 2), ("n_melnikov", 1), ("n_tau", 1)):
         val = getattr(args, name, None)
-        if val is not None and val < 2:
-            raise ConfigError(f"--{name.replace('_', '-')} must be >= 2")
-    for name in ("I_min", "I_max", "I_start", "I_end"):
-        val = getattr(args, name, None)
+        if val is not None and val < least:
+            raise ConfigError(
+                f"--{name.replace('_', '-')} must be >= {least}")
+    bounds = [(name.replace("_", "-"), getattr(args, name, None))
+              for name in ("I_min", "I_max", "I_start", "I_end")]
+    if hasattr(args, "I_list"):
+        try:
+            args.I_list = [float(x) for x in args.I_list]
+        except ValueError as exc:
+            raise ConfigError(f"--I takes numbers: {exc}")
+        bounds += [("I", val) for val in args.I_list]
+    for flag, val in bounds:
         if val is not None and not math.isfinite(val):
-            raise ConfigError(f"--{name.replace('_', '-')} must be finite, "
-                              f"got {val}")
+            raise ConfigError(f"--{flag} must be finite, got {val}")
     if getattr(args, "I_min", 0.0) >= getattr(args, "I_max", 1.0):
         raise ConfigError("--I-min must be below --I-max")
 
@@ -156,7 +164,7 @@ def _tol_from(args) -> Tolerances:
     return DEFAULT_TOL.override(**overrides) if overrides else DEFAULT_TOL
 
 
-def _header(params: SystemParams, args, extra: dict | None = None) -> dict:
+def _header(params: SystemParams, extra: dict | None = None) -> dict:
     h = {"a1": params.a1, "a2": params.a2, "mu": params.mu, "r": params.r,
          "eps": params.eps}
     if extra:
@@ -164,14 +172,8 @@ def _header(params: SystemParams, args, extra: dict | None = None) -> dict:
     return h
 
 
-def _apply_config_file(argv: list[str]) -> list[str]:
-    """Prepend KEY=VAL pairs from --config as argv entries (flags win)."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise ConfigError("--config needs a file path")
-    path = argv[idx + 1]
+def _config_args(path: str) -> list[str]:
+    """The KEY=VAL pairs of a --config file as argv entries."""
     injected: list[str] = []
     try:
         fh = open(path)
@@ -185,8 +187,7 @@ def _apply_config_file(argv: list[str]) -> list[str]:
             key, _, val = line.partition("=")
             injected.extend([f"--{key.strip().replace('_', '-')}",
                              val.strip()])
-    # injected defaults go right after the subcommand, real flags override
-    return argv[:1] + injected + argv[1:]
+    return injected
 
 
 # ----------------------------------------------------------------------
@@ -200,8 +201,7 @@ def cmd_thresholds(args) -> int:
         raise ConfigError("thresholds need a finite nonzero mu")
     report = find_thresholds(params, (args.I_min, args.I_max), tol)
     em = Emitter(args.out, args.format, "thresholds",
-                 _header(params, args, {"I_min": args.I_min,
-                                        "I_max": args.I_max}),
+                 _header(params, {"I_min": args.I_min, "I_max": args.I_max}),
                  ["record", "curve_or_kind", "I_lo", "I_hi", "value",
                   "tangency", "label"])
     labels_inv = {v: k for k, v in report.labels.items()}
@@ -224,11 +224,9 @@ def cmd_crests(args) -> int:
     params = _params_from(args)
     tol = _tol_from(args)
     n = args.angle_n or args.grid_n
-    if args.I_list:
-        I_values = [float(x) for x in args.I_list]
-    else:
-        I_values = list(np.linspace(args.I_min, args.I_max, args.grid_n))
-    em = Emitter(args.out, args.format, "crests", _header(params, args),
+    I_values = args.I_list or list(np.linspace(args.I_min, args.I_max,
+                                               args.grid_n))
+    em = Emitter(args.out, args.format, "crests", _header(params),
                  ["I", "branch", "kind", "param_angle", "phi", "sigma",
                   "residual"])
     grid = np.linspace(0.0, TWO_PI, n, endpoint=False)
@@ -251,22 +249,22 @@ def cmd_crests(args) -> int:
     return EXIT_OK
 
 
-def _sweep_rows(params, tol, criterion, I_vals, th_vals):
-    crit = TauCriterion.parse(criterion)
-    return K.sweep_kernel(I_vals, th_vals, params.r, params.a1, params.a2,
-                          crit.code, crit.k, tol.tol_cls, tol.tie_tol)
+def _grid_sweep(args, params: SystemParams, tol: Tolerances):
+    """The (I, theta) grid of the flags and :func:`sweep` over it."""
+    I_vals = np.linspace(args.I_min, args.I_max, args.grid_n)
+    th_vals = np.linspace(0.0, TWO_PI, args.theta_n or args.grid_n,
+                          endpoint=False)
+    crit = TauCriterion.parse(args.criterion)
+    return I_vals, th_vals, sweep(I_vals, th_vals, crit, params, tol)
 
 
 def cmd_portrait(args) -> int:
     params = _params_from(args)
     tol = _tol_from(args)
-    I_vals = np.linspace(args.I_min, args.I_max, args.grid_n)
-    th_vals = np.linspace(0.0, TWO_PI, args.theta_n or args.grid_n,
-                          endpoint=False)
-    status, tau, band, margin, lstar, dth, dI = _sweep_rows(
-        params, tol, args.criterion, I_vals, th_vals)
+    I_vals, th_vals, res = _grid_sweep(args, params, tol)
+    status, tau, band, margin, lstar, dth, dI = res
     em = Emitter(args.out, args.format, "portrait",
-                 _header(params, args, {"criterion": args.criterion}),
+                 _header(params, {"criterion": args.criterion}),
                  ["I", "theta", "lstar", "dlstar_dtheta", "idot_sign",
                   "region", "degenerate", "status"])
     for i, I in enumerate(I_vals):
@@ -284,13 +282,10 @@ def cmd_portrait(args) -> int:
 def cmd_tau_field(args) -> int:
     params = _params_from(args)
     tol = _tol_from(args)
-    I_vals = np.linspace(args.I_min, args.I_max, args.grid_n)
-    th_vals = np.linspace(0.0, TWO_PI, args.theta_n or args.grid_n,
-                          endpoint=False)
-    status, tau, band, margin, lstar, dth, dI = _sweep_rows(
-        params, tol, args.criterion, I_vals, th_vals)
+    I_vals, th_vals, res = _grid_sweep(args, params, tol)
+    status, tau, band, margin, lstar, dth, dI = res
     em = Emitter(args.out, args.format, "tau_field",
-                 _header(params, args, {"criterion": args.criterion}),
+                 _header(params, {"criterion": args.criterion}),
                  ["I", "theta", "tau_star", "branch", "margin", "degenerate",
                   "status"])
     for i, I in enumerate(I_vals):
@@ -308,7 +303,7 @@ def cmd_inner_portrait(args) -> int:
     tol = _tol_from(args)
     I_vals = np.linspace(args.I_min, args.I_max, args.grid_n)
     em = Emitter(args.out, args.format, "inner_portrait",
-                 _header(params, args, {"periods": args.periods}),
+                 _header(params, {"periods": args.periods}),
                  ["orbit", "n", "t", "I", "phi_mod", "region", "torus_value"])
     for i, I0 in enumerate(I_vals):
         state = InnerState(I=float(I0), phi=0.0, s=0.0)
@@ -326,13 +321,10 @@ def cmd_inner_portrait(args) -> int:
 def cmd_diffuse(args) -> int:
     params = _params_from(args)
     tol = _tol_from(args)
-    if params.eps == 0.0:
-        raise ConfigError("diffusion needs eps > 0")
-    params.require_nontrivial()
     orbit = build_pseudo_orbit(args.I_start, args.I_end, params, tol=tol)
     report = verify_pseudo_orbit(orbit, tol)
     em = Emitter(args.out, args.format, "pseudo_orbit",
-                 _header(params, args, {
+                 _header(params, {
                      "I_start": args.I_start, "I_end": args.I_end,
                      "frame_phi_shift": orbit.frame_phi_shift,
                      "frame_s_shift": orbit.frame_s_shift}),
@@ -443,8 +435,11 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # file values go right after the subcommand, so real flags win
+            args = parser.parse_args(argv[:1] + _config_args(args.config)
+                                     + argv[1:])
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -19,15 +19,15 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 
-from . import _kernels as K
 from .errors import (ConfigError, SingularCrest, StepFailure,
                      StuckAtResonance, TangencyDegenerate, UnreachableBranch,
                      WindowEmpty)
 from .inner import (InnerState, TorusRegion, inner_flow, region_of, sections,
                     torus_value)
 from .params import DEFAULT_TOL, SystemParams, Tolerances
-from .scattering import (ScatteringState, TauCriterion, _grad_of, _lstar_raw,
-                         branch, grad_reduced_poincare, theta_plus)
+from .scattering import (ODD, TAU_OK, ScatteringState, TauCriterion,
+                         _grad_of, _lstar_raw, grad_reduced_poincare, lstar,
+                         theta_plus)
 
 TWO_PI = 2.0 * math.pi
 
@@ -225,10 +225,6 @@ def build_pseudo_orbit(I_start: float, I_end: float, params: SystemParams,
                 f"({rho:.6f}, {thp:.6f})")
         return rho + margin, thp - margin
 
-    def solve(I: float, th: float):
-        return K.lstar_kernel(I, th, canon.r, canon.a1, canon.a2,
-                              K.CRIT_BRANCH, 1, tol.tol_cls, tol.tie_tol)
-
     def probe_step(I: float, th: float, res):
         """Next jump from (I, th), whose L* solve is ``res``, or None if it
         breaks a construction rule.
@@ -240,12 +236,12 @@ def build_pseudo_orbit(I_start: float, I_end: float, params: SystemParams,
         step, which starts there, need not repeat it.
         """
         status, tau, kb, margin_t, _, _, L0, dth_L, dI_L = res
-        if status != K.TAU_OK or margin_t < tol.tol_degen or dth_L <= 0.0:
+        if status != TAU_OK or margin_t < tol.tol_degen or dth_L <= 0.0:
             return None
         I_new = I + eps * dth_L
         th_new = (th - eps * dI_L) % TWO_PI
-        res1 = solve(I_new, th_new)
-        if res1[0] != K.TAU_OK:
+        res1 = lstar(I_new, th_new, ODD, canon, tol)
+        if res1[0] != TAU_OK:
             return None
         L1 = res1[6]
         if abs(L1 - L0) > level_cap:
@@ -271,7 +267,8 @@ def build_pseudo_orbit(I_start: float, I_end: float, params: SystemParams,
             if not (lo < th < hi):
                 break
             if nxt is None:
-                nxt = probe_step(I, th, solve(I, th) if res is None else res)
+                nxt = probe_step(I, th, res if res is not None
+                                 else lstar(I, th, ODD, canon, tol))
             if nxt is None:
                 break  # reroute around tangency / high-curvature spots
             I_new, th_new, L0, resid, tau, kb, res = nxt
@@ -301,7 +298,8 @@ def build_pseudo_orbit(I_start: float, I_end: float, params: SystemParams,
             except WindowEmpty:
                 continue
             if lo < th_n < hi:
-                nxt = probe_step(Icur, th_n, solve(Icur, th_n))
+                nxt = probe_step(Icur, th_n,
+                                 lstar(Icur, th_n, ODD, canon, tol))
                 if nxt is not None:
                     break
         else:
@@ -345,7 +343,6 @@ def verify_pseudo_orbit(orbit: PseudoOrbit,
     max_f_drift = 0.0
     f_budget = 0.0
     brackets: list[TransversalityReport] = []
-    crit = branch(1)
     prev_dst = None
     dst_res = None  # the _lstar_raw solve at prev_dst, when a jump leg made it
 
@@ -358,8 +355,8 @@ def verify_pseudo_orbit(orbit: PseudoOrbit,
             res, dst_res = dst_res, None
             try:
                 if res is None:
-                    res = _lstar_raw(leg.src.I, leg.src.theta, crit, p, tol)
-                dst_res = _lstar_raw(leg.dst.I, leg.dst.theta, crit, p, tol)
+                    res = _lstar_raw(leg.src.I, leg.src.theta, ODD, p, tol)
+                dst_res = _lstar_raw(leg.dst.I, leg.dst.theta, ODD, p, tol)
                 dI_L, dth_L = _grad_of(res, leg.src.I, leg.src.theta, tol)
             except (SingularCrest, UnreachableBranch,
                     TangencyDegenerate) as exc:

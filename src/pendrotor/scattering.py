@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.integrate import quad
 
 from . import _kernels as K
@@ -34,6 +35,7 @@ from .errors import (ConfigError, OnDiscontinuity, QuadratureNotConverged,
 from .params import DEFAULT_TOL, SystemParams, Tolerances
 
 TWO_PI = 2.0 * math.pi
+TAU_OK = K.TAU_OK
 
 
 # ----------------------------------------------------------------------
@@ -67,7 +69,10 @@ class TauCriterion:
         if text in ("down", "up", "minabs"):
             return cls(text)
         if text.startswith("branch=") or text.startswith("branch:"):
-            return cls("branch", int(text[7:]))
+            try:
+                return cls("branch", int(text[7:]))
+            except ValueError:
+                pass
         raise ConfigError(f"cannot parse criterion {text!r}")
 
     def __str__(self) -> str:
@@ -81,6 +86,9 @@ MINABS = TauCriterion("minabs")
 
 def branch(k: int) -> TauCriterion:
     return TauCriterion("branch", k)
+
+
+ODD = branch(1)  # the odd-branch map, which carries the drift construction
 
 
 @dataclass(frozen=True)
@@ -171,20 +179,47 @@ def melnikov_quadrature(I: float, phi: float, s: float, params: SystemParams,
 # tau* and the reduced function
 # ----------------------------------------------------------------------
 
-def _check_finite(I: float, theta: float) -> None:
+def lstar(I: float, theta: float, criterion: TauCriterion,
+          params: SystemParams, tol: Tolerances = DEFAULT_TOL) -> tuple:
+    """The selected contact and L* there, as the kernel returns them:
+    (status, tau*, band, margin, phi*, sigma*, L*, dL*/dtheta, dL*/dI).
+
+    theta is reduced mod 2*pi before solving.  A status other than
+    ``TAU_OK`` is returned, not raised; the values after it are then NaN.
+    """
     if not (math.isfinite(I) and math.isfinite(theta)):
         raise ConfigError(f"(I, theta) must be finite, got ({I}, {theta})")
+    return K.lstar_kernel(I, theta % TWO_PI, params.r, params.a1, params.a2,
+                          criterion.code, criterion.k, tol.tol_cls,
+                          tol.tie_tol)
 
 
-def _raise_for_status(status: int, I: float, theta: float,
-                      criterion: TauCriterion) -> None:
-    if status == K.TAU_SINGULAR:
+def sweep(I_vals, th_vals, criterion: TauCriterion, params: SystemParams,
+          tol: Tolerances = DEFAULT_TOL) -> tuple:
+    """:func:`lstar` over the grid of the 1-D arrays I_vals x th_vals.
+
+    Returns (nI, nth) arrays (status, tau*, band, margin, L*, dL*/dtheta,
+    dL*/dI); status and band are int64.
+    """
+    if not (np.isfinite(I_vals).all() and np.isfinite(th_vals).all()):
+        raise ConfigError("sweep grid values must be finite")
+    return K.sweep_kernel(I_vals, np.mod(th_vals, TWO_PI), params.r,
+                          params.a1, params.a2, criterion.code, criterion.k,
+                          tol.tol_cls, tol.tie_tol)
+
+
+def _lstar_raw(I: float, theta: float, criterion: TauCriterion,
+               params: SystemParams, tol: Tolerances) -> tuple:
+    """:func:`lstar`, raising for a status other than ``TAU_OK``."""
+    res = lstar(I, theta, criterion, params, tol)
+    if res[0] == K.TAU_SINGULAR:
         raise SingularCrest(
             f"|mu*alpha(I)| within tolerance of 1 at I = {I}")
-    if status == K.TAU_UNREACHABLE:
+    if res[0] == K.TAU_UNREACHABLE:
         raise UnreachableBranch(
             f"criterion {criterion} finds no ridge crossing within the tau "
-            f"window at (I, theta) = ({I}, {theta})")
+            f"window at (I, theta) = ({I}, {theta % TWO_PI})")
+    return res
 
 
 def solve_tau_star(I: float, theta: float, criterion: TauCriterion,
@@ -196,38 +231,20 @@ def solve_tau_star(I: float, theta: float, criterion: TauCriterion,
     transversality below ``tol.tol_degen``) are returned with
     ``degenerate=True``; map evaluations refuse them.
     """
-    _check_finite(I, theta)
-    th = theta % TWO_PI
-    c = K.crest_coef(I, params.a1, params.a2, params.r)
-    status, tau, kband, margin, phis, sigs = K.tau_star_kernel(
-        I, th, params.r, c, criterion.code, criterion.k, tol.tol_cls,
-        tol.tie_tol)
-    _raise_for_status(status, I, th, criterion)
-    kind = CrestKind.HORIZONTAL if abs(c) < 1.0 else CrestKind.VERTICAL
+    _, tau, kband, margin, phis, sigs = _lstar_raw(I, theta, criterion,
+                                                   params, tol)[:6]
     return TauSolution(
-        I=I, theta=th, tau_star=tau,
-        branch_hit=CrestBranch(k=int(kband), kind=kind, I=I),
+        I=I, theta=theta % TWO_PI, tau_star=tau,
+        branch_hit=CrestBranch(k=kband, kind=classify(I, params, tol), I=I),
         phi_star=phis, sigma_star=sigs, margin=margin,
         degenerate=margin < tol.tol_degen, criterion=criterion)
-
-
-def _lstar_raw(I: float, theta: float, criterion: TauCriterion,
-               params: SystemParams, tol: Tolerances):
-    _check_finite(I, theta)
-    th = theta % TWO_PI
-    res = K.lstar_kernel(I, th, params.r, params.a1, params.a2,
-                         criterion.code, criterion.k, tol.tol_cls, tol.tie_tol)
-    status = res[0]
-    _raise_for_status(status, I, th, criterion)
-    return res
 
 
 def reduced_poincare(I: float, theta: float, criterion: TauCriterion,
                      params: SystemParams,
                      tol: Tolerances = DEFAULT_TOL) -> float:
     """L*(I, theta): the splitting potential at the selected contact."""
-    res = _lstar_raw(I, theta, criterion, params, tol)
-    return res[6]
+    return _lstar_raw(I, theta, criterion, params, tol)[6]
 
 
 def grad_reduced_poincare(I: float, theta: float, criterion: TauCriterion,
@@ -246,7 +263,7 @@ def grad_reduced_poincare(I: float, theta: float, criterion: TauCriterion,
 
 def _grad_of(res, I: float, theta: float,
              tol: Tolerances) -> tuple[float, float]:
-    """(dL*/dI, dL*/dtheta) of a ``_lstar_raw`` result at (I, theta)."""
+    """(dL*/dI, dL*/dtheta) of an OK :func:`lstar` result at (I, theta)."""
     _, tau, _, margin, _, _, _, dth, dI = res
     if margin < tol.tol_degen:
         raise TangencyDegenerate(
@@ -346,4 +363,14 @@ def theta_plus(I: float, params: SystemParams,
     kind = classify(I, params, tol)
     if kind is CrestKind.SINGULAR:
         raise SingularCrest(f"singular crest regime at I = {I}")
-    return K.theta_plus_kernel(I, kind is CrestKind.HORIZONTAL)
+    if kind is CrestKind.HORIZONTAL:
+        if 0.0 < I < 1.0:
+            return (2.0 - I) * math.pi
+        if 1.0 <= I < 1.5:
+            return math.pi * I
+    else:
+        if -0.5 < I < 0.0:
+            return (1.0 - I) * math.pi
+        if 0.0 <= I <= 1.0:
+            return (1.0 + I) * math.pi
+    return 1.5 * math.pi

@@ -16,9 +16,9 @@ from .crests import find_thresholds
 from .errors import ConfigError, PendrotorError
 from .oracles import brute_tau_scan
 from .params import DEFAULT_TOL, SystemParams, Tolerances
-from .scattering import (MINABS, DOWN, UP, TauCriterion, branch,
-                         melnikov_closed, melnikov_quadrature, solve_tau_star,
-                         theta_plus)
+from .scattering import (MINABS, DOWN, ODD, TAU_OK, UP, TauCriterion, branch,
+                         lstar, melnikov_closed, melnikov_quadrature,
+                         solve_tau_star, theta_plus)
 
 TWO_PI = 2.0 * math.pi
 
@@ -133,6 +133,7 @@ def lemma_symmetry_check(params: SystemParams, n_I: int = 60, n_th: int = 60,
     tol_cmp = 1e-8
     Is = np.linspace(-2.0, 2.0, n_I)
     ths = np.linspace(1e-3, TWO_PI - 1e-3, n_th)
+    even0, even2 = branch(0), branch(2)
     worst = 0.0
     used = 0
     for I in Is:
@@ -142,12 +143,9 @@ def lemma_symmetry_check(params: SystemParams, n_I: int = 60, n_th: int = 60,
         if abs(c - 1.0) < 1e-6:
             continue
         for th in ths:
-            r0 = K.lstar_kernel(I, th, params.r, params.a1, params.a2,
-                                K.CRIT_BRANCH, 0, tol.tol_cls, tol.tie_tol)
-            r2 = K.lstar_kernel(I, TWO_PI - th, params.r, params.a1,
-                                params.a2, K.CRIT_BRANCH, 2, tol.tol_cls,
-                                tol.tie_tol)
-            if r0[0] != K.TAU_OK or r2[0] != K.TAU_OK:
+            r0 = lstar(I, th, even0, params, tol)
+            r2 = lstar(I, TWO_PI - th, even2, params, tol)
+            if r0[0] != TAU_OK or r2[0] != TAU_OK:
                 continue
             if r0[3] < 1e-3 or r2[3] < 1e-3:
                 continue
@@ -179,9 +177,8 @@ def drift_sign_check(params: SystemParams, n_I: int = 41, n_th: int = 25,
         thp = theta_plus(I, params, tol)
         ths = np.linspace(math.pi + 1e-3, thp - 1e-3, n_th)
         for th in ths:
-            res = K.lstar_kernel(I, th, params.r, params.a1, params.a2,
-                                 K.CRIT_BRANCH, 1, tol.tol_cls, tol.tie_tol)
-            if res[0] != K.TAU_OK:
+            res = lstar(I, th, ODD, params, tol)
+            if res[0] != TAU_OK:
                 bad += 1
                 continue
             worst = min(worst, res[7])

@@ -313,6 +313,12 @@ class TestBadNumericInput:
         ["thresholds", "--mu", "0.5", "--eps", "nan"],
         ["verify", "--mu", "0.75", "--tol-override", "tol_root=abc"],
         ["verify", "--mu", "0.75", "--tol-override", "tol_cls=nan"],
+        ["portrait", "--mu", "0.5", "--criterion", "branch=x"],
+        ["portrait", "--mu", "0.5", "--criterion", "branch=1.5"],
+        ["crests", "--mu", "0.5", "--I", "abc"],
+        ["crests", "--mu", "0.5", "--I", "nan"],
+        ["verify", "--mu", "0.75", "--n-melnikov", "0", "--n-tau", "0"],
+        ["verify", "--mu", "0.75", "--n-tau", "-3"],
     ])
     def test_exits_2_with_message(self, argv, capsys):
         assert main(argv + ["--grid-n", "2"]) == 2
@@ -335,3 +341,15 @@ class TestConfigFile:
                      "--out", str(out2)]) == 0
         header2, _ = _read_rows(out2)
         assert float(header2["mu"]) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("form", ["--config={}", "--conf {}",
+                                      "--co={}"])
+    def test_every_flag_form_applies_the_file(self, tmp_path, form):
+        # argparse accepts '=' and unique prefixes; each must read the file
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid_n = 3\n")
+        out = tmp_path / "tau.csv"
+        assert main(["tau-field", "--mu", "0.75", *form.format(cfg).split(),
+                     "--out", str(out)]) == 0
+        _, rows = _read_rows(out)
+        assert len(rows) == 9

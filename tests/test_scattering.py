@@ -595,6 +595,38 @@ class TestThetaPlus:
         with pytest.raises(pr.ConfigError):
             pr.theta_plus(0.5, pr.SystemParams(a1=-1.0, a2=1.0))
 
+    @staticmethod
+    def _closed_form(I, kind):
+        """The docstring's closed forms, piece by piece; 3pi/2 elsewhere."""
+        pi = math.pi
+        if kind is pr.CrestKind.HORIZONTAL:
+            pieces = ((0.0 < I < 1.0, (2.0 - I) * pi),
+                      (1.0 <= I < 1.5, pi * I))
+        else:
+            pieces = ((-0.5 < I < 0.0, (1.0 - I) * pi),
+                      (0.0 <= I <= 1.0, (1.0 + I) * pi))
+        return next((v for inside, v in pieces if inside), 1.5 * pi)
+
+    def test_equals_closed_forms_on_dense_grid(self):
+        # every breakpoint, and the floats either side of it, on top of a
+        # dense grid; both regimes occur over the three couplings
+        breaks = (-0.5, 0.0, 1.0, 1.5)
+        Is = list(np.linspace(-2.0, 2.0, 1601)) + [
+            x for b in breaks
+            for x in (math.nextafter(b, -math.inf), b,
+                      math.nextafter(b, math.inf))]
+        kinds = set()
+        for mu in (0.5, 0.75, 3.0):
+            p = pr.SystemParams(a1=mu, a2=1.0)
+            for I in Is:
+                kind = pr.classify(I, p)
+                if kind is pr.CrestKind.SINGULAR:
+                    continue
+                kinds.add(kind)
+                assert pr.theta_plus(I, p) == self._closed_form(I, kind), \
+                    (mu, I, kind)
+        assert kinds == {pr.CrestKind.HORIZONTAL, pr.CrestKind.VERTICAL}
+
 
 class TestKernelScalarTypes:
     """The kernels must return Python scalars."""
@@ -637,11 +669,12 @@ class TestSweepKernel:
         tol = pr.DEFAULT_TOL
         Ivals = np.linspace(-1.5, 1.5, 5)
         thvals = np.linspace(0.0, TWO_PI, 7, endpoint=False)
-        out = K.sweep_kernel(Ivals, thvals, p075.r, p075.a1, p075.a2, crit,
-                             k, tol.tol_cls, tol.tie_tol)
-        assert len(out) == 7
-        assert all(a.shape == (5, 7) for a in out)
-        assert out[0].dtype == np.int64 and out[2].dtype == np.int64
+        criterion = next(c for c in (pr.DOWN, pr.UP, pr.MINABS, pr.branch(k))
+                         if c.code == crit)
+        # the kernel and the scattering entry that wraps it
+        outs = (K.sweep_kernel(Ivals, thvals, p075.r, p075.a1, p075.a2, crit,
+                               k, tol.tol_cls, tol.tie_tol),
+                pr.sweep(Ivals, thvals, criterion, p075, tol))
         # (status, tau, band, margin, L, dL/dtheta, dL/dI) of lstar_kernel
         expected = np.empty((7, 5, 7))
         for i, I in enumerate(Ivals):
@@ -650,5 +683,46 @@ class TestSweepKernel:
                                      p075.a2, crit, k, tol.tol_cls,
                                      tol.tie_tol)
                 expected[:, i, j] = [res[n] for n in (0, 1, 2, 3, 6, 7, 8)]
-        for got, want in zip(out, expected):
-            np.testing.assert_array_equal(got, want)
+        for out in outs:
+            assert len(out) == 7
+            assert all(a.shape == (5, 7) for a in out)
+            assert out[0].dtype == np.int64 and out[2].dtype == np.int64
+            for got, want in zip(out, expected):
+                np.testing.assert_array_equal(got, want)
+
+
+class TestLstar:
+    """scattering.lstar: the per-point tau* entry, status returned."""
+
+    def test_singular_status_is_returned(self, p075):
+        tol = pr.DEFAULT_TOL.override(tol_cls=10.0)
+        res = pr.lstar(0.4, 2.0, pr.MINABS, p075, tol)
+        assert res[0] == K.TAU_SINGULAR
+        assert all(math.isnan(x) for x in res[6:])
+        with pytest.raises(pr.SingularCrest):
+            pr.solve_tau_star(0.4, 2.0, pr.MINABS, p075, tol)
+
+    def test_unreachable_status_is_returned(self, p075):
+        res = pr.lstar(0.4, 2.0, pr.branch(40), p075)
+        assert res[0] == K.TAU_UNREACHABLE
+        assert all(math.isnan(x) for x in res[6:])
+        with pytest.raises(pr.UnreachableBranch):
+            pr.reduced_poincare(0.4, 2.0, pr.branch(40), p075)
+
+    @pytest.mark.parametrize("crit", [pr.MINABS, pr.branch(1)])
+    @pytest.mark.parametrize("theta", [-1.0, -13.0, TWO_PI, 7.5, 20.0])
+    def test_reduces_theta(self, p075, crit, theta):
+        tol = pr.DEFAULT_TOL
+        ref = K.lstar_kernel(0.4, theta % TWO_PI, p075.r, p075.a1, p075.a2,
+                             crit.code, crit.k, tol.tol_cls, tol.tie_tol)
+        assert ref[0] == K.TAU_OK
+        assert pr.lstar(0.4, theta, crit, p075) == ref
+
+    @pytest.mark.parametrize("I,theta", [(math.nan, 1.0), (0.4, math.inf),
+                                         (-math.inf, 0.0)])
+    def test_non_finite_raises(self, p075, I, theta):
+        with pytest.raises(pr.ConfigError):
+            pr.lstar(I, theta, pr.MINABS, p075)
+        with pytest.raises(pr.ConfigError):
+            pr.sweep(np.array([0.4, I]), np.array([1.0, theta]), pr.MINABS,
+                     p075)
