@@ -47,6 +47,13 @@ CRIT_BRANCH = 3
 
 PI = math.pi
 
+# Relative margin gap under which two tied crossings count as mirror images.
+# The margins of the exact mirror pair at tau = +-t (theta = pi/2, 3pi/2 for
+# r = 1) are equal; computed, they differ by |g''| times the root error, up
+# to 21 ulps on 100 x 100 sweeps.  32 ulps covers that, and no other pair
+# of tied crossings on those sweeps comes within 1e-10.
+MARGIN_TIE_RTOL = 32.0 * 2.0 ** -52
+
 
 # ----------------------------------------------------------------------
 # stable special-function cores
@@ -219,13 +226,18 @@ def _crit_tau(j, u1, u2, period):
 def _fold(root, d, phi0, sig0, rphi, rsig, c, ac, tie_tol, found, best_t,
           best_key, best_marg):
     """Merge a crossing into the running best: smallest key d*tau wins; within
-    tie_tol of the best key the larger transversality margin wins."""
+    tie_tol of the best key the larger transversality margin wins, except
+    that of two crossings on opposite sides of tau = 0 whose margins agree to
+    MARGIN_TIE_RTOL (mirror crossings) the one with tau >= 0 wins."""
     key = d * root
     marg = abs(_gn_prime(root, phi0, sig0, rphi, rsig, c, ac))
     if not found or key < best_key - tie_tol:
         return True, root, key, marg
-    if key < best_key + tie_tol and marg > best_marg:
-        return True, root, best_key, marg
+    if key < best_key + tie_tol:
+        mirror = ((root >= 0.0) != (best_t >= 0.0)
+                  and abs(marg - best_marg) <= MARGIN_TIE_RTOL * max(marg, best_marg))
+        if root >= 0.0 if mirror else marg > best_marg:
+            return True, root, best_key, marg
     return found, best_t, best_key, best_marg
 
 

@@ -384,6 +384,72 @@ class TestBracketAdversarial:
         _check_against_oracles(I, theta, crit, p)
 
 
+def _mirror_pair(I, theta, tau, p):
+    """The crossings near +tau and -tau and their margins, by mpmath."""
+    c = K.crest_coef(I, p.a1, p.a2, p.r)
+    with mpmath.workdps(40):
+        th, I_, r = mpmath.mpf(theta), mpmath.mpf(I), mpmath.mpf(p.r)
+
+        def g(t):
+            return (c * mpmath.sin(th - I_ * t)
+                    + mpmath.sin(r * th - (r * I_ - 1) * t))
+
+        def margin(t):
+            dg = (-c * I_ * mpmath.cos(th - I_ * t)
+                  - (r * I_ - 1) * mpmath.cos(r * th - (r * I_ - 1) * t))
+            return abs(dg) / max(1, abs(c))
+
+        tp = mpmath.findroot(g, mpmath.mpf(tau))
+        tm = mpmath.findroot(g, -mpmath.mpf(tau))
+        return tp, tm, margin(tp), margin(tm)
+
+
+class TestMirrorTie:
+    """On theta = pi/2 and 3pi/2 (r = 1) the minimal-|tau| crossings come in
+    mirror pairs at +-tau with equal margins; the crossing with tau >= 0 wins."""
+
+    @pytest.mark.parametrize("mu", [0.6, 0.75])
+    def test_mirror_columns_are_true_ties(self, mu):
+        p = pr.SystemParams(a1=mu, a2=1.0)
+        I_vals = np.linspace(-2.0, 2.0, 40)
+        th_vals = np.linspace(0.0, TWO_PI, 40, endpoint=False)
+        status, tau = pr.sweep(I_vals, th_vals, pr.MINABS, p)[:2]
+        n = 0
+        for j in (10, 30):
+            for i, I in enumerate(I_vals):
+                if status[i, j] != K.TAU_OK:
+                    continue
+                tp, tm, mp, mm = _mirror_pair(I, th_vals[j], tau[i, j], p)
+                assert tm < 0 <= tp
+                assert abs(tp + tm) <= pr.DEFAULT_TOL.tie_tol
+                assert abs(mp - mm) <= K.MARGIN_TIE_RTOL * max(mp, mm)
+                assert tau[i, j] == pytest.approx(float(tp), abs=1e-12)
+                n += 1
+        assert n >= 76
+
+    def test_fold_order_does_not_matter(self):
+        # a mirror pair on the ray of r = 1, theta = pi/2, I = -1.1, c = 0.6
+        args = (math.pi / 2, math.pi / 2, 1.1, 2.1, 0.6, 0.6, 1e-9)
+        t = 0.8
+        m = abs(K._gn_prime(t, *args[:6]))
+        assert m == pytest.approx(abs(K._gn_prime(-t, *args[:6])), rel=1e-15)
+        first = K._fold(t, 1.0, *args, False, math.inf, math.inf, 0.0)
+        assert K._fold(-t, -1.0, *args, *first) == first
+        first = K._fold(-t, -1.0, *args, False, math.inf, math.inf, 0.0)
+        assert K._fold(t, 1.0, *args, *first)[1] == t
+
+    def test_larger_margin_wins_outside_the_mirror_band(self):
+        args = (math.pi / 2, 0.3, 1.1, 2.1, 0.6, 0.6, 1e-9)
+        m_plus = abs(K._gn_prime(0.8, *args[:6]))
+        m_minus = abs(K._gn_prime(-0.8, *args[:6]))
+        assert abs(m_plus - m_minus) > 1e-3
+        want = 0.8 if m_plus > m_minus else -0.8
+        for t in (0.8, -0.8):
+            first = K._fold(t, math.copysign(1.0, t), *args, False, math.inf,
+                            math.inf, 0.0)
+            assert K._fold(-t, -math.copysign(1.0, t), *args, *first)[1] == want
+
+
 class TestReducedPoincare:
     def test_value_at_theta_pi(self, p075):
         # tau* = 0 there: L* = A1 cos(pi) + A2 cos(pi) = -A1 - A2
