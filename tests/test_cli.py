@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import pendrotor as pr
-from pendrotor.cli import main
+from pendrotor.cli import DTH_ZERO_RTOL, main
 
 TWO_PI = 2.0 * math.pi
 
@@ -211,6 +211,39 @@ class TestPortraitCmd:
             if r["status"] == "0" and r["degenerate"] == "1":
                 I = float(r["I"])
                 assert pr.has_tangency(I, p)
+
+
+    @pytest.mark.parametrize("argv", [
+        ["--mu", "0.75", "--r", "0.5", "--criterion", "branch=1"],
+        ["--mu", "0.6", "--criterion", "branch=1"],
+        ["--mu", "0.6", "--criterion", "branch=2"]])
+    def test_idot_sign_zero_band(self, tmp_path, argv):
+        # on theta = pi (branch 1: tau* = 0 there) and at the lattice point
+        # I = -2, theta = 0 of r = 0.5, dL*/dtheta is zero; rounding leaves
+        # ~1e-15 that portrait writes as 0 with idot_sign 0
+        out = tmp_path / "p.csv"
+        assert main(["portrait", *argv, "--grid-n", "40",
+                     "--out", str(out)]) == 0
+        head, rows = _read_rows(out)
+        p = pr.SystemParams(a1=float(head["a1"]), a2=float(head["a2"]),
+                            r=float(argv[3]) if argv[2] == "--r" else 1.0)
+        n_zero = 0
+        for r in rows:
+            if r["status"] != "0":
+                continue
+            I, th, g = float(r["I"]), float(r["theta"]), float(r["dlstar_dtheta"])
+            assert int(r["idot_sign"]) == int(np.sign(g))
+            band = DTH_ZERO_RTOL * (abs(pr.amplitude_A1(I, p))
+                                    + abs(pr.amplitude_A2(I, p)))
+            assert g == 0.0 or abs(g) > band
+            if th == math.pi and p.r == 1.0 and argv[-1] == "branch=1":
+                assert g == 0.0
+            n_zero += g == 0.0
+        assert n_zero >= (1 if argv[2] == "--r" else 2)
+        if argv[2] == "--r":
+            first = rows[0]
+            assert (first["I"], first["theta"]) == ("-2", "0")
+            assert first["dlstar_dtheta"] == "0" and first["idot_sign"] == "0"
 
 
 class TestTauFieldCmd:
