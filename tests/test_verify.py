@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -68,3 +72,30 @@ class TestRequiresROne:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "Traceback" not in err
+
+
+class TestTauOracleDrawCap:
+    """tau_oracle_check stops after MAX_DRAWS_PER_SAMPLE * n draws."""
+
+    def test_no_clean_sample_fails_fast(self, tmp_path):
+        # tol_cls = 10 makes every solve singular
+        out = tmp_path / "verify.json"
+        src = os.path.dirname(os.path.dirname(pr.__file__))
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "pendrotor.cli", "verify", "--mu", "0.75",
+             "--n-melnikov", "1", "--n-tau", "5", "--tol-override",
+             "tol_cls=10", "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 4
+        assert time.perf_counter() - t0 < 20.0
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        tau = checks["tau_star_vs_ray_scan"]
+        assert tau["passed"] is False and tau["n"] == 0
+        assert checks["positive_drift_window"]["passed"] is False
+
+    def test_cap_does_not_bind_on_default_draws(self, p075, monkeypatch):
+        capped = verify.tau_oracle_check(p075, n=150, seed=3)
+        monkeypatch.setattr(verify, "MAX_DRAWS_PER_SAMPLE", 10 ** 6)
+        assert verify.tau_oracle_check(p075, n=150, seed=3) == capped
+        assert capped.n == 150 and capped.passed
