@@ -24,8 +24,10 @@ horizontal ridges, and w = phi, psi = sigma, q = 1/c for vertical ones
 satisfy sin^2 psi = (k'^2 - 1)/(k'^2 q^2 - 1), sign(cos psi) = -par*k', two
 per 2*pi of psi when |k'| <= 1 and none otherwise, so h_b is monotone
 between consecutive critical tau and a sign check at each of them brackets
-every crossing exactly; bisection finishes each bracket.  Crossings also
-need |w - k*pi| <= asin|q|, which bounds the pieces a strip walk visits.
+every crossing exactly.  Newton's method on h_b, whose tau-derivative is
+closed-form, finishes each bracket from the secant point, with bisection
+as its safeguard (_newton_hb).  Crossings also need |w - k*pi| <= asin|q|,
+which bounds the pieces a strip walk visits.
 """
 
 from __future__ import annotations
@@ -173,42 +175,65 @@ def _gn_prime(tau, phi0, sig0, rphi, rsig, c, ac):
 
 
 def _hb(tau, m, par, w0, lw, phi0, sig0, rphi, rsig, c, horizontal):
-    """Signed distance to the branch-m graph along the strip coordinate.
+    """Signed distance to the branch-m graph along the strip coordinate, and
+    its tau-derivative lw + par*x'/sqrt(1 - x^2) (lw where x is clamped).
 
     par = +1 for even m, -1 for odd m.  Opposite signs at the two strip
     edges, so a sign change brackets exactly one family member.
     """
     if horizontal:
-        x = c * math.sin(phi0 + rphi * tau)
+        psi = phi0 + rphi * tau
+        x = c * math.sin(psi)
+        dx = c * math.cos(psi) * rphi
     else:
-        x = math.sin(sig0 + rsig * tau) / c
-    if x > 1.0:
-        x = 1.0
-    elif x < -1.0:
-        x = -1.0
-    return (w0 + lw * tau - m * PI) + par * math.asin(x)
+        psi = sig0 + rsig * tau
+        x = math.sin(psi) / c
+        dx = math.cos(psi) * rsig / c
+    base = w0 + lw * tau - m * PI
+    if x >= 1.0:
+        return base + par * (0.5 * PI), lw
+    if x <= -1.0:
+        return base - par * (0.5 * PI), lw
+    return base + par * math.asin(x), lw + par * dx / math.sqrt((1.0 - x) * (1.0 + x))
 
 
-def _bisect_hb(ta, tb, m, par, w0, lw, phi0, sig0, rphi, rsig, c, horizontal):
-    """Root of _hb in [ta, tb] assuming a sign change; returns the root."""
-    fa = _hb(ta, m, par, w0, lw, phi0, sig0, rphi, rsig, c, horizontal)
-    a = ta
-    b = tb
-    if fa == 0.0:
-        return a
+def _newton_hb(ta, tb, fa, fb, m, par, w0, lw, phi0, sig0, rphi, rsig, c,
+               horizontal):
+    """Root of _hb between ta and tb, where it is monotone and its values fa,
+    fb are nonzero and of opposite signs.
+
+    Newton from the secant point, safeguarded by bisection (rtsafe; Press et
+    al., Numerical Recipes 3rd ed., 9.4): a Newton step that would leave the
+    bracket, or that is not under half the step before last, becomes a
+    bisection step.  Stops once the bracket [a, b] or the step is at most
+    1e-15*(1 + |a| + |b|).
+    """
+    # h_b < 0 at tn, > 0 at tp
+    tn, tp = (ta, tb) if fa < 0.0 else (tb, ta)
+    t = ta - fa * (tb - ta) / (fb - fa)
+    last = before = tb - ta
     for _ in range(120):
-        mid = 0.5 * (a + b)
-        fm = _hb(mid, m, par, w0, lw, phi0, sig0, rphi, rsig, c, horizontal)
-        if fm == 0.0:
-            return mid
-        if (fa > 0.0) == (fm > 0.0):
-            a = mid
-            fa = fm
+        f, df = _hb(t, m, par, w0, lw, phi0, sig0, rphi, rsig, c, horizontal)
+        if f == 0.0:
+            return t
+        if f < 0.0:
+            tn = t
         else:
-            b = mid
-        if (b - a) <= 1e-15 * (1.0 + abs(a) + abs(b)):
-            break
-    return 0.5 * (a + b)
+            tp = t
+        tol = 1e-15 * (1.0 + abs(tn) + abs(tp))
+        if abs(tp - tn) <= tol:
+            return t
+        step = f / df if df != 0.0 else math.inf
+        if ((t - step - tn) * (t - step - tp) > 0.0
+                or abs(2.0 * step) > abs(before)):
+            step = 0.5 * (tp - tn)
+            t = tn + step
+        else:
+            t -= step
+        before, last = last, step
+        if abs(step) <= tol:
+            return t
+    return t
 
 
 def _strip(m, w0, lw, half):
@@ -298,7 +323,7 @@ def _walk_band(lo, hi, d, m, w0, lw, phi0, sig0, rphi, rsig, c, ac,
         t = min(max(_crit_tau(j, u1, u2, period), lo), hi)
     else:
         t = lo if d > 0.0 else hi
-    f = _hb(t, m, par, w0, lw, phi0, sig0, rphi, rsig, c, horizontal)
+    f = _hb(t, m, par, w0, lw, phi0, sig0, rphi, rsig, c, horizontal)[0]
     if f == 0.0:
         found, best_t, best_key, best_marg = _fold(
             t, d, phi0, sig0, rphi, rsig, c, ac, tie_tol, found, best_t,
@@ -311,13 +336,13 @@ def _walk_band(lo, hi, d, m, w0, lw, phi0, sig0, rphi, rsig, c, ac,
             tn = min(max(_crit_tau(j, u1, u2, period), lo), hi)
         else:
             tn = hi if d > 0.0 else lo
-        fn = _hb(tn, m, par, w0, lw, phi0, sig0, rphi, rsig, c, horizontal)
+        fn = _hb(tn, m, par, w0, lw, phi0, sig0, rphi, rsig, c, horizontal)[0]
         root = math.nan
         if fn == 0.0:
             root = tn
         elif f != 0.0 and (f > 0.0) != (fn > 0.0):
-            root = _bisect_hb(min(t, tn), max(t, tn), m, par, w0, lw, phi0,
-                              sig0, rphi, rsig, c, horizontal)
+            root = _newton_hb(t, tn, f, fn, m, par, w0, lw, phi0, sig0, rphi,
+                              rsig, c, horizontal)
         if root == root:
             found, best_t, best_key, best_marg = _fold(
                 root, d, phi0, sig0, rphi, rsig, c, ac, tie_tol, found,

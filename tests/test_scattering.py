@@ -450,6 +450,163 @@ class TestMirrorTie:
             assert K._fold(-t, -math.copysign(1.0, t), *args, *first)[1] == want
 
 
+def _bisect_hb(ta, tb, args):
+    """Plain bisection of the band residual down to adjacent floats."""
+    fa = K._hb(ta, *args)[0]
+    a, b = ta, tb
+    while True:
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            return mid
+        fm = K._hb(mid, *args)[0]
+        if fm == 0.0:
+            return mid
+        if (fm > 0.0) == (fa > 0.0):
+            a, fa = mid, fm
+        else:
+            b = mid
+
+
+def _assert_finish_agrees(ta, tb, fa, fb, args, root):
+    """The finish's root against the plain bisection: within 1e-12, or,
+    where h_b is too flat for that, within the rounding uncertainty of any
+    root, 4 ulps of the residual's terms over |h_b'|."""
+    ref = _bisect_hb(ta, tb, args)
+    assert min(ta, tb) <= root <= max(ta, tb)
+    m, par, w0, lw = args[:4]
+    scale = abs(w0) + abs(lw * ref) + abs(m) * math.pi + 0.5 * math.pi
+    slope = min(abs(K._hb(root, *args)[1]), abs(K._hb(ref, *args)[1]))
+    tol = max(1e-12, 4 * 2.0 ** -52 * scale / slope)
+    assert abs(root - ref) <= tol, (ta, tb, args, root, ref, slope)
+    return tol > 1e-12
+
+
+def _tangency_rays(I, p):
+    """Rays 1e-3 .. 1e-9 off each tangency point of the ridge at I, for the
+    branch touched there and for minabs."""
+    r = p.r
+    for tp in pr.tangency_points(I, p):
+        k = tp.branch.k
+        if tp.branch.kind is pr.CrestKind.HORIZONTAL:
+            phi, sig = tp.angle, crest_sigma(I, tp.angle, k, p)
+        else:
+            phi, sig = crest_phi(I, tp.angle, k, p), tp.angle
+        for a in range(-1, 2):
+            for b in range(-1, 2):
+                ph, sg = phi + TWO_PI * a, sig + TWO_PI * b
+                tau = sg - r * ph
+                th = ph + I * tau
+                if not (0.0 <= th < TWO_PI and abs(tau) < math.pi):
+                    continue
+                for off in (1e-3, -1e-6, 1e-6, -1e-9, 1e-9):
+                    for crit in (pr.branch(_band(I, th, tau, p)), pr.MINABS):
+                        yield I, (th + off) % TWO_PI, crit, p
+
+
+def _adversarial_queries():
+    """Rays near tangency points, and rays where |c| is within 1e-3 .. 3e-9
+    of 1, as in TestBracketAdversarial but on a fixed grid."""
+    for r in (0.5, 1.0):
+        p = pr.SystemParams(a1=0.75, a2=1.0, r=r)
+        rep = pr.find_thresholds(p, (-3.0, 3.0))
+        for iv in rep.intervals:
+            if iv.tangency:
+                for u in (0.37, 0.81):
+                    yield from _tangency_rays(iv.lo + u * (iv.hi - iv.lo), p)
+        for I_c in rep.alpha_thresholds:
+            for target in (1.0 - 1e-3, 1.0 + 1e-6, 1.0 - 3e-9):
+                def gap(I):
+                    return abs(K.crest_coef(I, p.a1, p.a2, r)) - target
+                I = brentq(gap, I_c - 1e-2, I_c + 1e-2, xtol=1e-15, rtol=1e-15)
+                for th in np.linspace(0.1, 6.1, 7):
+                    for crit in (pr.DOWN, pr.UP, pr.MINABS, pr.branch(0),
+                                 pr.branch(1), pr.branch(2)):
+                        yield I, th, crit, p
+
+
+class TestNewtonFinish:
+    """The safeguarded Newton finish against an independent bisection, and
+    the residual evaluations it needs."""
+
+    def test_adversarial_brackets_agree_with_bisection(self, monkeypatch):
+        # h_b is monotone on the bracket only: no evaluation may leave it
+        calls = []
+        bracket = []
+        finish, hb = K._newton_hb, K._hb
+
+        def recorded(*args):
+            bracket.append((min(args[:2]), max(args[:2])))
+            root = finish(*args)
+            bracket.pop()
+            calls.append((args, root))
+            return root
+
+        def inside(t, *args):
+            if bracket:
+                assert bracket[-1][0] <= t <= bracket[-1][1]
+            return hb(t, *args)
+
+        monkeypatch.setattr(K, "_newton_hb", recorded)
+        monkeypatch.setattr(K, "_hb", inside)
+        for q in _adversarial_queries():
+            try:
+                pr.solve_tau_star(*q)
+            except pr.PendrotorError:
+                pass
+        monkeypatch.undo()
+        n_flat = 0
+        for args, root in calls:
+            n_flat += _assert_finish_agrees(*args[:4], args[4:], root)
+        assert len(calls) > 1000
+        assert n_flat > 50
+
+    @pytest.mark.parametrize("c", [1.2, -1.2])
+    @pytest.mark.parametrize("root_at", [0.5, "edge", 1.5])
+    def test_clamped_brackets_agree_with_bisection(self, c, root_at):
+        # horizontal residual with |c| > 1: x = c sin(tau) is clamped to +-1
+        # for |sin tau| > 1/|c|; on [0, 2.1] h_b rises through the asin
+        # piece into the clamped piece, where its slope is lw
+        lw, par = 0.3, 1.0 if c > 0 else -1.0
+        edge = math.asin(1.0 / abs(c))
+        if root_at == 1.5:
+            w0 = -0.5 * math.pi - lw * 1.5
+        else:
+            t0 = edge if root_at == "edge" else root_at
+            w0 = -lw * t0 - par * math.asin(max(-1.0, min(1.0, c * math.sin(t0))))
+        args = (0, par, w0, lw, 0.0, 0.0, 1.0, 0.5, c, True)
+        ta, tb = 0.0, 2.1
+        fa, fb = K._hb(ta, *args)[0], K._hb(tb, *args)[0]
+        assert fa < 0.0 < fb
+        if root_at == 1.5:
+            # the root lies on the clamped piece, where the slope is lw
+            assert K._hb(1.5, *args)[1] == lw
+        for lo, hi, flo, fhi in ((ta, tb, fa, fb), (tb, ta, fb, fa)):
+            root = K._newton_hb(lo, hi, flo, fhi, *args)
+            _assert_finish_agrees(lo, hi, flo, fhi, args, root)
+            want = 1.5 if root_at == 1.5 else (edge if root_at == "edge"
+                                               else root_at)
+            assert root == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("crit", [pr.DOWN, pr.MINABS, pr.branch(1)])
+    def test_residual_evaluations_per_solve(self, monkeypatch, crit):
+        # counted the way the benchmark counts them: the module's _hb
+        # replaced by a counting wrapper
+        n = [0]
+        hb = K._hb
+
+        def counted(*args):
+            n[0] += 1
+            return hb(*args)
+
+        monkeypatch.setattr(K, "_hb", counted)
+        p = pr.SystemParams(a1=0.75, a2=1.0)
+        status = pr.sweep(np.linspace(-2.0, 2.0, 20),
+                          np.linspace(0.0, TWO_PI, 20, endpoint=False),
+                          crit, p)[0]
+        assert (status == K.TAU_OK).sum() == 400
+        assert n[0] / 400 <= 15.0
+
+
 class TestReducedPoincare:
     def test_value_at_theta_pi(self, p075):
         # tau* = 0 there: L* = A1 cos(pi) + A2 cos(pi) = -A1 - A2
