@@ -321,6 +321,26 @@ def _check_against_oracles(I, theta, crit, p):
         assert band % 2 == 0
 
 
+def _tangency_rays(I, p, n_wrap):
+    """(theta, branch) of the rays launched in [0, 2pi) through a tangency
+    point of the ridge at I, over n_wrap periods of phi and sigma each way."""
+    rays = []
+    for tp in pr.tangency_points(I, p):
+        k = tp.branch.k
+        if tp.branch.kind is pr.CrestKind.HORIZONTAL:
+            phi, sig = tp.angle, crest_sigma(I, tp.angle, k, p)
+        else:
+            phi, sig = crest_phi(I, tp.angle, k, p), tp.angle
+        for a in range(-n_wrap, n_wrap + 1):
+            for b in range(-n_wrap, n_wrap + 1):
+                ph, sg = phi + TWO_PI * a, sig + TWO_PI * b
+                tau = sg - p.r * ph
+                th = ph + I * tau
+                if 0.0 <= th < TWO_PI and abs(tau) < math.pi:
+                    rays.append((th, _band(I, th, tau, p)))
+    return rays
+
+
 _CRITS = st.sampled_from([pr.DOWN, pr.UP, pr.MINABS, pr.branch(0),
                           pr.branch(1), pr.branch(2)])
 
@@ -338,21 +358,7 @@ class TestBracketAdversarial:
                  pr.find_thresholds(p, (-3.0, 3.0)).intervals if iv.tangency]
         lo, hi = data.draw(st.sampled_from(spans))
         I = lo + u * (hi - lo)
-        # rays launched in [0, 2pi) through a tangency point of the ridge
-        rays = []
-        for tp in pr.tangency_points(I, p):
-            k = tp.branch.k
-            if tp.branch.kind is pr.CrestKind.HORIZONTAL:
-                phi, sig = tp.angle, crest_sigma(I, tp.angle, k, p)
-            else:
-                phi, sig = crest_phi(I, tp.angle, k, p), tp.angle
-            for a in range(-3, 4):
-                for b in range(-3, 4):
-                    ph, sg = phi + TWO_PI * a, sig + TWO_PI * b
-                    tau = sg - r * ph
-                    th = ph + I * tau
-                    if 0.0 <= th < TWO_PI and abs(tau) < math.pi:
-                        rays.append((th, _band(I, th, tau, p)))
+        rays = _tangency_rays(I, p, 3)
         if not rays:
             return
         th, k = data.draw(st.sampled_from(rays))
@@ -481,38 +487,20 @@ def _assert_finish_agrees(ta, tb, fa, fb, args, root):
     return tol > 1e-12
 
 
-def _tangency_rays(I, p):
-    """Rays 1e-3 .. 1e-9 off each tangency point of the ridge at I, for the
-    branch touched there and for minabs."""
-    r = p.r
-    for tp in pr.tangency_points(I, p):
-        k = tp.branch.k
-        if tp.branch.kind is pr.CrestKind.HORIZONTAL:
-            phi, sig = tp.angle, crest_sigma(I, tp.angle, k, p)
-        else:
-            phi, sig = crest_phi(I, tp.angle, k, p), tp.angle
-        for a in range(-1, 2):
-            for b in range(-1, 2):
-                ph, sg = phi + TWO_PI * a, sig + TWO_PI * b
-                tau = sg - r * ph
-                th = ph + I * tau
-                if not (0.0 <= th < TWO_PI and abs(tau) < math.pi):
-                    continue
-                for off in (1e-3, -1e-6, 1e-6, -1e-9, 1e-9):
-                    for crit in (pr.branch(_band(I, th, tau, p)), pr.MINABS):
-                        yield I, (th + off) % TWO_PI, crit, p
-
-
 def _adversarial_queries():
-    """Rays near tangency points, and rays where |c| is within 1e-3 .. 3e-9
-    of 1, as in TestBracketAdversarial but on a fixed grid."""
+    """Rays 1e-3 .. 1e-9 off tangency points, and rays where |c| is within
+    1e-3 .. 3e-9 of 1, as in TestBracketAdversarial but on a fixed grid."""
     for r in (0.5, 1.0):
         p = pr.SystemParams(a1=0.75, a2=1.0, r=r)
         rep = pr.find_thresholds(p, (-3.0, 3.0))
         for iv in rep.intervals:
             if iv.tangency:
                 for u in (0.37, 0.81):
-                    yield from _tangency_rays(iv.lo + u * (iv.hi - iv.lo), p)
+                    I = iv.lo + u * (iv.hi - iv.lo)
+                    for th, k in _tangency_rays(I, p, 1):
+                        for off in (1e-3, -1e-6, 1e-6, -1e-9, 1e-9):
+                            for crit in (pr.branch(k), pr.MINABS):
+                                yield I, (th + off) % TWO_PI, crit, p
         for I_c in rep.alpha_thresholds:
             for target in (1.0 - 1e-3, 1.0 + 1e-6, 1.0 - 3e-9):
                 def gap(I):
