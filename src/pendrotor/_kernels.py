@@ -52,8 +52,8 @@ PI = math.pi
 # Relative margin gap under which two tied crossings count as mirror images.
 # The margins of the exact mirror pair at tau = +-t (theta = pi/2, 3pi/2 for
 # r = 1) are equal; computed, they differ by |g''| times the root error, up
-# to 21 ulps on 100 x 100 sweeps.  32 ulps covers that, and no other pair
-# of tied crossings on those sweeps comes within 1e-10.
+# to 21 ulps on 100 x 100 sweeps.  32 ulps covers that; every tie across
+# tau = 0 on those sweeps was such a mirror pair.
 MARGIN_TIE_RTOL = 32.0 * 2.0 ** -52
 
 
