@@ -108,7 +108,7 @@ def _add_common(p: argparse.ArgumentParser):
                    help="KEY=VAL file supplying flag defaults (flags win)")
     p.add_argument("--tol-override", action="append", default=[],
                    metavar="KEY=VAL",
-                   help="override a named tolerance, e.g. tol_root=1e-10")
+                   help="override a named tolerance, e.g. tol_cls=1e-8")
 
 
 def _validate_grids(args) -> None:
@@ -204,8 +204,6 @@ def _config_args(path: str) -> list[str]:
 def cmd_thresholds(args) -> int:
     params = _params_from(args)
     tol = _tol_from(args)
-    if params.mu == 0.0 or not math.isfinite(params.mu):
-        raise ConfigError("thresholds need a finite nonzero mu")
     report = find_thresholds(params, (args.I_min, args.I_max), tol)
     em = Emitter(args.out, args.format, "thresholds",
                  _header(params, {"I_min": args.I_min, "I_max": args.I_max}),

@@ -71,13 +71,27 @@ def _coef(I: float, params: SystemParams) -> float:
     return K.crest_coef(I, params.a1, params.a2, params.r)
 
 
+def _kind(c: float, tol: Tolerances) -> CrestKind:
+    ac = abs(c)
+    if abs(ac - 1.0) < tol.tol_cls:
+        return CrestKind.SINGULAR
+    return CrestKind.HORIZONTAL if ac < 1.0 else CrestKind.VERTICAL
+
+
 def classify(I: float, params: SystemParams,
              tol: Tolerances = DEFAULT_TOL) -> CrestKind:
     """Horizontal / Vertical / Singular by |mu*alpha_r(I)| against 1."""
-    c = abs(_coef(I, params))
-    if abs(c - 1.0) < tol.tol_cls:
-        return CrestKind.SINGULAR
-    return CrestKind.HORIZONTAL if c < 1.0 else CrestKind.VERTICAL
+    return _kind(_coef(I, params), tol)
+
+
+def _graph(x: float, k: int, I: float, name: str, angle: float) -> float:
+    """Branch k of a ridge graph, k*pi -/+ asin(x) for even/odd k, where x is
+    c sin(phi) over phi or sin(sigma)/c over sigma."""
+    if abs(x) > 1.0:
+        raise OutOfDomain(f"ridge graph over {name} undefined: |x| = "
+                          f"{abs(x):.6g} > 1 at I={I}, {name}={angle}")
+    u = math.asin(x)
+    return (-u if k % 2 == 0 else u) + k * math.pi
 
 
 def crest_sigma(I: float, phi: float, k: int, params: SystemParams) -> float:
@@ -87,30 +101,16 @@ def crest_sigma(I: float, phi: float, k: int, params: SystemParams) -> float:
     horizontal parameterization does not cover this angle and the caller
     must switch to the vertical one.
     """
-    c = _coef(I, params)
-    x = c * math.sin(phi)
-    if abs(x) > 1.0:
-        raise OutOfDomain(
-            f"|mu*alpha(I)*sin(phi)| = {abs(x):.6g} > 1 at I={I}, phi={phi}")
-    u = math.asin(x)
-    return (-u if k % 2 == 0 else u) + k * math.pi
+    return _graph(_coef(I, params) * math.sin(phi), k, I, "phi", phi)
 
 
 def crest_phi(I: float, sigma: float, k: int, params: SystemParams) -> float:
     """phi of branch k at angle sigma (vertical parameterization), unwrapped."""
     c = _coef(I, params)
-    if math.isinf(c):
-        x = 0.0
-    else:
-        if c == 0.0:
-            raise OutOfDomain("vertical parameterization undefined at c = 0")
-        x = math.sin(sigma) / c
-    if abs(x) > 1.0:
-        raise OutOfDomain(
-            f"|sin(sigma)/(mu*alpha(I))| = {abs(x):.6g} > 1 at I={I}, "
-            f"sigma={sigma}")
-    u = math.asin(x)
-    return (-u if k % 2 == 0 else u) + k * math.pi
+    if c == 0.0:
+        raise OutOfDomain("vertical parameterization undefined at c = 0")
+    x = 0.0 if math.isinf(c) else math.sin(sigma) / c
+    return _graph(x, k, I, "sigma", sigma)
 
 
 def crest_residual(I: float, phi: float, sigma: float,
@@ -123,9 +123,16 @@ def crest_residual(I: float, phi: float, sigma: float,
     return math.copysign(1.0, c) * math.sin(phi) + math.sin(sigma) / ac
 
 
-def line_slope(I: float, r: float = 1.0) -> float:
-    """Slope (rI-1)/I of connection lines in the (phi, sigma) plane."""
-    return (r * I - 1.0) / I
+def _tangent(I: float, c: float, r: float, tol: Tolerances) -> bool:
+    """has_tangency at I, given c = mu*alpha_r(I)."""
+    if _kind(c, tol) is CrestKind.SINGULAR:
+        raise SingularCrest(f"classification singular at I = {I}")
+    c = abs(c)
+    d = r * I - 1.0
+    if d == 0.0:
+        return False  # vertical straight lines, no finite-slope tangency
+    cb = c * abs(I / d)
+    return (c - 1.0) * (cb - 1.0) < 0.0
 
 
 def has_tangency(I: float, params: SystemParams,
@@ -135,63 +142,40 @@ def has_tangency(I: float, params: SystemParams,
     Sign test: (|alpha|-1/|mu|)(|beta|-1/|mu|) < 0, written with
     c = mu*alpha and c_b = mu*beta so it is safe at large values.
     """
-    kind = classify(I, params, tol)
-    if kind is CrestKind.SINGULAR:
-        raise SingularCrest(f"classification singular at I = {I}")
-    c = abs(_coef(I, params))
-    d = params.r * I - 1.0
-    if d == 0.0:
-        return False  # vertical straight lines, no finite-slope tangency
-    cb = c * abs(I / d)
-    return (c - 1.0) * (cb - 1.0) < 0.0
+    return _tangent(I, _coef(I, params), params.r, tol)
 
 
 def tangency_points(I: float, params: SystemParams,
                     tol: Tolerances = DEFAULT_TOL) -> list[TangencyPoint]:
     """Angles where a connection line is tangent to a ridge branch.
 
-    Horizontal regime: phi = +/- arctan sqrt((c^2-m^2)/(m^2(1-c^2))) and the
-    pi-shifted pair, with m the line slope; vertical regime the analogous
-    sigma values.  Each candidate is assigned to the branch (even/odd) whose
-    graph slope actually matches m there.
+    In the strip frame of the tau* kernel the branches are graphs
+    w = k*pi -/+ asin(q sin psi) over the angle psi, with (psi, q) = (phi, c)
+    on horizontal ridges and (sigma, 1/c) on vertical ones, and the lines
+    have slope M = dw/dpsi = m or 1/m, m = (rI-1)/I.  Tangency puts
+    psi = +/- arctan sqrt((q^2-M^2)/(M^2(1-q^2))) or the pi-shifted pair;
+    each candidate goes to the branch (even/odd) whose graph slope matches M
+    there.
     """
-    if not has_tangency(I, params, tol):
-        return []
-    kind = classify(I, params, tol)
     c = _coef(I, params)
-    m = line_slope(I, params.r)
+    if not _tangent(I, c, params.r, tol):
+        return []
+    kind = _kind(c, tol)
+    m = (params.r * I - 1.0) / I
+    q, slope = (c, m) if kind is CrestKind.HORIZONTAL else (1.0 / c, 1.0 / m)
+    t2 = (q * q - slope * slope) / (slope * slope * (1.0 - q * q))
+    if t2 < 0.0:
+        return []
+    base = math.atan(math.sqrt(t2))
     out: list[TangencyPoint] = []
-    if kind is CrestKind.HORIZONTAL:
-        t2 = (c * c - m * m) / (m * m * (1.0 - c * c))
-        if t2 < 0.0:
-            return []
-        base = math.atan(math.sqrt(t2))
-        candidates = [base, -base, math.pi - base, math.pi + base]
-        for phi in candidates:
-            s = math.sin(phi)
-            root = math.sqrt(max(1e-300, 1.0 - (c * s) ** 2))
-            dslope = c * math.cos(phi) / root
-            for k, par in ((0, 1.0), (1, -1.0)):
-                if abs(-par * dslope - m) < 1e-9 * max(1.0, abs(m)):
-                    out.append(TangencyPoint(
-                        I=I, angle=phi % (2.0 * math.pi),
-                        branch=CrestBranch(k=k, kind=kind, I=I)))
-    else:
-        t2 = (m * m - c * c) / (c * c - 1.0)
-        if t2 < 0.0:
-            return []
-        base = math.atan(math.sqrt(t2))
-        candidates = [base, -base, math.pi - base, math.pi + base]
-        minv = 1.0 / m
-        for sig in candidates:
-            s = math.sin(sig) / c
-            root = math.sqrt(max(1e-300, 1.0 - s * s))
-            dslope = (math.cos(sig) / c) / root
-            for k, par in ((0, 1.0), (1, -1.0)):
-                if abs(-par * dslope - minv) < 1e-9 * max(1.0, abs(minv)):
-                    out.append(TangencyPoint(
-                        I=I, angle=sig % (2.0 * math.pi),
-                        branch=CrestBranch(k=k, kind=kind, I=I)))
+    for psi in (base, -base, math.pi - base, math.pi + base):
+        x = q * math.sin(psi)
+        dslope = q * math.cos(psi) / math.sqrt(max(1e-300, 1.0 - x * x))
+        for k, par in ((0, 1.0), (1, -1.0)):
+            if abs(-par * dslope - slope) < 1e-9 * max(1.0, abs(slope)):
+                out.append(TangencyPoint(
+                    I=I, angle=psi % (2.0 * math.pi),
+                    branch=CrestBranch(k=k, kind=kind, I=I)))
     return out
 
 
@@ -199,17 +183,34 @@ def tangency_points(I: float, params: SystemParams,
 # threshold actions
 # ----------------------------------------------------------------------
 
-def _abs_curve(curve: str, I: float, r: float) -> float:
-    v = K.alpha_r_raw(I, r) if curve == "alpha" else K.beta_r_raw(I, r)
-    return abs(v)
+_CURVES = {"alpha": K.alpha_r_raw, "beta": K.beta_r_raw}
 
 
-def _bisect_level(curve: str, level: float, lo: float, hi: float, r: float,
-                  tol_root: float) -> float:
-    flo = _abs_curve(curve, lo, r) - level
+def _components(window: tuple[float, float], r: float):
+    """(name, lo, hi, asymptote) of the components of both curves: 'neg'
+    (window_lo, 0), 'mid' (0, 1/r) and 'pos' (1/r, window_hi), kept 1e-9
+    off 0 and the pole, with the level the curves tend to at the far end."""
+    pole, eps = 1.0 / r, 1e-9
+    return (("neg", window[0], -eps, E_PI_HALF if r == 1.0 else 0.0),
+            ("mid", eps, pole - eps, math.inf),
+            ("pos", pole + eps, window[1],
+             math.exp(-math.pi / 2.0) if r == 1.0 else 0.0))
+
+
+def _level(params: SystemParams) -> float:
+    """1/|mu|, the level both curves are crossed at."""
+    mu = params.mu
+    if mu == 0.0 or not math.isfinite(mu):
+        raise ConfigError("threshold search needs a finite nonzero mu "
+                          "(both amplitudes nonzero)")
+    return 1.0 / abs(mu)
+
+
+def _bisect_level(f, lo: float, hi: float, tol_root: float) -> float:
+    flo = f(lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = _abs_curve(curve, mid, r) - level
+        fm = f(mid)
         if fm == 0.0:
             return mid
         if (flo > 0.0) == (fm > 0.0):
@@ -221,10 +222,13 @@ def _bisect_level(curve: str, level: float, lo: float, hi: float, r: float,
     return 0.5 * (lo + hi)
 
 
-def _component_crossings(curve: str, level: float, lo: float, hi: float,
-                         r: float, tol_root: float) -> list[float]:
-    """All solutions of |curve(I)| = level in (lo, hi), by a 4000-point scan
-    plus bisection."""
+def _crossings(curve, level: float, lo: float, hi: float, r: float,
+               tol_root: float) -> list[float]:
+    """Every solution of |curve(I, r)| = level in (lo, hi), ascending, by a
+    4000-point scan plus bisection; none when lo >= hi."""
+    if lo >= hi:
+        return []
+    f = lambda x: abs(curve(x, r)) - level
     pole = 1.0 / r
     pts = list(np.linspace(lo, hi, 4000))
     # geometric refinement toward an interior/endpoint pole
@@ -234,57 +238,38 @@ def _component_crossings(curve: str, level: float, lo: float, hi: float,
             for cand in (pole - d, pole + d):
                 if lo < cand < hi:
                     pts.append(cand)
-    pts = sorted(set(pts))
     roots: list[float] = []
-    fprev = None
-    xprev = None
-    for x in pts:
+    fprev = xprev = None
+    for x in sorted(set(pts)):
         if abs(r * x - 1.0) < 1e-12:
             fprev, xprev = None, None
             continue
-        f = _abs_curve(curve, x, r) - level
-        if fprev is not None and (fprev > 0.0) != (f > 0.0):
-            roots.append(_bisect_level(curve, level, xprev, x, r, tol_root))
-        fprev, xprev = f, x
-    dedup: list[float] = []
-    for rt in roots:
-        if not dedup or abs(rt - dedup[-1]) > 1e-8:
-            dedup.append(rt)
-    return dedup
+        fx = f(x)
+        if fprev is not None and (fprev > 0.0) != (fx > 0.0):
+            rt = _bisect_level(f, xprev, x, tol_root)
+            if not roots or abs(rt - roots[-1]) > 1e-8:
+                roots.append(rt)
+        fprev, xprev = fx, x
+    return roots
 
 
 def solve_level_crossing(curve: str, component: str, params: SystemParams,
                          window: tuple[float, float] = DEFAULT_WINDOW,
                          tol: Tolerances = DEFAULT_TOL) -> float:
-    """One |alpha_r| or |beta_r| crossing of 1/|mu| on a named component.
+    """The lowest |alpha_r| or |beta_r| crossing of 1/|mu| on a named component.
 
-    ``component`` is one of 'neg' ((window_lo, 0)), 'mid' ((0, 1/r)) or
-    'pos' ((1/r, window_hi)).  Raises :class:`NoSolutionInWindow` with the
-    relevant asymptote attached when the level is never reached there.
+    ``curve`` is 'alpha' or 'beta'; ``component`` is one of 'neg'
+    ((window_lo, 0)), 'mid' ((0, 1/r)) or 'pos' ((1/r, window_hi)).  Raises
+    :class:`NoSolutionInWindow` with the relevant asymptote attached when
+    the level is never reached there.
     """
-    mu = params.mu
-    if mu == 0.0 or not math.isfinite(mu):
-        raise ConfigError("threshold search needs a finite nonzero mu")
-    level = 1.0 / abs(mu)
-    pole = 1.0 / params.r
-    eps = 1e-9
-    lo, hi = window
-    if component == "neg":
-        seg = (lo, -eps)
-        asym = E_PI_HALF if params.r == 1.0 else 0.0
-    elif component == "mid":
-        seg = (eps, pole - eps)
-        asym = math.inf
-    elif component == "pos":
-        seg = (pole + eps, hi)
-        asym = math.exp(-math.pi / 2.0) if params.r == 1.0 else 0.0
-    else:
-        raise ConfigError(f"unknown component {component!r}")
-    if seg[0] >= seg[1]:
-        raise NoSolutionInWindow(
-            f"component {component} outside window {window}", asymptote=asym)
-    roots = _component_crossings(curve, level, seg[0], seg[1], params.r,
-                                 tol.tol_root)
+    level = _level(params)
+    comps = {name: (lo, hi, asym)
+             for name, lo, hi, asym in _components(window, params.r)}
+    if curve not in _CURVES or component not in comps:
+        raise ConfigError(f"unknown curve {curve!r} or component {component!r}")
+    lo, hi, asym = comps[component]
+    roots = _crossings(_CURVES[curve], level, lo, hi, params.r, tol.tol_root)
     if not roots:
         raise NoSolutionInWindow(
             f"|{curve}| never reaches 1/|mu| = {level:.6g} on component "
@@ -297,81 +282,56 @@ def find_thresholds(params: SystemParams,
                     tol: Tolerances = DEFAULT_TOL) -> ClassificationReport:
     """All regime and tangency thresholds of |mu*alpha_r|, |mu*beta_r| = 1.
 
-    The report lists the crossing actions of both curves, the labeled
-    intervals between them (kind + tangency verdict sampled at interior
-    points), and annotations for crossings that do not exist in this regime
-    (with the asymptotic level attached).
+    The report lists every crossing action of both curves on each component
+    (for r < 1 the negative component can hold two, as |alpha_r| -> 0 at
+    both of its ends), the labeled intervals between them (kind + tangency
+    verdict, constant on each interval and read at its midpoint), and
+    annotations for components where a curve has no crossing (with the
+    asymptotic level attached).
     """
-    mu = params.mu
-    if mu == 0.0 or not math.isfinite(mu):
-        raise ConfigError("threshold search needs a finite nonzero mu "
-                          "(both amplitudes nonzero)")
-    report = ClassificationReport(mu=mu, r=params.r, window=window,
-                                  alpha_thresholds=[], beta_thresholds=[],
-                                  intervals=[])
-    per_comp: dict[tuple[str, str], list[float]] = {}
-    for curve in ("alpha", "beta"):
-        for comp in ("neg", "mid", "pos"):
-            try:
-                root = solve_level_crossing(curve, comp, params, window, tol)
-                per_comp[(curve, comp)] = [root]
-            except NoSolutionInWindow as exc:
-                per_comp[(curve, comp)] = []
-                report.missing.append((f"{curve}/{comp}", exc.asymptote))
-        vals = sorted(v for c in ("neg", "mid", "pos")
-                      for v in per_comp[(curve, c)])
-        if curve == "alpha":
-            report.alpha_thresholds = vals
-        else:
-            report.beta_thresholds = vals
-
-    # Prop-2 style labels (defined for the r = 1 monotone structure)
-    if params.r == 1.0:
-        lab: dict[str, float] = {}
-        a_neg = per_comp[("alpha", "neg")]
-        a_mid = per_comp[("alpha", "mid")]
-        a_pos = per_comp[("alpha", "pos")]
-        b_neg = per_comp[("beta", "neg")]
-        b_mid = per_comp[("beta", "mid")]
-        b_pos = per_comp[("beta", "pos")]
-        if a_neg and b_neg:
-            lab["I_b"] = b_neg[0]
-            lab["I_a"] = a_neg[0]
-            if a_pos and b_pos:
-                both = sorted([a_mid[0], b_mid[0]])
-                lab["I_c"], lab["I_C"] = both[0], both[1]
-                lab["I_A"] = a_pos[0]
-                lab["I_B"] = b_pos[0]
+    level = _level(params)
+    found: dict[str, list[float]] = {}
+    first: dict[str, dict[str, float]] = {}
+    missing: list[tuple[str, float]] = []
+    for curve, fn in _CURVES.items():
+        found[curve], first[curve] = [], {}
+        for comp, lo, hi, asym in _components(window, params.r):
+            roots = _crossings(fn, level, lo, hi, params.r, tol.tol_root)
+            if roots:
+                first[curve][comp] = roots[0]
+                found[curve] += roots
             else:
-                lab["I_A"] = min(a_mid[0], b_mid[0])
-                lab["I_B"] = max(a_mid[0], b_mid[0])
-        elif a_mid and b_mid:
-            lab["I_b"] = min(a_mid[0], b_mid[0])
-            lab["I_a"] = max(a_mid[0], b_mid[0])
-            if a_pos and b_pos:
-                lab["I_A"] = a_pos[0]
-                lab["I_B"] = b_pos[0]
+                missing.append((f"{curve}/{comp}", asym))
+    report = ClassificationReport(
+        mu=params.mu, r=params.r, window=window,
+        alpha_thresholds=sorted(found["alpha"]),
+        beta_thresholds=sorted(found["beta"]), intervals=[], missing=missing)
+
+    # Prop-2 style labels (defined for the r = 1 monotone structure, with one
+    # crossing per component)
+    if params.r == 1.0:
+        a, b = first["alpha"], first["beta"]
+        lab: dict[str, float] = {}
+        if "neg" in a and "neg" in b:
+            lab["I_b"], lab["I_a"] = b["neg"], a["neg"]
+            if "pos" in a and "pos" in b:
+                lab["I_c"], lab["I_C"] = sorted([a["mid"], b["mid"]])
+                lab["I_A"], lab["I_B"] = a["pos"], b["pos"]
+            else:
+                lab["I_A"], lab["I_B"] = sorted([a["mid"], b["mid"]])
+        elif "mid" in a and "mid" in b:
+            lab["I_b"], lab["I_a"] = sorted([a["mid"], b["mid"]])
+            if "pos" in a and "pos" in b:
+                lab["I_A"], lab["I_B"] = a["pos"], b["pos"]
         report.labels = lab
 
+    # every crossing is a cut, so kind and tangency are constant in between
     cuts = sorted(set(report.alpha_thresholds + report.beta_thresholds))
     edges = [window[0]] + cuts + [window[1]]
     for lo, hi in zip(edges[:-1], edges[1:]):
         if hi - lo < 4.0 * tol.tol_root:
             continue
-        mids = [lo + f * (hi - lo) for f in (0.31, 0.5, 0.73)]
-        kinds = []
-        tangs = []
-        for m in mids:
-            if abs(params.r * m - 1.0) < 10.0 * tol.delta_sing:
-                continue
-            kinds.append(classify(m, params, tol))
-            tangs.append(has_tangency(m, params, tol))
-        if not kinds:
-            # sliver hugging the pole: vertical by the limit argument
-            report.intervals.append(IntervalInfo(lo, hi, CrestKind.VERTICAL,
-                                                 False))
-            continue
-        kind = max(set(kinds), key=kinds.count)
-        tang = max(set(tangs), key=tangs.count)
-        report.intervals.append(IntervalInfo(lo, hi, kind, tang))
+        mid = 0.5 * (lo + hi)
+        report.intervals.append(IntervalInfo(
+            lo, hi, classify(mid, params, tol), has_tangency(mid, params, tol)))
     return report

@@ -29,7 +29,8 @@ class Tolerances:
 
     delta_sing   half-width of the removable-singularity / pole guard in I
     tol_cls      band around |mu*alpha(I)| = 1 classified as Singular
-    tol_root     target accuracy for tau* and threshold roots
+    tol_root     relative width at which threshold roots stop bisecting
+                 (tau* roots stop on the Newton finish's own 1e-15 rule)
     tol_degen    transversality margin below which tau* is flagged degenerate
     tol_disc     band around theta = pi/2, 3pi/2 treated as discontinuity
     tol_quad     absolute error target of the splitting-integral quadrature

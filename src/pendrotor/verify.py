@@ -139,8 +139,8 @@ def lemma_symmetry_check(params: SystemParams, n_I: int = 60, n_th: int = 60,
     branches 0 and 2 and reverses the ray parameter, so the two down/up
     reduced functions are exact mirror images wherever both contacts are
     clean; points with a transversality margin below 1e-3
-    (tangency-affected) or with failed solves are masked.  Other r raise
-    :class:`ConfigError`.
+    (tangency-affected) or with failed solves are masked, and the check
+    fails when every point is.  Other r raise :class:`ConfigError`.
     """
     _require_r_one(params)
     tol_cmp = 1e-8
@@ -164,8 +164,9 @@ def lemma_symmetry_check(params: SystemParams, n_I: int = 60, n_th: int = 60,
                 continue
             worst = max(worst, abs(r0[7] + r2[7]))
             used += 1
-    return CheckResult("down_up_reflection_symmetry", worst <= tol_cmp,
-                       worst, tol_cmp, used)
+    return CheckResult("down_up_reflection_symmetry",
+                       used > 0 and worst <= tol_cmp, worst, tol_cmp, used,
+                       note="" if used else "no grid point solved cleanly")
 
 
 def drift_sign_check(params: SystemParams, n_I: int = 41, n_th: int = 25,
@@ -175,7 +176,8 @@ def drift_sign_check(params: SystemParams, n_I: int = 41, n_th: int = 25,
     Sampled over I in [-2, 2], farther than 0.02 from the resonant actions
     {0, 1} and the crest-regime switches, where theta_plus changes its
     closed form; a solve that fails there, theta_plus's included, fails
-    the check.  The closed forms hold at r = 1 only; other r raise
+    the check, as does a window with no point.  The closed forms hold at
+    r = 1 only; other r raise
     :class:`ConfigError`.
     """
     _require_r_one(params)
@@ -203,6 +205,9 @@ def drift_sign_check(params: SystemParams, n_I: int = 41, n_th: int = 25,
             used += 1
             if res[7] <= 0.0:
                 bad += 1
+    if not used:
+        return CheckResult("positive_drift_window", False, 0.0, 0.0, 0,
+                           note="no window point solved cleanly")
     return CheckResult("positive_drift_window", bad == 0 and worst > 0.0,
                        worst, 0.0, used,
                        note="worst = min dL*/dtheta over the window")

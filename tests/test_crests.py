@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pendrotor as pr
-from conftest import alpha_direct
+from conftest import alpha_direct, beta_direct
 
 TWO_PI = 2.0 * math.pi
 
@@ -174,6 +174,22 @@ class TestThresholds:
         assert pr.classify(1.9, p) is pr.CrestKind.VERTICAL
         assert pr.classify(2.1, p) is pr.CrestKind.VERTICAL
 
+    @pytest.mark.parametrize("r", [0.7, 0.5, 0.3])
+    @pytest.mark.parametrize("mu", [1.3, 3.0])
+    def test_every_crossing_below_r_one(self, r, mu):
+        # |alpha_r| -> 0 at both ends of the negative component for r < 1,
+        # so it can be crossed twice; each crossing must cut an interval
+        p = pr.SystemParams(a1=mu, a2=1.0, r=r)
+        rep = pr.find_thresholds(p)
+        for curve, vals in ((alpha_direct, rep.alpha_thresholds),
+                            (beta_direct, rep.beta_thresholds)):
+            for v in vals:
+                assert abs(mu * curve(v, r)) == pytest.approx(1.0, abs=1e-9)
+        for iv in rep.intervals:
+            for I in np.linspace(iv.lo, iv.hi, 52)[1:-1]:
+                assert pr.classify(I, p) is iv.kind, (iv, I)
+                assert pr.has_tangency(I, p) is iv.tangency, (iv, I)
+
 
 class TestTangency:
     def test_published_verdicts(self, p05):
@@ -183,21 +199,27 @@ class TestTangency:
         assert pr.has_tangency(1.1, p05) is False    # vertical, clean
 
     def test_tangency_points_slope(self, p05):
-        # finite-difference slope of the branch graph equals the line slope
-        for I in (-2.0, 0.65, 1.5):
-            pts = pr.tangency_points(I, p05)
-            assert pts, f"expected tangency points at I={I}"
-            m = (I - 1.0) / I
-            h = 1e-6
-            for tp in pts:
-                if tp.branch.kind is pr.CrestKind.HORIZONTAL:
-                    f = lambda x: pr.crest_sigma(I, x, tp.branch.k, p05)
-                    slope = (f(tp.angle + h) - f(tp.angle - h)) / (2 * h)
-                    assert slope == pytest.approx(m, abs=1e-8, rel=1e-6)
-                else:
-                    f = lambda x: pr.crest_phi(I, x, tp.branch.k, p05)
-                    slope = (f(tp.angle + h) - f(tp.angle - h)) / (2 * h)
-                    assert slope == pytest.approx(1.0 / m, abs=1e-8, rel=1e-6)
+        # finite-difference slope of the branch graph equals the line slope;
+        # at r = 0.5, mu = 1.3 one action in each tangency interval, both
+        # negative ones included
+        p_half = pr.SystemParams(a1=1.3, a2=1.0, r=0.5)
+        for p, Is in ((p05, (-2.0, 0.65, 1.5)),
+                      (p_half, (-2.9, -0.9, 0.55, 3.3))):
+            for I in Is:
+                pts = pr.tangency_points(I, p)
+                assert pts, f"expected tangency points at I={I}, r={p.r}"
+                m = (p.r * I - 1.0) / I
+                h = 1e-6
+                for tp in pts:
+                    if tp.branch.kind is pr.CrestKind.HORIZONTAL:
+                        f = lambda x: pr.crest_sigma(I, x, tp.branch.k, p)
+                        slope = (f(tp.angle + h) - f(tp.angle - h)) / (2 * h)
+                        assert slope == pytest.approx(m, abs=1e-8, rel=1e-6)
+                    else:
+                        f = lambda x: pr.crest_phi(I, x, tp.branch.k, p)
+                        slope = (f(tp.angle + h) - f(tp.angle - h)) / (2 * h)
+                        assert slope == pytest.approx(1.0 / m, abs=1e-8,
+                                                      rel=1e-6)
 
     def test_predicate_vs_slope_scan(self, p05):
         # brute-force check on a deterministic I grid (the acceptance suite

@@ -99,3 +99,29 @@ class TestTauOracleDrawCap:
         monkeypatch.setattr(verify, "MAX_DRAWS_PER_SAMPLE", 10 ** 6)
         assert verify.tau_oracle_check(p075, n=150, seed=3) == capped
         assert capped.n == 150 and capped.passed
+
+
+class TestEmptyChecksFail:
+    """A check that compared nothing fails, with a note and a finite worst."""
+
+    @pytest.mark.parametrize("check", [lemma_symmetry_check, drift_sign_check])
+    def test_empty_grid(self, check, p075):
+        res = check(p075, n_I=0)
+        _assert_plain(res)
+        assert res.n == 0 and res.passed is False and res.note
+
+    def test_report_is_strict_json(self, tmp_path):
+        # tol_cls = 10 makes every solve singular, so no check has a point
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--mu", "0.75", "--n-melnikov", "1", "--n-tau",
+                     "5", "--tol-override", "tol_cls=10",
+                     "--out", str(out)]) == 4
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        report = json.loads(out.read_text(), parse_constant=reject)
+        checks = {c["name"]: c for c in report["checks"]}
+        for name in ("down_up_reflection_symmetry", "positive_drift_window"):
+            assert checks[name]["n"] == 0
+            assert checks[name]["passed"] is False and checks[name]["note"]
