@@ -188,12 +188,13 @@ _CURVES = {"alpha": K.alpha_r_raw, "beta": K.beta_r_raw}
 
 def _components(window: tuple[float, float], r: float):
     """(name, lo, hi, asymptote) of the components of both curves: 'neg'
-    (window_lo, 0), 'mid' (0, 1/r) and 'pos' (1/r, window_hi), kept 1e-9
-    off 0 and the pole, with the level the curves tend to at the far end."""
-    pole, eps = 1.0 / r, 1e-9
-    return (("neg", window[0], -eps, E_PI_HALF if r == 1.0 else 0.0),
-            ("mid", eps, pole - eps, math.inf),
-            ("pos", pole + eps, window[1],
+    (-inf, 0), 'mid' (0, 1/r) and 'pos' (1/r, inf), kept 1e-9 off 0 and the
+    pole and clipped to the window (empty, lo >= hi, where the window does
+    not reach them), with the level the curves tend to at the far end."""
+    (lo, hi), pole, eps = window, 1.0 / r, 1e-9
+    return (("neg", lo, min(-eps, hi), E_PI_HALF if r == 1.0 else 0.0),
+            ("mid", max(eps, lo), min(pole - eps, hi), math.inf),
+            ("pos", max(pole + eps, lo), hi,
              math.exp(-math.pi / 2.0) if r == 1.0 else 0.0))
 
 
@@ -296,6 +297,8 @@ def find_thresholds(params: SystemParams,
     for curve, fn in _CURVES.items():
         found[curve], first[curve] = [], {}
         for comp, lo, hi, asym in _components(window, params.r):
+            if lo >= hi:
+                continue
             roots = _crossings(fn, level, lo, hi, params.r, tol.tol_root)
             if roots:
                 first[curve][comp] = roots[0]

@@ -2,10 +2,13 @@
 
 These deliberately avoid the strip-based geometry of the production solver:
 the ray is sampled on a uniform fine grid and the first sign change matching
-the criterion is taken.  The only shortcut is to leave unsampled a stretch of
-the ray whose every crossing the scan's own band classifier would reject;
-that cannot change the result (see ``brute_tau_scan``).  The oracles exist
-to cross-validate the fast path and are also wired into ``pendrotor verify``.
+the criterion is taken.  Two shortcuts leave stretches of the grid unsampled,
+and neither can change the result (see ``brute_tau_scan``): a stretch whose
+every crossing the scan's own band classifier would reject, and a stretch
+that a Lipschitz bound on the residual proves holds no sign change (the
+exclusion step of Piyavskii 1972 and Shubert 1972).  The bound is read off
+the ray rates and the crest coefficient alone.  The oracles exist to
+cross-validate the fast path and are also wired into ``pendrotor verify``.
 """
 
 from __future__ import annotations
@@ -20,6 +23,13 @@ from .params import DEFAULT_TOL, SystemParams, Tolerances
 from .scattering import TauCriterion
 
 TWO_PI = 2.0 * math.pi
+
+# An exclusion jump shorter than this many grid cells hands over to the
+# vectorised chunk (near a root, or along a grazing stretch).
+MIN_JUMP_CELLS = 8
+# Bound on the rounding of one computed residual sample, in units of
+# 2**-52 * (1 + the largest |phi| + |sigma| the ray reaches).
+SAMPLE_ERR_ULPS = 16
 
 
 def _residual_grid(taus, phi0, sig0, rphi, rsig, c, ac):
@@ -62,15 +72,38 @@ def brute_tau_scan(I: float, theta: float, criterion: TauCriterion,
     inside its cell, classifies the crossing's unwrapped branch, and accepts
     per the criterion semantics.  Raises like the production solver.
 
-    The ray is taken ``chunk`` cells at a time, and a chunk is skipped
-    unevaluated when no band between those of its end samples is accepted
-    (``branch=k`` needs band k, ``down``/``up`` an even band).  This is
-    exact: the strip coordinate w = w0 + r_w*tau is affine, and rounded
-    ``+``, ``*`` and ``floor`` are monotone, so a root refined inside any
-    cell of the chunk lies in a band between the end samples' bands.  A
-    skipped chunk held only crossings the scan would have rejected, so the
-    result is the same as that of the full scan.
+    Each direction is marched from grid index k (tau_k = d*h*k) in three
+    ways, and all three give the result of the full scan:
+
+    * *Band skip.*  The ``chunk`` cells from k are passed unevaluated when
+      no band between those of their end samples is accepted (``branch=k``
+      needs band k, ``down``/``up`` an even band).  The strip coordinate
+      w = w0 + r_w*tau is affine, and rounded ``+``, ``*`` and ``floor`` are
+      monotone, so a root refined inside any of those cells lies in a band
+      between the end samples' bands: the stretch held only crossings the
+      scan would have rejected.
+    * *Exclusion.*  The residual g has |g'| <= L on the ray, with
+      L = |c||r_phi| + |r_sigma| (or |r_phi| + |r_sigma|/|c| when |c| > 1,
+      where g = sign(c) sin(phi) + sin(sigma)/|c|).  Along the ray
+      |phi| + |sigma| <= R = |phi0| + |sigma0| + (|r_phi| + |r_sigma|)*tau_lim,
+      and the rounding of tau, of the phases and of sin then puts every
+      computed sample within e = SAMPLE_ERR_ULPS * 2**-52 * (1 + R) of the
+      exact residual at tau = d*h*k (several times the worst case, which
+      also covers the rounding of the radius below).  So a sample j with
+      h*|j - k| < (|g_k| - 2e)/L has g_j >= |g_k| - 2e - L*h*|j - k| > 0
+      (for g_k > 0; likewise < 0 for g_k < 0): it has the computed sign of
+      g_k, no cell in between flags a sign change, and the march jumps to
+      the last such index.
+    * *Chunk.*  Where that jump would clear fewer than MIN_JUMP_CELLS cells,
+      the ``chunk`` cells from k are evaluated at once and every flagged
+      cell is refined and classified, as in a plain scan.
+
+    Every flagged cell is still visited in order along each direction, so
+    the first accepted crossing of each is that of the full scan.
     """
+    if not (math.isfinite(h) and h > 0.0) or chunk < 1:
+        raise ValueError(f"brute scan needs a finite step h > 0 and chunk "
+                         f">= 1, got h = {h}, chunk = {chunk}")
     th = theta % TWO_PI
     c = K.crest_coef(I, params.a1, params.a2, params.r)
     ac = abs(c)
@@ -81,6 +114,10 @@ def brute_tau_scan(I: float, theta: float, criterion: TauCriterion,
     rphi, rsig = -I, -(params.r * I - 1.0)
     fmin = max(min(abs(rphi), abs(rsig)), 1e-12)
     tau_lim = 8.0 * math.pi * max(1.0, 1.0 / fmin)
+    lip = (ac * abs(rphi) + abs(rsig) if ac <= 1.0
+           else abs(rphi) + abs(rsig) / ac)
+    reach = abs(phi0) + abs(sig0) + (abs(rphi) + abs(rsig)) * tau_lim
+    err = SAMPLE_ERR_ULPS * 2.0 ** -52 * (1.0 + reach)
 
     if criterion.kind == "down":
         dirs = [-1.0 if rsig > 0 else 1.0]
@@ -108,9 +145,9 @@ def brute_tau_scan(I: float, theta: float, criterion: TauCriterion,
     if g0 == 0.0 and accepts(b0, b0):
         return 0.0
 
-    # March each direction chunk by chunk, always advancing the direction
-    # that currently lags in |tau|; a direction stops once it passes the
-    # best accepted crossing (which cannot change its own first hit).
+    # March each direction, always advancing the one that currently lags in
+    # |tau|; a direction stops once it passes the best accepted crossing
+    # (which cannot change its own first hit).
     starts = {d: 0 for d in dirs}
     done = {d: False for d in dirs}
     best: float | None = None
@@ -128,6 +165,11 @@ def brute_tau_scan(I: float, theta: float, criterion: TauCriterion,
         step = d * h
         if not accepts(band(step * start), band(step * (start + n))):
             starts[d] = start + n
+            continue
+        g_k = _residual_grid(step * start, phi0, sig0, rphi, rsig, c, ac)
+        cells = (abs(g_k) - 2.0 * err) / (lip * h)
+        if cells >= MIN_JUMP_CELLS:
+            starts[d] = start + int(min(cells, n_cap - start))
             continue
         taus = step * np.arange(start, start + n + 1)
         g = _residual_grid(taus, phi0, sig0, rphi, rsig, c, ac)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -358,6 +361,17 @@ class TestBadNumericInput:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "Traceback" not in err
+
+    def test_module_entry_point_exits_2(self):
+        # python -m pendrotor hands main()'s exit code to the shell
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(pr.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pendrotor", "crests", "--mu", "0.5",
+             "--I", "nan"], capture_output=True, text=True, env=env,
+            timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error:")
 
 
 class TestConfigFile:

@@ -190,6 +190,20 @@ class TestThresholds:
                 assert pr.classify(I, p) is iv.kind, (iv, I)
                 assert pr.has_tangency(I, p) is iv.tangency, (iv, I)
 
+    def test_window_clips_every_component(self):
+        # (0.3, 4) misses the crossings at 0.110 and 0.272 on (0, 1) and
+        # holds nothing of the negative component
+        p = pr.SystemParams(a1=6.0, a2=1.0)
+        rep = pr.find_thresholds(p, window=(0.3, 4.0))
+        assert rep.alpha_thresholds == rep.beta_thresholds == []
+        assert [(iv.lo, iv.hi) for iv in rep.intervals] == [(0.3, 4.0)]
+        assert rep.intervals[0].kind is pr.CrestKind.VERTICAL
+        assert sorted(name for name, _ in rep.missing) == [
+            "alpha/mid", "alpha/pos", "beta/mid", "beta/pos"]
+        full = pr.find_thresholds(p, window=(-5.0, 5.0))
+        assert [v for v in full.alpha_thresholds + full.beta_thresholds
+                if 0.3 < v < 4.0] == []
+
 
 class TestTangency:
     def test_published_verdicts(self, p05):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -9,6 +10,7 @@ from scipy.optimize import brentq
 
 import pendrotor as pr
 from pendrotor import _kernels as K
+from pendrotor import oracles
 from pendrotor.crests import crest_phi, crest_sigma
 from pendrotor.oracles import _band_of, _refine, _residual_grid, brute_tau_scan
 from pendrotor.scattering import grad_theta_forms
@@ -274,6 +276,19 @@ class TestBruteScanSkip:
         assert brute_tau_scan(0.4, 0.0, pr.branch(1), p075) != 0.0
 
 
+def test_brute_scan_rejects_bad_step_and_chunk(p075, monkeypatch):
+    # the guard runs before any sample: h = 0 used to die in int(tau_lim/h)
+    # and chunk = 0 to never advance the march
+    def no_sample(*args):
+        raise AssertionError("sampled the ray")
+
+    monkeypatch.setattr(oracles, "_residual_grid", no_sample)
+    for kwargs in ({"h": 0.0}, {"h": -1e-5}, {"h": math.nan},
+                   {"h": math.inf}, {"chunk": 0}, {"chunk": -1}):
+        with pytest.raises(ValueError):
+            brute_tau_scan(0.4, 1.0, pr.MINABS, p075, **kwargs)
+
+
 def _ridge_root(I, theta, tau0, p):
     """Root of c sin(phi) + sin(sigma) along the ray, by mpmath from tau0."""
     c = K.crest_coef(I, p.a1, p.a2, p.r)
@@ -321,6 +336,13 @@ def _check_against_oracles(I, theta, crit, p):
         assert band % 2 == 0
 
 
+@functools.lru_cache(maxsize=None)
+def _thresholds(r):
+    """find_thresholds at a1 = 0.75, a2 = 1 on (-3, 3), once per r."""
+    return pr.find_thresholds(pr.SystemParams(a1=0.75, a2=1.0, r=r),
+                              (-3.0, 3.0))
+
+
 def _tangency_rays(I, p, n_wrap):
     """(theta, branch) of the rays launched in [0, 2pi) through a tangency
     point of the ridge at I, over n_wrap periods of phi and sigma each way."""
@@ -354,8 +376,8 @@ class TestBracketAdversarial:
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_rays_near_tangency_points(self, data, r, u, log_off, sign):
         p = pr.SystemParams(a1=0.75, a2=1.0, r=r)
-        spans = [(iv.lo, iv.hi) for iv in
-                 pr.find_thresholds(p, (-3.0, 3.0)).intervals if iv.tangency]
+        spans = [(iv.lo, iv.hi) for iv in _thresholds(r).intervals
+                 if iv.tangency]
         lo, hi = data.draw(st.sampled_from(spans))
         I = lo + u * (hi - lo)
         rays = _tangency_rays(I, p, 3)
@@ -378,7 +400,7 @@ class TestBracketAdversarial:
                                         crit):
         p = pr.SystemParams(a1=0.75, a2=1.0, r=r)
         I_c = data.draw(st.sampled_from(
-            pr.find_thresholds(p, (-3.0, 3.0)).alpha_thresholds))
+            _thresholds(r).alpha_thresholds))
         target = 1.0 + sign * 10.0 ** log_gap
 
         def gap(I):
@@ -388,6 +410,31 @@ class TestBracketAdversarial:
         c = abs(K.crest_coef(I, p.a1, p.a2, r))
         assert pr.DEFAULT_TOL.tol_cls < abs(c - 1.0) < 1.01e-6
         _check_against_oracles(I, theta, crit, p)
+
+
+def test_exclusion_equals_plain_scan_near_grazing():
+    """Rays 1e-3...1e-9 off a tangency.  One offset sign splits the contact
+    into a close crossing pair, where the exclusion radius collapses; the
+    other lifts the ray to within the offset of the ridge.  No stretch the
+    march jumps over may hold a sign change the plain scan sees."""
+    i = 0
+    for r in (0.5, 0.8, 1.0):
+        p = pr.SystemParams(a1=0.75, a2=1.0, r=r)
+        for iv in _thresholds(r).intervals:
+            if not iv.tangency:
+                continue
+            I = 0.5 * (iv.lo + iv.hi)
+            for th, k in _tangency_rays(I, p, 3):
+                for sign in (1.0, -1.0):
+                    theta = (th + sign * 10.0 ** -(3 + i % 7)) % TWO_PI
+                    crits = (pr.branch(k), _ALL_CRITS[i % len(_ALL_CRITS)])
+                    for crit in crits:
+                        got = _scan_or_error(brute_tau_scan, I, theta, crit,
+                                             p, h=1e-4)
+                        ref = _scan_or_error(_plain_scan, I, theta, crit, p,
+                                             1e-4)
+                        assert got == ref, (I, theta, crit, r, got, ref)
+                    i += 1
 
 
 def _mirror_pair(I, theta, tau, p):
@@ -492,7 +539,7 @@ def _adversarial_queries():
     1e-3 .. 3e-9 of 1, as in TestBracketAdversarial but on a fixed grid."""
     for r in (0.5, 1.0):
         p = pr.SystemParams(a1=0.75, a2=1.0, r=r)
-        rep = pr.find_thresholds(p, (-3.0, 3.0))
+        rep = _thresholds(r)
         for iv in rep.intervals:
             if iv.tangency:
                 for u in (0.37, 0.81):
