@@ -1,2 +1,2 @@
-from pendrotor.cli import main
+from .cli import main
 raise SystemExit(main())
