@@ -64,7 +64,7 @@ class ClassificationReport:
     beta_thresholds: list[float]
     intervals: list[IntervalInfo]
     labels: dict[str, float] = field(default_factory=dict)
-    missing: list[tuple[str, float]] = field(default_factory=list)
+    missing: list[tuple[str, float | None]] = field(default_factory=list)
 
 
 def _coef(I: float, params: SystemParams) -> float:
@@ -190,10 +190,14 @@ def _components(window: tuple[float, float], r: float):
     """(name, lo, hi, asymptote) of the components of both curves: 'neg'
     (-inf, 0), 'mid' (0, 1/r) and 'pos' (1/r, inf), kept 1e-9 off 0 and the
     pole and clipped to the window (empty, lo >= hi, where the window does
-    not reach them), with the level the curves tend to at the far end."""
+    not reach them), with the level the curves tend to at the far end: -inf,
+    the pole and +inf, in turn.  The window's own edge stands in for an
+    infinite far end; 'mid' carries no asymptote (None) when the window
+    stops short of the pole."""
     (lo, hi), pole, eps = window, 1.0 / r, 1e-9
     return (("neg", lo, min(-eps, hi), E_PI_HALF if r == 1.0 else 0.0),
-            ("mid", max(eps, lo), min(pole - eps, hi), math.inf),
+            ("mid", max(eps, lo), min(pole - eps, hi),
+             math.inf if hi >= pole - eps else None),
             ("pos", max(pole + eps, lo), hi,
              math.exp(-math.pi / 2.0) if r == 1.0 else 0.0))
 
@@ -260,9 +264,10 @@ def solve_level_crossing(curve: str, component: str, params: SystemParams,
     """The lowest |alpha_r| or |beta_r| crossing of 1/|mu| on a named component.
 
     ``curve`` is 'alpha' or 'beta'; ``component`` is one of 'neg'
-    ((window_lo, 0)), 'mid' ((0, 1/r)) or 'pos' ((1/r, window_hi)).  Raises
-    :class:`NoSolutionInWindow` with the relevant asymptote attached when
-    the level is never reached there.
+    ((-inf, 0)), 'mid' ((0, 1/r)) or 'pos' ((1/r, inf)), each clipped to
+    the window.  Raises :class:`NoSolutionInWindow` when the level is never
+    reached on the clipped component, with the asymptote of
+    ``_components`` attached (None for a 'mid' cut short of the pole).
     """
     level = _level(params)
     comps = {name: (lo, hi, asym)
@@ -311,19 +316,22 @@ def find_thresholds(params: SystemParams,
         beta_thresholds=sorted(found["beta"]), intervals=[], missing=missing)
 
     # Prop-2 style labels (defined for the r = 1 monotone structure, with one
-    # crossing per component)
+    # crossing per component); a label is set only when the window holds
+    # the crossings it names
     if params.r == 1.0:
         a, b = first["alpha"], first["beta"]
         lab: dict[str, float] = {}
+        mids = (sorted([a["mid"], b["mid"]]) if "mid" in a and "mid" in b
+                else None)
         if "neg" in a and "neg" in b:
             lab["I_b"], lab["I_a"] = b["neg"], a["neg"]
-            if "pos" in a and "pos" in b:
-                lab["I_c"], lab["I_C"] = sorted([a["mid"], b["mid"]])
+            if "pos" in a and "pos" in b and mids:
+                lab["I_c"], lab["I_C"] = mids
                 lab["I_A"], lab["I_B"] = a["pos"], b["pos"]
-            else:
-                lab["I_A"], lab["I_B"] = sorted([a["mid"], b["mid"]])
-        elif "mid" in a and "mid" in b:
-            lab["I_b"], lab["I_a"] = sorted([a["mid"], b["mid"]])
+            elif mids:
+                lab["I_A"], lab["I_B"] = mids
+        elif mids:
+            lab["I_b"], lab["I_a"] = mids
             if "pos" in a and "pos" in b:
                 lab["I_A"], lab["I_B"] = a["pos"], b["pos"]
         report.labels = lab

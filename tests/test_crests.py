@@ -204,6 +204,22 @@ class TestThresholds:
         assert [v for v in full.alpha_thresholds + full.beta_thresholds
                 if 0.3 < v < 4.0] == []
 
+    @pytest.mark.parametrize("hi, beta_mid", [(0.65, [0.595]), (0.5, [])])
+    def test_window_cut_inside_mid_component(self, p05, hi, beta_mid):
+        # the window ends below alpha's 0.701 (and at 0.5 below beta's
+        # 0.595 too), with no positive component
+        rep = pr.find_thresholds(p05, window=(-5.0, hi))
+        assert rep.alpha_thresholds == pytest.approx([-1.807], abs=5e-3)
+        assert rep.beta_thresholds == pytest.approx([-2.942] + beta_mid,
+                                                    abs=5e-3)
+        assert rep.labels == {"I_b": rep.beta_thresholds[0],
+                              "I_a": rep.alpha_thresholds[0]}
+        assert rep.intervals[0].lo == -5.0 and rep.intervals[-1].hi == hi
+        assert all(iv.lo < iv.hi for iv in rep.intervals)
+        # the cut mid component never reaches the pole's infinite level
+        assert ("alpha/mid", None) in rep.missing
+        assert all(not name.endswith("/pos") for name, _ in rep.missing)
+
 
 class TestTangency:
     def test_published_verdicts(self, p05):

@@ -437,6 +437,27 @@ def test_exclusion_equals_plain_scan_near_grazing():
                     i += 1
 
 
+def test_brute_scan_mirror_tie_keeps_nonnegative_tau(p075):
+    """On theta = pi/2 and 3pi/2 at r = 1 the two directions often refine
+    crossings of exactly equal |tau|; the scan keeps the tau >= 0 one, as the
+    plain scan and the solver do, whichever direction reaches it first."""
+    h, ties = 1e-4, 0
+    for I in np.linspace(-2.9, 2.9, 16):
+        c = K.crest_coef(I, p075.a1, p075.a2, 1.0)
+        if min(abs(I), abs(I - 1.0)) < 0.05 or abs(abs(c) - 1.0) < 1e-3:
+            continue
+        for th in (math.pi / 2, 3 * math.pi / 2):
+            got = brute_tau_scan(I, th, pr.MINABS, p075, h=h)
+            assert got == _plain_scan(I, th, pr.MINABS, p075, h), (I, th)
+            k = math.floor(abs(got) / h)
+            twin = _refine(-(h * (k + 1)), -(h * k), th, th, -I, 1.0 - I, c,
+                           abs(c))
+            if twin == -got:
+                assert got > 0.0, (I, th, got)
+                ties += 1
+    assert ties >= 15
+
+
 def _mirror_pair(I, theta, tau, p):
     """The crossings near +tau and -tau and their margins, by mpmath."""
     c = K.crest_coef(I, p.a1, p.a2, p.r)
