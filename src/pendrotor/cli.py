@@ -111,14 +111,25 @@ def _add_common(p: argparse.ArgumentParser):
                    help="override a named tolerance, e.g. tol_cls=1e-8")
 
 
+def _require_positive(what: str, val: float) -> None:
+    if not (math.isfinite(val) and val > 0.0):
+        raise ConfigError(f"{what} must be finite and > 0, got {val!r}")
+
+
 def _validate_grids(args) -> None:
-    """Check the grid, count and action flags; parses the --I values."""
+    """Check the grid, count, seed, action and tolerance flags; parses the
+    --I values."""
     for name, least in (("grid_n", 2), ("theta_n", 2), ("angle_n", 2),
-                        ("periods", 2), ("n_melnikov", 1), ("n_tau", 1)):
+                        ("periods", 2), ("n_melnikov", 1), ("n_tau", 1),
+                        ("seed", 0)):
         val = getattr(args, name, None)
         if val is not None and val < least:
             raise ConfigError(
                 f"--{name.replace('_', '-')} must be >= {least}")
+    for name in ("tol_melnikov", "tol_tau"):
+        val = getattr(args, name, None)
+        if val is not None:
+            _require_positive(f"--{name.replace('_', '-')}", val)
     bounds = [(name.replace("_", "-"), getattr(args, name, None))
               for name in ("I_min", "I_max", "I_start", "I_end")]
     if hasattr(args, "I_list"):
@@ -166,9 +177,28 @@ def _tol_from(args) -> Tolerances:
             overrides[key] = float(val)
         except ValueError:
             raise ConfigError(f"bad value for tolerance {key!r}: {val!r}")
-        if not math.isfinite(overrides[key]):
-            raise ConfigError(f"tolerance {key!r} must be finite, got {val!r}")
+        # every tolerance is a positive width or error target
+        _require_positive(f"tolerance {key!r}", overrides[key])
     return DEFAULT_TOL.override(**overrides) if overrides else DEFAULT_TOL
+
+
+def _setup(args) -> tuple[SystemParams, Tolerances]:
+    """Check every flag; return the run's parameters and tolerances.
+
+    Each output path is opened for appending and closed again, so that one
+    that cannot be written stops the run before any work (and no existing
+    file is truncated before its command writes it).
+    """
+    params, tol = _params_from(args), _tol_from(args)
+    for flag in ("out", "report"):
+        path = getattr(args, flag, None)
+        if path is not None:
+            try:
+                open(path, "a").close()
+            except OSError as exc:
+                raise ConfigError(f"cannot write --{flag} {path!r}: "
+                                  f"{exc.strerror or exc}")
+    return params, tol
 
 
 def _header(params: SystemParams, extra: dict | None = None) -> dict:
@@ -202,8 +232,7 @@ def _config_args(path: str) -> list[str]:
 # ----------------------------------------------------------------------
 
 def cmd_thresholds(args) -> int:
-    params = _params_from(args)
-    tol = _tol_from(args)
+    params, tol = _setup(args)
     report = find_thresholds(params, (args.I_min, args.I_max), tol)
     em = Emitter(args.out, args.format, "thresholds",
                  _header(params, {"I_min": args.I_min, "I_max": args.I_max}),
@@ -226,8 +255,7 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_crests(args) -> int:
-    params = _params_from(args)
-    tol = _tol_from(args)
+    params, tol = _setup(args)
     n = args.angle_n or args.grid_n
     I_values = args.I_list or list(np.linspace(args.I_min, args.I_max,
                                                args.grid_n))
@@ -264,8 +292,7 @@ def _grid_sweep(args, params: SystemParams, tol: Tolerances):
 
 
 def cmd_portrait(args) -> int:
-    params = _params_from(args)
-    tol = _tol_from(args)
+    params, tol = _setup(args)
     I_vals, th_vals, res = _grid_sweep(args, params, tol)
     status, tau, band, margin, lstar, dth, dI = res
     em = Emitter(args.out, args.format, "portrait",
@@ -288,8 +315,7 @@ def cmd_portrait(args) -> int:
 
 
 def cmd_tau_field(args) -> int:
-    params = _params_from(args)
-    tol = _tol_from(args)
+    params, tol = _setup(args)
     I_vals, th_vals, res = _grid_sweep(args, params, tol)
     status, tau, band, margin, lstar, dth, dI = res
     em = Emitter(args.out, args.format, "tau_field",
@@ -307,8 +333,7 @@ def cmd_tau_field(args) -> int:
 
 
 def cmd_inner_portrait(args) -> int:
-    params = _params_from(args)
-    tol = _tol_from(args)
+    params, tol = _setup(args)
     I_vals = np.linspace(args.I_min, args.I_max, args.grid_n)
     em = Emitter(args.out, args.format, "inner_portrait",
                  _header(params, {"periods": args.periods}),
@@ -327,8 +352,7 @@ def cmd_inner_portrait(args) -> int:
 
 
 def cmd_diffuse(args) -> int:
-    params = _params_from(args)
-    tol = _tol_from(args)
+    params, tol = _setup(args)
     orbit = build_pseudo_orbit(args.I_start, args.I_end, params, tol=tol)
     report = verify_pseudo_orbit(orbit, tol)
     em = Emitter(args.out, args.format, "pseudo_orbit",
@@ -367,8 +391,7 @@ def cmd_diffuse(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    params = _params_from(args)
-    tol = _tol_from(args)
+    params, tol = _setup(args)
     results = run_suite(params, n_melnikov=args.n_melnikov, n_tau=args.n_tau,
                         seed=args.seed, tol_melnikov=args.tol_melnikov,
                         tol_tau=args.tol_tau, tol=tol,

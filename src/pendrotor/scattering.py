@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import _kernels as K
 from .crests import CrestBranch, CrestKind, classify
@@ -156,6 +155,9 @@ def melnikov_quadrature(I: float, phi: float, s: float, params: SystemParams,
     the closed form (the pendulum factor cos(q0) - 1 = -2 sech^2 enters the
     geometric derivation with a compensating orientation sign).
     """
+    # scipy's only use: imported here so that no other path loads it
+    from scipy.integrate import quad
+
     a1, a2, r = params.a1, params.a2, params.r
     # envelope 2 sech^2 L < 1e-16  =>  L ~ 19.5
     L = 20.0

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import pendrotor as pr
+from pendrotor import cli
 from pendrotor.cli import DTH_ZERO_RTOL, main
 
 TWO_PI = 2.0 * math.pi
@@ -355,12 +356,40 @@ class TestBadNumericInput:
         ["crests", "--mu", "0.5", "--I", "nan"],
         ["verify", "--mu", "0.75", "--n-melnikov", "0", "--n-tau", "0"],
         ["verify", "--mu", "0.75", "--n-tau", "-3"],
+        # every tolerance is a positive width or target
+        ["inner-portrait", "--mu", "0.75", "--eps", "0.01", "--periods", "2",
+         "--tol-override", "tol_ode=0"],
+        ["inner-portrait", "--mu", "0.75", "--eps", "0.01", "--periods", "2",
+         "--tol-override", "tol_ode=-1"],
+        ["verify", "--mu", "0.75", "--seed", "-1"],
+        ["verify", "--mu", "0.75", "--tol-melnikov", "nan"],
+        ["verify", "--mu", "0.75", "--tol-melnikov", "-1"],
+        ["verify", "--mu", "0.75", "--tol-tau", "nan"],
+        ["verify", "--mu", "0.75", "--tol-tau", "-1"],
     ])
     def test_exits_2_with_message(self, argv, capsys):
         assert main(argv + ["--grid-n", "2"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["thresholds", "--mu", "0.5", "--out"],
+        ["diffuse", "--a1", "0.75", "--a2", "1", "--eps", "0.01",
+         "--report"],
+    ])
+    def test_unwritable_output_exits_2_before_work(self, argv, tmp_path,
+                                                   monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran before the output path was checked")
+
+        for name in ("find_thresholds", "build_pseudo_orbit"):
+            monkeypatch.setattr(cli, name, no_work)
+        path = str(tmp_path / "missing" / "x.out")
+        assert main(argv + [path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert path in err
 
     def test_module_entry_point_exits_2(self):
         # python -m pendrotor hands main()'s exit code to the shell
@@ -372,6 +401,47 @@ class TestBadNumericInput:
             timeout=60)
         assert proc.returncode == 2
         assert proc.stderr.startswith("config error:")
+
+
+#: one fresh interpreter runs a tiny form of every subcommand but verify,
+#: lists the scipy modules loaded by then, and runs a tiny verify last
+_STARTUP_SCRIPT = """
+import json, sys
+from pendrotor.cli import main
+out, runs = sys.argv[1], json.loads(sys.argv[2])
+codes = [main(argv.format(out=out).split()) for argv in runs]
+before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+rc = main(f"verify --mu 0.75 --n-melnikov 1 --n-tau 2 --out {out}/v.json"
+          .split())
+print(json.dumps({"codes": codes, "scipy_before": before, "verify": rc,
+                  "integrate_after": "scipy.integrate" in sys.modules}))
+"""
+
+
+class TestStartup:
+    def test_only_verify_loads_scipy(self, tmp_path):
+        runs = [
+            "thresholds --mu 0.5 --out {out}/t.csv",
+            "crests --mu 0.5 --grid-n 2 --out {out}/c.csv",
+            "portrait --mu 0.75 --grid-n 2 --out {out}/p.csv",
+            "tau-field --mu 0.75 --grid-n 2 --out {out}/f.csv",
+            "inner-portrait --mu 0.75 --eps 0.01 --periods 2 --grid-n 2 "
+            "--out {out}/i.csv",
+            "diffuse --a1 0.75 --a2 1 --eps 0.01 --I-start 1.5 --I-end 1.52 "
+            "--out {out}/d.csv --report {out}/d.json",
+        ]
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(pr.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", _STARTUP_SCRIPT, str(tmp_path),
+             json.dumps(runs)], capture_output=True, text=True, env=env,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout.splitlines()[-1])
+        assert got["codes"] == [0] * len(runs)
+        assert got["scipy_before"] == []
+        assert got["verify"] == 0
+        assert got["integrate_after"] is True
 
 
 class TestConfigFile:
