@@ -284,6 +284,9 @@ def cmd_crests(args) -> int:
 
 def _grid_sweep(args, params: SystemParams, tol: Tolerances):
     """The (I, theta) grid of the flags and :func:`sweep` over it."""
+    if params.a1 == 0.0 and params.a2 == 0.0:
+        raise ConfigError("a1 = a2 = 0 makes the splitting potential zero; "
+                          "it has no ridges to sweep")
     I_vals = np.linspace(args.I_min, args.I_max, args.grid_n)
     th_vals = np.linspace(0.0, TWO_PI, args.theta_n or args.grid_n,
                           endpoint=False)

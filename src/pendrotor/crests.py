@@ -132,7 +132,8 @@ def _tangent(I: float, c: float, r: float, tol: Tolerances) -> bool:
     if d == 0.0:
         return False  # vertical straight lines, no finite-slope tangency
     cb = c * abs(I / d)
-    return (c - 1.0) * (cb - 1.0) < 0.0
+    # bool() so that a numpy scalar I gets a plain bool, as a float I does
+    return bool((c - 1.0) * (cb - 1.0) < 0.0)
 
 
 def has_tangency(I: float, params: SystemParams,
@@ -235,7 +236,7 @@ def _crossings(curve, level: float, lo: float, hi: float, r: float,
         return []
     f = lambda x: abs(curve(x, r)) - level
     pole = 1.0 / r
-    pts = list(np.linspace(lo, hi, 4000))
+    pts = np.linspace(lo, hi, 4000).tolist()
     # geometric refinement toward an interior/endpoint pole
     if lo < pole < hi or abs(lo - pole) < 1e-12 or abs(hi - pole) < 1e-12:
         for kk in range(1, 48):

@@ -47,7 +47,7 @@ class UnreachableBranch(PendrotorError):
 
 
 class QuadratureNotConverged(PendrotorError):
-    """Adaptive quadrature failed to reach the requested absolute error."""
+    """The splitting-integral quadrature did not settle to its target."""
 
 
 class StepFailure(PendrotorError):

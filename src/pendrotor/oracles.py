@@ -34,20 +34,21 @@ MIN_JUMP_CELLS = 128
 SAMPLE_ERR_ULPS = 16
 
 
-def _residual_grid(taus, phi0, sig0, rphi, rsig, c, ac):
+def _residual_grid(taus, phi0, sig0, rphi, rsig, c, ac, sin=np.sin):
+    """Ridge residual along the ray at taus; ``sin=math.sin`` evaluates it
+    at one float with the same operations."""
     phi = phi0 + rphi * taus
     sig = sig0 + rsig * taus
     if ac <= 1.0:
-        return c * np.sin(phi) + np.sin(sig)
-    return math.copysign(1.0, c) * np.sin(phi) + np.sin(sig) / ac
+        return c * sin(phi) + sin(sig)
+    return math.copysign(1.0, c) * sin(phi) + sin(sig) / ac
 
 
 def _refine(ta, tb, phi0, sig0, rphi, rsig, c, ac):
-    fa = float(_residual_grid(np.array([ta]), phi0, sig0, rphi, rsig, c, ac)[0])
+    fa = _residual_grid(ta, phi0, sig0, rphi, rsig, c, ac, math.sin)
     for _ in range(100):
         mid = 0.5 * (ta + tb)
-        fm = float(_residual_grid(np.array([mid]), phi0, sig0, rphi, rsig,
-                                  c, ac)[0])
+        fm = _residual_grid(mid, phi0, sig0, rphi, rsig, c, ac, math.sin)
         if fm == 0.0:
             return mid
         if (fa > 0.0) == (fm > 0.0):

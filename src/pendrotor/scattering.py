@@ -147,34 +147,54 @@ def melnikov_closed(I: float, phi: float, s: float,
 
 def melnikov_quadrature(I: float, phi: float, s: float, params: SystemParams,
                         tol: Tolerances = DEFAULT_TOL) -> float:
-    """Adaptive quadrature of the splitting integral; sign-convention oracle.
+    """Composite trapezoidal rule for the splitting integral; sign-convention
+    oracle.
 
     Integrates 2 sech(x)^2 * g(phi + I x, s + x) over the real line,
-    truncated where the envelope falls below 1e-16.  The overall sign is
-    fixed so that the first-harmonic coefficient at I = 0 is +4*a1, matching
-    the closed form (the pendulum factor cos(q0) - 1 = -2 sech^2 enters the
-    geometric derivation with a compensating orientation sign).
-    """
-    # scipy's only use: imported here so that no other path loads it
-    from scipy.integrate import quad
+    truncated where the envelope falls below 1e-16.  The integrand is
+    analytic in |Im x| < pi/2 and decays like exp(-2|x|), so the rule's
+    error falls like exp(-pi^2/h) (Trefethen & Weideman, SIAM Rev. 56,
+    2014).  Starting at h = 0.1 the step is halved, adding only the new
+    midpoints, until two successive sums agree to within
+    100 * tol_quad + 1e-13 * |value|; :class:`QuadratureNotConverged` after
+    six halvings.  Sums are compared only once the coarser step takes two
+    nodes per period of the faster harmonic (|I| or |rI - 1|): the finer
+    sum shares the coarser one's even aliases, so below that rate both can
+    agree on an alias (at I = 1000 they agree on 0.019; the value is 0).
 
+    The overall sign is fixed so that the first-harmonic coefficient at
+    I = 0 is +4*a1, matching the closed form (the pendulum factor
+    cos(q0) - 1 = -2 sech^2 enters the geometric derivation with a
+    compensating orientation sign).
+    """
     a1, a2, r = params.a1, params.a2, params.r
     # envelope 2 sech^2 L < 1e-16  =>  L ~ 19.5
     L = 20.0
 
-    def integrand(x: float) -> float:
-        sech = 1.0 / math.cosh(x)
+    def integrand(x: np.ndarray) -> np.ndarray:
+        sech = 1.0 / np.cosh(x)
         ph = phi + I * x
-        return 2.0 * sech * sech * (a1 * math.cos(ph)
-                                    + a2 * math.cos(r * ph - (s + x)))
+        return 2.0 * sech * sech * (a1 * np.cos(ph)
+                                    + a2 * np.cos(r * ph - (s + x)))
 
-    val, abserr = quad(integrand, -L, L, epsabs=tol.tol_quad,
-                       epsrel=1e-12, limit=400)
-    if abserr > 100.0 * tol.tol_quad + 1e-13 * abs(val):
-        raise QuadratureNotConverged(
-            f"quadrature error estimate {abserr:.3g} exceeds target "
-            f"{tol.tol_quad:.3g} at (I, phi, s) = ({I}, {phi}, {s})")
-    return val
+    w_max = max(abs(I), abs(r * I - 1.0))
+    n = 400
+    h = 2.0 * L / n
+    f = integrand(np.linspace(-L, L, n + 1))
+    total = f.sum() - 0.5 * (f[0] + f[-1])
+    val = h * total
+    for _ in range(6):
+        h *= 0.5
+        total += integrand(-L + h * np.arange(1, 2 * n, 2)).sum()
+        n *= 2
+        prev, val = val, float(h * total)
+        target = 100.0 * tol.tol_quad + 1e-13 * abs(val)
+        if 2.0 * h * w_max <= math.pi and abs(val - prev) <= target:
+            return val
+    raise QuadratureNotConverged(
+        f"trapezoid sums not settled at h = {h:.3g} (last change "
+        f"{abs(val - prev):.3g}, target {tol.tol_quad:.3g}, fastest harmonic "
+        f"frequency {w_max:.3g}) at (I, phi, s) = ({I}, {phi}, {s})")
 
 
 # ----------------------------------------------------------------------

@@ -56,7 +56,7 @@ def _require_r_one(params: SystemParams) -> None:
 def melnikov_check(params: SystemParams, n: int = 100, seed: int = 0,
                    tol_cmp: float = 1e-8, tol: Tolerances = DEFAULT_TOL,
                    corrupt: str | None = None) -> CheckResult:
-    """Closed-form splitting potential against the adaptive quadrature.
+    """Closed-form splitting potential against the trapezoid-rule quadrature.
 
     ``corrupt='a2-sign'`` flips the sign of the second amplitude in the
     closed form only, a constructed fault that the check must flag.

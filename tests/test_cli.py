@@ -391,6 +391,20 @@ class TestBadNumericInput:
         assert err.startswith("config error:")
         assert path in err
 
+    @pytest.mark.parametrize("command", ["portrait", "tau-field"])
+    def test_zero_potential_sweep_exits_2_before_solving(self, command,
+                                                         monkeypatch, capsys):
+        # a1 = a2 = 0 leaves no ridge set; the sweep used to write rows of
+        # contacts with it under a '# mu = nan' header
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept a zero potential")
+
+        monkeypatch.setattr(cli, "sweep", no_sweep)
+        assert main([command, "--a1", "0", "--a2", "0", "--grid-n", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+
     def test_module_entry_point_exits_2(self):
         # python -m pendrotor hands main()'s exit code to the shell
         env = dict(os.environ,
@@ -404,22 +418,25 @@ class TestBadNumericInput:
 
 
 #: one fresh interpreter runs a tiny form of every subcommand but verify,
-#: lists the scipy modules loaded by then, and runs a tiny verify last
+#: lists the scipy modules loaded by then, runs a tiny verify last and
+#: lists them again
 _STARTUP_SCRIPT = """
 import json, sys
 from pendrotor.cli import main
+def scipy_mods():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 out, runs = sys.argv[1], json.loads(sys.argv[2])
 codes = [main(argv.format(out=out).split()) for argv in runs]
-before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+before = scipy_mods()
 rc = main(f"verify --mu 0.75 --n-melnikov 1 --n-tau 2 --out {out}/v.json"
           .split())
 print(json.dumps({"codes": codes, "scipy_before": before, "verify": rc,
-                  "integrate_after": "scipy.integrate" in sys.modules}))
+                  "scipy_after": scipy_mods()}))
 """
 
 
 class TestStartup:
-    def test_only_verify_loads_scipy(self, tmp_path):
+    def test_no_subcommand_loads_scipy(self, tmp_path):
         runs = [
             "thresholds --mu 0.5 --out {out}/t.csv",
             "crests --mu 0.5 --grid-n 2 --out {out}/c.csv",
@@ -441,7 +458,7 @@ class TestStartup:
         assert got["codes"] == [0] * len(runs)
         assert got["scipy_before"] == []
         assert got["verify"] == 0
-        assert got["integrate_after"] is True
+        assert got["scipy_after"] == []
 
 
 class TestConfigFile:

@@ -74,6 +74,53 @@ class TestMelnikov:
             assert pr.melnikov_closed(I, phi, s, p) == pytest.approx(
                 pr.melnikov_quadrature(I, phi, s, p), abs=1e-8)
 
+    @pytest.mark.parametrize("r", [1.0, 0.5])
+    def test_trapezoid_matches_adaptive_and_mpmath(self, r):
+        # the same integral over [-20, 20] by scipy's adaptive quad and by
+        # mpmath at 40 digits (the tails beyond hold less than 1e-16)
+        from scipy.integrate import quad
+
+        a1, a2 = 0.8, -1.1
+        p = pr.SystemParams(a1=a1, a2=a2, r=r)
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            I, phi, s = (rng.uniform(-3, 3), rng.uniform(0, TWO_PI),
+                         rng.uniform(0, TWO_PI))
+            got = pr.melnikov_quadrature(I, phi, s, p)
+
+            def f(x):
+                ph = phi + I * x
+                return (2.0 / math.cosh(x) ** 2
+                        * (a1 * math.cos(ph) + a2 * math.cos(r * ph - s - x)))
+
+            ref_quad = quad(f, -20.0, 20.0, epsabs=1e-13, epsrel=1e-13,
+                            limit=400)[0]
+            with mpmath.workdps(40):
+                def g(x):
+                    ph = phi + I * x
+                    return 2 * mpmath.sech(x) ** 2 * (
+                        a1 * mpmath.cos(ph) + a2 * mpmath.cos(r * ph - s - x))
+
+                ref_mp = float(mpmath.quad(g, [-20, 0, 20]))
+            assert abs(got - ref_quad) <= 1e-12, (I, phi, s)
+            assert abs(got - ref_mp) <= 1e-12, (I, phi, s)
+
+    @pytest.mark.parametrize("I", [25.0, 40.0, -30.0])
+    def test_large_action_against_closed_form(self, I):
+        p = pr.SystemParams(a1=1.0, a2=1.0)
+        for phi, s in ((0.0, 0.7), (1.3, 2.9), (4.0, 5.5)):
+            assert abs(pr.melnikov_quadrature(I, phi, s, p)
+                       - pr.melnikov_closed(I, phi, s, p)) <= 1e-12
+
+    def test_no_agreement_on_an_alias(self):
+        # at I = 1000 the sums at h = 0.1 and 0.05 both equal 0.019, an
+        # alias of the I-harmonic; the rule must go on to a step that
+        # resolves it, and give up where six halvings cannot
+        p = pr.SystemParams(a1=1.0, a2=1.0)
+        assert abs(pr.melnikov_quadrature(1000.0, 0.3, 0.2, p)) <= 1e-12
+        with pytest.raises(pr.QuadratureNotConverged):
+            pr.melnikov_quadrature(3000.0, 0.3, 0.2, p)
+
 
 class TestTauStar:
     def test_zero_at_theta_pi(self, p075):
