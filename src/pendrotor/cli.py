@@ -80,35 +80,34 @@ class Emitter:
             self._fh.close()
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--a1", type=float, default=None)
-    p.add_argument("--a2", type=float, default=None)
-    p.add_argument("--k1", type=int, default=None)
-    p.add_argument("--k2", type=int, default=None)
-    p.add_argument("--l1", type=int, default=None)
-    p.add_argument("--l2", type=int, default=None)
-    p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--I-min", dest="I_min", type=float, default=-2.0)
-    p.add_argument("--I-max", dest="I_max", type=float, default=2.0)
-    p.add_argument("--grid-n", dest="grid_n", type=int, default=100)
-    p.add_argument("--theta-n", dest="theta_n", type=int, default=None,
-                   help="theta resolution (defaults to --grid-n)")
-    p.add_argument("--angle-n", dest="angle_n", type=int, default=None,
-                   help="phi/sigma sampling resolution (defaults to --grid-n)")
-    p.add_argument("--criterion", type=str, default="branch=1",
-                   help="down | up | minabs | branch=k")
-    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--threads", type=int, default=0,
-                   help="accepted for compatibility; has no effect (sweeps "
-                        "run serially)")
-    p.add_argument("--config", type=str, default=None,
-                   help="KEY=VAL file supplying flag defaults (flags win)")
-    p.add_argument("--tol-override", action="append", default=[],
-                   metavar="KEY=VAL",
-                   help="override a named tolerance, e.g. tol_cls=1e-8")
+def _flag_groups() -> tuple[argparse.ArgumentParser, ...]:
+    """Parent parsers of the shared flags: parameters, config, tolerances and
+    output; format; action window; grid; tau* sweep."""
+    base, fmt, window, grid, sweep = (argparse.ArgumentParser(add_help=False)
+                                      for _ in range(5))
+    for name in ("a1", "a2", "mu", "r"):  # --r defaults to 1
+        base.add_argument(f"--{name}", type=float)
+    for name in ("k1", "k2", "l1", "l2"):
+        base.add_argument(f"--{name}", type=int)
+    base.add_argument("--eps", type=float, default=0.0)
+    base.add_argument("--out")
+    base.add_argument("--config",
+                      help="KEY=VAL file supplying flag defaults (flags win)")
+    base.add_argument("--tol-override", action="append", default=[],
+                      metavar="KEY=VAL",
+                      help="override a named tolerance, e.g. tol_cls=1e-8")
+    fmt.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    window.add_argument("--I-min", type=float, default=-2.0)
+    window.add_argument("--I-max", type=float, default=2.0)
+    grid.add_argument("--grid-n", type=int, default=100)
+    sweep.add_argument("--theta-n", type=int,
+                       help="theta resolution (defaults to --grid-n)")
+    sweep.add_argument("--criterion", default="branch=1",
+                       help="down | up | minabs | branch=k")
+    sweep.add_argument("--threads", type=int, default=0,
+                       help="accepted for compatibility; has no effect "
+                            "(sweeps run serially)")
+    return base, fmt, window, grid, sweep
 
 
 def _require_positive(what: str, val: float) -> None:
@@ -146,22 +145,31 @@ def _validate_grids(args) -> None:
 
 
 def _params_from(args) -> SystemParams:
+    """The run's system; a flag that another given flag overrides is
+    refused, not dropped."""
     _validate_grids(args)
-    if args.k1 is not None or args.k2 is not None:
+    if any(getattr(args, n) is not None for n in ("k1", "k2", "l1", "l2")):
         missing = [n for n in ("k1", "k2", "l1", "l2", "a1", "a2")
                    if getattr(args, n) is None]
         if missing:
             raise ConfigError(f"harmonic form needs --{', --'.join(missing)}")
+        clash = [n for n in ("mu", "r") if getattr(args, n) is not None]
+        if clash:
+            raise ConfigError(f"the harmonic form sets mu and r; drop "
+                              f"--{', --'.join(clash)}")
         return SystemParams.from_harmonics(args.a1, args.a2, args.k1,
                                            args.k2, args.l1, args.l2,
                                            args.eps)
+    if args.mu is not None and args.a1 is not None:
+        raise ConfigError("give --a1 or --mu, not both (--mu sets a1 = mu*a2)")
     a1, a2 = args.a1, args.a2
-    if a1 is None and args.mu is not None:
+    if args.mu is not None:
         a2 = 1.0 if a2 is None else a2
         a1 = args.mu * a2
     if a1 is None or a2 is None:
         raise ConfigError("give --a1/--a2, or --mu (with optional --a2)")
-    return SystemParams(a1=a1, a2=a2, eps=args.eps, r=args.r)
+    return SystemParams(a1=a1, a2=a2, eps=args.eps,
+                        r=1.0 if args.r is None else args.r)
 
 
 def _tol_from(args) -> Tolerances:
@@ -418,50 +426,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="Splitting maps, ridge geometry and action drift for a "
                     "two-harmonic forced pendulum-rotor system")
     sub = ap.add_subparsers(dest="command", required=True)
+    base, fmt, window, grid, sweep = _flag_groups()
 
-    p = sub.add_parser("thresholds", help="regime/tangency threshold actions")
-    _add_common(p)
-    p.set_defaults(func=cmd_thresholds)
+    def add(name, func, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=parents)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("crests", help="sampled ridge-branch polylines")
-    _add_common(p)
+    add("thresholds", cmd_thresholds, "regime/tangency threshold actions",
+        base, fmt, window)
+    p = add("crests", cmd_crests, "sampled ridge-branch polylines",
+            base, fmt, window, grid)
+    p.add_argument("--angle-n", type=int,
+                   help="phi/sigma sampling resolution (defaults to --grid-n)")
     p.add_argument("--I", dest="I_list", action="append", default=[],
                    help="specific action value (repeatable)")
-    p.set_defaults(func=cmd_crests)
-
-    p = sub.add_parser("portrait", help="grid of L* and drift signs")
-    _add_common(p)
-    p.set_defaults(func=cmd_portrait)
-
-    p = sub.add_parser("tau-field", help="grid of contact times tau*")
-    _add_common(p)
-    p.set_defaults(func=cmd_tau_field)
-
-    p = sub.add_parser("inner-portrait",
-                       help="stroboscopic sections of the inner flow")
-    _add_common(p)
+    add("portrait", cmd_portrait, "grid of L* and drift signs",
+        base, fmt, window, grid, sweep)
+    add("tau-field", cmd_tau_field, "grid of contact times tau*",
+        base, fmt, window, grid, sweep)
+    p = add("inner-portrait", cmd_inner_portrait,
+            "stroboscopic sections of the inner flow", base, fmt, window, grid)
     p.add_argument("--periods", type=int, default=200)
-    p.set_defaults(func=cmd_inner_portrait)
-
-    p = sub.add_parser("diffuse", help="build and verify a drift pseudo-orbit")
-    _add_common(p)
-    p.add_argument("--I-start", dest="I_start", type=float, default=-1.0)
-    p.add_argument("--I-end", dest="I_end", type=float, default=1.0)
-    p.add_argument("--report", type=str, default=None,
+    p = add("diffuse", cmd_diffuse, "build and verify a drift pseudo-orbit",
+            base, fmt)
+    p.add_argument("--I-start", type=float, default=-1.0)
+    p.add_argument("--I-end", type=float, default=1.0)
+    p.add_argument("--report",
                    help="write the verification report to this path")
-    p.set_defaults(func=cmd_diffuse)
-
-    p = sub.add_parser("verify", help="oracle self-check suite")
-    _add_common(p)
+    p = add("verify", cmd_verify, "oracle self-check suite", base)
     p.add_argument("--n-melnikov", type=int, default=60)
     p.add_argument("--n-tau", type=int, default=150)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol-melnikov", type=float, default=1e-8)
     p.add_argument("--tol-tau", type=float, default=1e-6)
-    p.add_argument("--inject-fault", type=str, default=None,
-                   choices=("a2-sign",),
+    p.add_argument("--inject-fault", choices=("a2-sign",),
                    help="corrupt a closed form to exercise the checks")
-    p.set_defaults(func=cmd_verify)
     return ap
 
 

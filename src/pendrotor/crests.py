@@ -284,6 +284,26 @@ def solve_level_crossing(curve: str, component: str, params: SystemParams,
     return roots[0]
 
 
+def _r1_label_names(a: dict[str, float], b: dict[str, float]
+                    ) -> dict[tuple[str, str], str]:
+    """Prop-2 label of each (curve, component) crossing at r = 1, from the
+    first alpha (``a``) and beta (``b``) crossing on each component."""
+    neg, mid, pos = (comp in a and comp in b for comp in ("neg", "mid", "pos"))
+    names: dict[tuple[str, str], str] = {}
+    if neg:
+        names["beta", "neg"], names["alpha", "neg"] = "I_b", "I_a"
+    if mid:
+        if not neg:
+            pair = ("I_b", "I_a")
+        else:
+            pair = ("I_c", "I_C") if pos else ("I_A", "I_B")
+        lower, upper = sorted([(a["mid"], "alpha"), (b["mid"], "beta")])
+        names[lower[1], "mid"], names[upper[1], "mid"] = pair
+        if pos:
+            names["alpha", "pos"], names["beta", "pos"] = "I_A", "I_B"
+    return names
+
+
 def find_thresholds(params: SystemParams,
                     window: tuple[float, float] = DEFAULT_WINDOW,
                     tol: Tolerances = DEFAULT_TOL) -> ClassificationReport:
@@ -297,45 +317,45 @@ def find_thresholds(params: SystemParams,
     asymptotic level attached).
     """
     level = _level(params)
-    found: dict[str, list[float]] = {}
-    first: dict[str, dict[str, float]] = {}
-    missing: list[tuple[str, float]] = []
-    for curve, fn in _CURVES.items():
-        found[curve], first[curve] = [], {}
-        for comp, lo, hi, asym in _components(window, params.r):
-            if lo >= hi:
-                continue
-            roots = _crossings(fn, level, lo, hi, params.r, tol.tol_root)
-            if roots:
-                first[curve][comp] = roots[0]
-                found[curve] += roots
-            else:
-                missing.append((f"{curve}/{comp}", asym))
+
+    def scan(win):
+        """Every crossing per curve, the first one per (curve, component),
+        and the components a curve never reaches."""
+        found, first, missing = {}, {}, []
+        for curve, fn in _CURVES.items():
+            found[curve], first[curve] = [], {}
+            for comp, lo, hi, asym in _components(win, params.r):
+                if lo >= hi:
+                    continue
+                roots = _crossings(fn, level, lo, hi, params.r, tol.tol_root)
+                if roots:
+                    first[curve][comp] = roots[0]
+                    found[curve] += roots
+                else:
+                    missing.append((f"{curve}/{comp}", asym))
+        return found, first, missing
+
+    found, first, missing = scan(window)
     report = ClassificationReport(
         mu=params.mu, r=params.r, window=window,
         alpha_thresholds=sorted(found["alpha"]),
         beta_thresholds=sorted(found["beta"]), intervals=[], missing=missing)
 
     # Prop-2 style labels (defined for the r = 1 monotone structure, with one
-    # crossing per component); a label is set only when the window holds
-    # the crossings it names
+    # crossing per component) depend on the mu-regime, not on the window:
+    # they are named from a scan that takes in DEFAULT_WINDOW, and a label
+    # pair is set only when the window holds both of its crossings
     if params.r == 1.0:
-        a, b = first["alpha"], first["beta"]
-        lab: dict[str, float] = {}
-        mids = (sorted([a["mid"], b["mid"]]) if "mid" in a and "mid" in b
-                else None)
-        if "neg" in a and "neg" in b:
-            lab["I_b"], lab["I_a"] = b["neg"], a["neg"]
-            if "pos" in a and "pos" in b and mids:
-                lab["I_c"], lab["I_C"] = mids
-                lab["I_A"], lab["I_B"] = a["pos"], b["pos"]
-            elif mids:
-                lab["I_A"], lab["I_B"] = mids
-        elif mids:
-            lab["I_b"], lab["I_a"] = mids
-            if "pos" in a and "pos" in b:
-                lab["I_A"], lab["I_B"] = a["pos"], b["pos"]
-        report.labels = lab
+        wide = (min(window[0], DEFAULT_WINDOW[0]),
+                max(window[1], DEFAULT_WINDOW[1]))
+        wide_first = first if wide == tuple(window) else scan(wide)[1]
+        names = _r1_label_names(wide_first["alpha"], wide_first["beta"])
+        for pair in (("I_b", "I_a"), ("I_c", "I_C"), ("I_A", "I_B")):
+            held = {name: first[curve][comp]
+                    for (curve, comp), name in names.items()
+                    if name in pair and comp in first[curve]}
+            if len(held) == 2:
+                report.labels.update(held)
 
     # every crossing is a cut, so kind and tangency are constant in between
     cuts = sorted(set(report.alpha_thresholds + report.beta_thresholds))

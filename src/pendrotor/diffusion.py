@@ -252,7 +252,7 @@ def build_pseudo_orbit(I_start: float, I_end: float, params: SystemParams,
     lo, hi = window(I)
     th = 0.5 * (lo + hi)
     legs: list = []
-    stall_arcs = 0
+    best_I, stall_arcs = I, 0  # arcs since one last started at a new max
     nxt = None  # the step from (I, th), when the inner arc already probed it
 
     while I < I_end:
@@ -260,7 +260,6 @@ def build_pseudo_orbit(I_start: float, I_end: float, params: SystemParams,
             raise StuckAtResonance(
                 f"leg budget {MAX_LEGS} exhausted at I = {I:.6f}")
         # --- jump run: follow one level of L* while inside the window
-        progressed = False
         res = None  # the L* solve at (I, th), when a step already made it
         while I < I_end:
             lo, hi = window(I)
@@ -277,17 +276,18 @@ def build_pseudo_orbit(I_start: float, I_end: float, params: SystemParams,
                 src=ScatteringState(I, th), dst=ScatteringState(I_new, th_new),
                 level=L0, residual=resid, tau_star=tau, branch_k=kb))
             I, th = I_new, th_new
-            progressed = True
         if I >= I_end:
             break
-        if progressed:
-            stall_arcs = 0
+        # one rule catches stalls and cycles alike: an arc must start at a
+        # new maximum of I at least once every MAX_STALL_ARCS arcs
+        if I > best_I:
+            best_I, stall_arcs = I, 0
         else:
             stall_arcs += 1
-            if stall_arcs > MAX_STALL_ARCS:
+            if stall_arcs >= MAX_STALL_ARCS:
                 raise StuckAtResonance(
-                    f"no jump progress after {stall_arcs} consecutive inner "
-                    f"arcs near I = {I:.6f}")
+                    f"{stall_arcs} consecutive inner arcs started without a "
+                    f"new maximum of I ({best_I:.6f}) near I = {I:.6f}")
         # --- inner arc: integrate whole periods until a section re-enters
         src = InnerState(I=I, phi=th, s=0.0)
         arc = itertools.islice(sections(src, canon, ARC_TOL), n_max_periods)

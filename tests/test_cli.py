@@ -1,8 +1,12 @@
+import argparse
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +70,22 @@ class TestThresholdsCmd:
         header, _ = _read_rows(out)
         assert float(header["r"]) == pytest.approx(0.5)
         assert float(header["eps"]) == pytest.approx(0.04)
+
+    def test_window_inside_default_keeps_regime_labels(self, tmp_path):
+        # mu = 0.5 on (-2, 2) misses beta's -2.942, so the pair (I_b, I_a)
+        # is left out; the rest keep the names they have on (-5, 5)
+        out = tmp_path / "thr.csv"
+        assert main(["thresholds", "--mu", "0.5", "--I-min", "-2",
+                     "--I-max", "2", "--out", str(out)]) == 0
+        _, rows = _read_rows(out)
+        labels = {r["label"]: float(r["value"]) for r in rows
+                  if r["record"] == "threshold" and r["label"]}
+        assert sorted(labels) == ["I_A", "I_B", "I_C", "I_c"]
+        assert [labels[k] for k in ("I_c", "I_C", "I_A", "I_B")] == \
+            pytest.approx([0.595, 0.701, 1.367, 1.85], abs=5e-3)
+        rep = pr.find_thresholds(pr.SystemParams(a1=0.5, a2=1.0),
+                                 window=(-2.0, 2.0))
+        assert set(rep.labels) == {"I_c", "I_C", "I_A", "I_B"}
 
     def test_mu_zero_exits_2(self):
         assert main(["thresholds", "--mu", "0"]) == 2
@@ -293,6 +313,16 @@ class TestDiffuseCmd:
         lines = out.read_text().splitlines()
         assert json.loads(lines[0])["kind"] == "pseudo_orbit"
 
+    def test_cycling_range_exits_3_fast(self, capsys):
+        # jump runs carry I to about +0.04 and inner arcs drop it back,
+        # over and over; the stop rule must see it within seconds
+        t0 = time.perf_counter()
+        rc = main(["diffuse", "--a1", "0.75", "--a2", "1", "--eps", "0.01",
+                   "--I-start", "-0.7", "--I-end", "0.3"])
+        assert rc == 3
+        assert time.perf_counter() - t0 <= 10.0
+        assert "new maximum of I" in capsys.readouterr().err
+
     def test_eps_zero_exits_2(self):
         assert main(["diffuse", "--a1", "0.75", "--a2", "1.0",
                      "--eps", "0"]) == 2
@@ -366,9 +396,20 @@ class TestBadNumericInput:
         ["verify", "--mu", "0.75", "--tol-melnikov", "-1"],
         ["verify", "--mu", "0.75", "--tol-tau", "nan"],
         ["verify", "--mu", "0.75", "--tol-tau", "-1"],
+        # a parameter flag that another given flag would override
+        ["thresholds", "--mu", "0.5", "--a1", "0.75", "--a2", "1"],
+        ["thresholds", "--a1", "0.5", "--a2", "1", "--k1", "2", "--k2", "1",
+         "--l1", "0", "--l2", "-1", "--r", "0.3"],
+        ["thresholds", "--a1", "0.5", "--a2", "1", "--k1", "2", "--k2", "1",
+         "--l1", "0", "--l2", "-1", "--mu", "9"],
+        ["thresholds", "--a1", "0.5", "--a2", "1", "--l1", "0"],
     ])
     def test_exits_2_with_message(self, argv, capsys):
-        assert main(argv + ["--grid-n", "2"]) == 2
+        # a small grid where the subcommand takes one, in case a check
+        # were missed
+        grid = (["--grid-n", "2"] if argv[0] in ("crests", "portrait",
+                                                 "inner-portrait") else [])
+        assert main(argv + grid) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "Traceback" not in err
@@ -487,3 +528,82 @@ class TestConfigFile:
                      "--out", str(out)]) == 0
         _, rows = _read_rows(out)
         assert len(rows) == 9
+
+
+_PARAM_FLAGS = ["--a1", "--a2", "--mu", "--r", "--k1", "--k2", "--l1", "--l2",
+                "--eps", "--out", "--config", "--tol-override"]
+_GRID_FLAGS = ["--format", "--I-min", "--I-max", "--grid-n"]
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestFlagSets:
+    """Each subcommand takes only the flags its command reads."""
+
+    def test_option_strings_per_subcommand(self):
+        sweep = ["--theta-n", "--criterion", "--threads"]
+        want = {
+            "thresholds": _PARAM_FLAGS + ["--format", "--I-min", "--I-max"],
+            "crests": _PARAM_FLAGS + _GRID_FLAGS + ["--angle-n", "--I"],
+            "portrait": _PARAM_FLAGS + _GRID_FLAGS + sweep,
+            "tau-field": _PARAM_FLAGS + _GRID_FLAGS + sweep,
+            "inner-portrait": _PARAM_FLAGS + _GRID_FLAGS + ["--periods"],
+            "diffuse": _PARAM_FLAGS + ["--format", "--I-start", "--I-end",
+                                       "--report"],
+            "verify": _PARAM_FLAGS + ["--n-melnikov", "--n-tau", "--seed",
+                                      "--tol-melnikov", "--tol-tau",
+                                      "--inject-fault"],
+        }
+        got = {name: sorted(o for a in p._actions for o in a.option_strings
+                            if o not in ("-h", "--help"))
+               for name, p in _subparsers().items()}
+        assert got == {name: sorted(flags) for name, flags in want.items()}
+        assert sum(map(len, got.values())) == 122
+
+    @pytest.mark.parametrize("argv", [
+        ["diffuse", "--a1", "0.75", "--a2", "1", "--eps", "0.01",
+         "--criterion", "minabs"],
+        ["diffuse", "--a1", "0.75", "--a2", "1", "--eps", "0.01",
+         "--I-min", "3"],
+        ["verify", "--mu", "0.75", "--format", "csv"],
+        ["thresholds", "--mu", "0.5", "--grid-n", "5"],
+        ["inner-portrait", "--mu", "0.75", "--theta-n", "4"],
+    ])
+    def test_unread_flag_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        assert "Traceback" not in err
+
+    def test_config_key_not_taken_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mu = 0.5\ngrid_n = 5\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["thresholds", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "--grid-n" in capsys.readouterr().err
+
+    def test_mu_with_a2_scales_a1(self, tmp_path):
+        out = tmp_path / "thr.csv"
+        assert main(["thresholds", "--mu", "0.5", "--a2", "2",
+                     "--out", str(out)]) == 0
+        header, _ = _read_rows(out)
+        assert (header["a1"], header["a2"], header["mu"]) == ("1", "2", "0.5")
+
+    def test_readme_examples_parse(self):
+        # every 'pendrotor ...' line of the README's CLI block
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text().split("\n## CLI\n", 1)[1]
+        block = text.split("```bash\n", 1)[1].split("```", 1)[0]
+        lines = [shlex.split(line, comments=True)
+                 for line in block.replace("\\\n", " ").splitlines()]
+        examples = [words[1:] for words in lines
+                    if words and words[0] == "pendrotor"]
+        assert {argv[0] for argv in examples} == set(_subparsers())
+        for argv in examples:
+            cli.build_parser().parse_args(argv)
