@@ -36,7 +36,7 @@ from .scattering import (TauCriterion, TauSolution, ScatteringState,
 from .inner import (InnerState, TorusRegion, RESONANCE_HALF_WIDTH,
                     restricted_hamiltonian, region_of, torus_value,
                     resonance_half_width_pendulum, inner_flow,
-                    energy_balance_residual, stroboscopic_sections)
+                    stroboscopic_sections)
 from .diffusion import (TransversalityReport, poisson_bracket, transversality,
                         ScatterLeg, InnerLeg, PseudoOrbit,
                         VerificationReport, build_pseudo_orbit,

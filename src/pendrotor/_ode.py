@@ -1,23 +1,23 @@
 """Adaptive Dormand-Prince 8(5,3) integrator (DOP853) specialized to the
 inner flow.
 
-State vector y = (I, phi, E) where E accumulates the explicit time
-derivative of the restricted Hamiltonian (energy-balance quadrature):
+State vector y = (I, phi):
 
     dI/dt   = eps * (a1 sin(phi) + r a2 sin(r phi - s))
-    dphi/dt = I
-    dE/dt   = eps * a2 sin(r phi - s),        s = s0 + t.
+    dphi/dt = I,                                   s = s0 + t.
 
 The stages are unrolled by hand; dphi/dt = I makes each stage's phi
-derivative the stage's own I value, and sin(r phi - s) is evaluated once
-per stage for both dI/dt and dE/dt.  The step is accepted when the
+derivative the stage's own I value.  The step is accepted when the
 combined 5th/3rd-order error estimate of Hairer, Norsett & Wanner,
 "Solving Ordinary Differential Equations I" (2nd ed., Springer 1993),
-Sec. II.10, is at most 1: an RMS over (I, phi, E) of each component's
-error over atol + rtol * |y|.
+Sec. II.10, is at most 1: an RMS over (I, phi) of each component's error
+over atol + rtol * |y|.
 
-The stepper clips steps onto requested output times, so states at arbitrary
-times come out at full integration accuracy (no interpolation error).
+The stepper clips steps onto the requested end time, so states at arbitrary
+times come out at full integration accuracy (no interpolation error).  Each
+call returns the step size its controller proposed before that clip, so a
+caller that integrates on from the end time carries the step across calls
+instead of starting again from ``H_START``.
 """
 
 from __future__ import annotations
@@ -26,6 +26,9 @@ import math
 
 ODE_OK = 0
 ODE_STEPFAIL = 1
+
+#: First step size of an integration that has no step to carry over
+H_START = 0.1
 
 # DOP853 tableau (Hairer, Norsett & Wanner, Sec. II.10; their dop853.f).
 # _Ai_j is the weight of stage j in stage i; stage 1 is the FSAL
@@ -128,102 +131,88 @@ _E11 = 0.8192320648511571246570742613e-1
 _E12 = -0.2235530786388629525884427845e-1
 
 
-def integrate_inner(y0, y1, s0, t0, t1, eps, a1, a2, r, rtol, atol):
-    """Advance (I, phi) from t0 to t1, with E = 0 at t0.
+def integrate_inner(y0, y1, s0, t0, t1, h, eps, a1, a2, r, rtol, atol):
+    """Advance (I, phi) from t0 to t1, trying a first step of size h > 0.
 
-    Returns (I, phi, E, nsteps, status).
+    Returns (I, phi, h_next, nsteps, status), where h_next > 0 is the step
+    size the controller proposed for the last step before clipping it onto
+    t1: the first step to try when integrating on from t1.
     """
-    y2 = 0.0
     t = t0
     direction = 1.0 if t1 >= t0 else -1.0
-    span = abs(t1 - t0)
-    if span == 0.0:
-        return y0, y1, y2, 0, ODE_OK
+    if t1 == t0:
+        return y0, y1, h, 0, ODE_OK
     if eps == 0.0:
         # integrable limit: I constant, phi advances linearly
-        return y0, y1 + y0 * (t1 - t0), y2, 0, ODE_OK
+        return y0, y1 + y0 * (t1 - t0), h, 0, ODE_OK
     sin = math.sin
     ea1 = eps * a1
-    ea2 = eps * a2
-    h = direction * min(0.1, span)
-    # stage i: I value u_i (also dphi/dt), phi value v, dI/dt p_i, dE/dt q_i
-    q1 = ea2 * sin(r * y1 - (s0 + t))
-    p1 = ea1 * sin(y1) + r * q1
+    ra2 = r * eps * a2
+    h = direction * h
+    # stage i: I value u_i (also dphi/dt), phi value v, dI/dt p_i
+    p1 = ea1 * sin(y1) + ra2 * sin(r * y1 - (s0 + t))
     nsteps = 0
     while True:
         if direction * (t1 - t) <= 0.0:
-            return y0, y1, y2, nsteps, ODE_OK
+            return y0, y1, abs(h_next), nsteps, ODE_OK
+        h_next = h
         if direction * (t + h - t1) > 0.0:
             h = t1 - t
         st = s0 + t
         u2 = y0 + h * (_A2_1 * p1)
         v = y1 + h * (_A2_1 * y0)
-        q2 = ea2 * sin(r * v - (st + _C2 * h))
-        p2 = ea1 * sin(v) + r * q2
+        p2 = ea1 * sin(v) + ra2 * sin(r * v - (st + _C2 * h))
         u3 = y0 + h * (_A3_1 * p1 + _A3_2 * p2)
         v = y1 + h * (_A3_1 * y0 + _A3_2 * u2)
-        q3 = ea2 * sin(r * v - (st + _C3 * h))
-        p3 = ea1 * sin(v) + r * q3
+        p3 = ea1 * sin(v) + ra2 * sin(r * v - (st + _C3 * h))
         u4 = y0 + h * (_A4_1 * p1 + _A4_3 * p3)
         v = y1 + h * (_A4_1 * y0 + _A4_3 * u3)
-        q4 = ea2 * sin(r * v - (st + _C4 * h))
-        p4 = ea1 * sin(v) + r * q4
+        p4 = ea1 * sin(v) + ra2 * sin(r * v - (st + _C4 * h))
         u5 = y0 + h * (_A5_1 * p1 + _A5_3 * p3 + _A5_4 * p4)
         v = y1 + h * (_A5_1 * y0 + _A5_3 * u3 + _A5_4 * u4)
-        q5 = ea2 * sin(r * v - (st + _C5 * h))
-        p5 = ea1 * sin(v) + r * q5
+        p5 = ea1 * sin(v) + ra2 * sin(r * v - (st + _C5 * h))
         u6 = y0 + h * (_A6_1 * p1 + _A6_4 * p4 + _A6_5 * p5)
         v = y1 + h * (_A6_1 * y0 + _A6_4 * u4 + _A6_5 * u5)
-        q6 = ea2 * sin(r * v - (st + _C6 * h))
-        p6 = ea1 * sin(v) + r * q6
+        p6 = ea1 * sin(v) + ra2 * sin(r * v - (st + _C6 * h))
         u7 = y0 + h * (_A7_1 * p1 + _A7_4 * p4 + _A7_5 * p5 + _A7_6 * p6)
         v = y1 + h * (_A7_1 * y0 + _A7_4 * u4 + _A7_5 * u5 + _A7_6 * u6)
-        q7 = ea2 * sin(r * v - (st + _C7 * h))
-        p7 = ea1 * sin(v) + r * q7
+        p7 = ea1 * sin(v) + ra2 * sin(r * v - (st + _C7 * h))
         u8 = y0 + h * (_A8_1 * p1 + _A8_4 * p4 + _A8_5 * p5 + _A8_6 * p6
                        + _A8_7 * p7)
         v = y1 + h * (_A8_1 * y0 + _A8_4 * u4 + _A8_5 * u5 + _A8_6 * u6
                       + _A8_7 * u7)
-        q8 = ea2 * sin(r * v - (st + _C8 * h))
-        p8 = ea1 * sin(v) + r * q8
+        p8 = ea1 * sin(v) + ra2 * sin(r * v - (st + _C8 * h))
         u9 = y0 + h * (_A9_1 * p1 + _A9_4 * p4 + _A9_5 * p5 + _A9_6 * p6
                        + _A9_7 * p7 + _A9_8 * p8)
         v = y1 + h * (_A9_1 * y0 + _A9_4 * u4 + _A9_5 * u5 + _A9_6 * u6
                       + _A9_7 * u7 + _A9_8 * u8)
-        q9 = ea2 * sin(r * v - (st + _C9 * h))
-        p9 = ea1 * sin(v) + r * q9
+        p9 = ea1 * sin(v) + ra2 * sin(r * v - (st + _C9 * h))
         u10 = y0 + h * (_A10_1 * p1 + _A10_4 * p4 + _A10_5 * p5 + _A10_6 * p6
                         + _A10_7 * p7 + _A10_8 * p8 + _A10_9 * p9)
         v = y1 + h * (_A10_1 * y0 + _A10_4 * u4 + _A10_5 * u5 + _A10_6 * u6
                       + _A10_7 * u7 + _A10_8 * u8 + _A10_9 * u9)
-        q10 = ea2 * sin(r * v - (st + _C10 * h))
-        p10 = ea1 * sin(v) + r * q10
+        p10 = ea1 * sin(v) + ra2 * sin(r * v - (st + _C10 * h))
         u11 = y0 + h * (_A11_1 * p1 + _A11_4 * p4 + _A11_5 * p5 + _A11_6 * p6
                         + _A11_7 * p7 + _A11_8 * p8 + _A11_9 * p9
                         + _A11_10 * p10)
         v = y1 + h * (_A11_1 * y0 + _A11_4 * u4 + _A11_5 * u5 + _A11_6 * u6
                       + _A11_7 * u7 + _A11_8 * u8 + _A11_9 * u9
                       + _A11_10 * u10)
-        q11 = ea2 * sin(r * v - (st + _C11 * h))
-        p11 = ea1 * sin(v) + r * q11
+        p11 = ea1 * sin(v) + ra2 * sin(r * v - (st + _C11 * h))
         u12 = y0 + h * (_A12_1 * p1 + _A12_4 * p4 + _A12_5 * p5 + _A12_6 * p6
                         + _A12_7 * p7 + _A12_8 * p8 + _A12_9 * p9
                         + _A12_10 * p10 + _A12_11 * p11)
         v = y1 + h * (_A12_1 * y0 + _A12_4 * u4 + _A12_5 * u5 + _A12_6 * u6
                       + _A12_7 * u7 + _A12_8 * u8 + _A12_9 * u9
                       + _A12_10 * u10 + _A12_11 * u11)
-        q12 = ea2 * sin(r * v - (st + h))
-        p12 = ea1 * sin(v) + r * q12
+        p12 = ea1 * sin(v) + ra2 * sin(r * v - (st + h))
         # 8th-order solution
         b0 = (_B1 * p1 + _B6 * p6 + _B7 * p7 + _B8 * p8 + _B9 * p9
               + _B10 * p10 + _B11 * p11 + _B12 * p12)
         b1 = (_B1 * y0 + _B6 * u6 + _B7 * u7 + _B8 * u8 + _B9 * u9
               + _B10 * u10 + _B11 * u11 + _B12 * u12)
-        b2 = (_B1 * q1 + _B6 * q6 + _B7 * q7 + _B8 * q8 + _B9 * q9
-              + _B10 * q10 + _B11 * q11 + _B12 * q12)
         z0 = y0 + h * b0
         z1 = y1 + h * b1
-        z2 = y2 + h * b2
         # combined 5th/3rd-order error estimate, scaled per component
         sc = atol + rtol * max(abs(y0), abs(z0))
         e = (_E1 * p1 + _E6 * p6 + _E7 * p7 + _E8 * p8 + _E9 * p9
@@ -237,23 +226,16 @@ def integrate_inner(y0, y1, s0, t0, t1, eps, a1, a2, r, rtol, atol):
         n5 += e * e
         e = (b1 - _BHH1 * y0 - _BHH9 * u9 - _BHH12 * u12) / sc
         n3 += e * e
-        sc = atol + rtol * max(abs(y2), abs(z2))
-        e = (_E1 * q1 + _E6 * q6 + _E7 * q7 + _E8 * q8 + _E9 * q9
-             + _E10 * q10 + _E11 * q11 + _E12 * q12) / sc
-        n5 += e * e
-        e = (b2 - _BHH1 * q1 - _BHH9 * q9 - _BHH12 * q12) / sc
-        n3 += e * e
-        err = 0.0 if n5 == 0.0 else abs(h) * n5 / math.sqrt(3.0 * (n5 + 0.01 * n3))
+        err = 0.0 if n5 == 0.0 else abs(h) * n5 / math.sqrt(2.0 * (n5 + 0.01 * n3))
         if err <= 1.0:
             t = t + h
-            y0, y1, y2 = z0, z1, z2
+            y0, y1 = z0, z1
             # FSAL: the derivative at the new point starts the next step
-            q1 = ea2 * sin(r * y1 - (s0 + t))
-            p1 = ea1 * sin(y1) + r * q1
+            p1 = ea1 * sin(y1) + ra2 * sin(r * y1 - (s0 + t))
             nsteps += 1
             fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.125))
             h = h * fac
         else:
             h = h * max(0.2, 0.9 * err ** -0.125)
         if abs(h) < 1e-14 * max(1.0, abs(t)):
-            return y0, y1, y2, nsteps, ODE_STEPFAIL
+            return y0, y1, abs(h), nsteps, ODE_STEPFAIL

@@ -80,6 +80,14 @@ class Emitter:
             self._fh.close()
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are config errors, so that
+    :func:`main` returns 2 with one kind of message for every bad argv."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _flag_groups() -> tuple[argparse.ArgumentParser, ...]:
     """Parent parsers of the shared flags: parameters, config, tolerances and
     output; format; action window; grid; tau* sweep."""
@@ -364,6 +372,11 @@ def cmd_inner_portrait(args) -> int:
 
 def cmd_diffuse(args) -> int:
     params, tol = _setup(args)
+    if any(item.split("=", 1)[0].strip() == "tol_ode"
+           for item in args.tol_override):
+        raise ConfigError("diffuse does not read tol_ode: drift arcs are "
+                          "integrated at the builder's and the verifier's "
+                          "own tolerances")
     orbit = build_pseudo_orbit(args.I_start, args.I_end, params, tol=tol)
     report = verify_pseudo_orbit(orbit, tol)
     em = Emitter(args.out, args.format, "pseudo_orbit",
@@ -421,7 +434,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="pendrotor",
         description="Splitting maps, ridge geometry and action drift for a "
                     "two-harmonic forced pendulum-rotor system")

@@ -284,23 +284,25 @@ def solve_level_crossing(curve: str, component: str, params: SystemParams,
     return roots[0]
 
 
-def _r1_label_names(a: dict[str, float], b: dict[str, float]
-                    ) -> dict[tuple[str, str], str]:
-    """Prop-2 label of each (curve, component) crossing at r = 1, from the
-    first alpha (``a``) and beta (``b``) crossing on each component."""
-    neg, mid, pos = (comp in a and comp in b for comp in ("neg", "mid", "pos"))
+def _r1_label_names(mu: float) -> dict[tuple[str, str], str]:
+    """Prop-2 label of each (curve, component) crossing at r = 1.
+
+    Which crossings exist, and their order, depend on mu alone: on 'neg'
+    |alpha| and |beta| rise toward e^{pi/2} as I -> -inf, on 'mid' from 0
+    to inf, and on 'pos' they fall toward e^{-pi/2}; alpha's 'mid' crossing
+    is the lower one iff |mu| >= 1 (they meet at I = 1/2 for |mu| = 1).
+    """
+    neg, pos = abs(mu) * E_PI_HALF > 1.0, abs(mu) < E_PI_HALF
     names: dict[tuple[str, str], str] = {}
     if neg:
         names["beta", "neg"], names["alpha", "neg"] = "I_b", "I_a"
-    if mid:
-        if not neg:
-            pair = ("I_b", "I_a")
-        else:
-            pair = ("I_c", "I_C") if pos else ("I_A", "I_B")
-        lower, upper = sorted([(a["mid"], "alpha"), (b["mid"], "beta")])
-        names[lower[1], "mid"], names[upper[1], "mid"] = pair
-        if pos:
-            names["alpha", "pos"], names["beta", "pos"] = "I_A", "I_B"
+        pair = ("I_c", "I_C") if pos else ("I_A", "I_B")
+    else:
+        pair = ("I_b", "I_a")
+    lower, upper = ("alpha", "beta") if abs(mu) >= 1.0 else ("beta", "alpha")
+    names[lower, "mid"], names[upper, "mid"] = pair
+    if pos:
+        names["alpha", "pos"], names["beta", "pos"] = "I_A", "I_B"
     return names
 
 
@@ -318,38 +320,29 @@ def find_thresholds(params: SystemParams,
     """
     level = _level(params)
 
-    def scan(win):
-        """Every crossing per curve, the first one per (curve, component),
-        and the components a curve never reaches."""
-        found, first, missing = {}, {}, []
-        for curve, fn in _CURVES.items():
-            found[curve], first[curve] = [], {}
-            for comp, lo, hi, asym in _components(win, params.r):
-                if lo >= hi:
-                    continue
-                roots = _crossings(fn, level, lo, hi, params.r, tol.tol_root)
-                if roots:
-                    first[curve][comp] = roots[0]
-                    found[curve] += roots
-                else:
-                    missing.append((f"{curve}/{comp}", asym))
-        return found, first, missing
-
-    found, first, missing = scan(window)
+    found = {curve: [] for curve in _CURVES}
+    first: dict[str, dict[str, float]] = {curve: {} for curve in _CURVES}
+    missing = []
+    for curve, fn in _CURVES.items():
+        for comp, lo, hi, asym in _components(window, params.r):
+            if lo >= hi:
+                continue
+            roots = _crossings(fn, level, lo, hi, params.r, tol.tol_root)
+            if roots:
+                first[curve][comp] = roots[0]
+                found[curve] += roots
+            else:
+                missing.append((f"{curve}/{comp}", asym))
     report = ClassificationReport(
         mu=params.mu, r=params.r, window=window,
         alpha_thresholds=sorted(found["alpha"]),
         beta_thresholds=sorted(found["beta"]), intervals=[], missing=missing)
 
     # Prop-2 style labels (defined for the r = 1 monotone structure, with one
-    # crossing per component) depend on the mu-regime, not on the window:
-    # they are named from a scan that takes in DEFAULT_WINDOW, and a label
-    # pair is set only when the window holds both of its crossings
+    # crossing per component) are named from mu, not from the window; a
+    # label pair is set only when the window holds both of its crossings
     if params.r == 1.0:
-        wide = (min(window[0], DEFAULT_WINDOW[0]),
-                max(window[1], DEFAULT_WINDOW[1]))
-        wide_first = first if wide == tuple(window) else scan(wide)[1]
-        names = _r1_label_names(wide_first["alpha"], wide_first["beta"])
+        names = _r1_label_names(params.mu)
         for pair in (("I_b", "I_a"), ("I_c", "I_C"), ("I_A", "I_B")):
             held = {name: first[curve][comp]
                     for (curve, comp), name in names.items()

@@ -26,15 +26,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ode import ODE_OK, integrate_inner
+from ._ode import H_START, ODE_OK, integrate_inner
 from .errors import StepFailure
 from .params import DEFAULT_TOL, SystemParams, Tolerances
 
 TWO_PI = 2.0 * math.pi
 
-#: Half-width of the resonance bands in I.  Comfortably contains the
-#: O(sqrt(eps)) pendulum zones for eps <= 0.05 while keeping the two bands
-#: disjoint for r >= 1/2.
+#: Half-width of the resonance bands in I.  It contains the pendulum zones
+#: around I = 0 and I = 1/r, of half-widths 2 sqrt(eps |a1|) and
+#: 2 sqrt(eps |a2|), while 2 sqrt(eps max(|a1|, |a2|)) <= 0.25 (at
+#: eps = 0.05, a1 = 0.75 the I = 0 zone reaches 0.39), and keeps the two
+#: bands disjoint for every r in (0, 1].
 RESONANCE_HALF_WIDTH = 0.25
 
 
@@ -90,33 +92,12 @@ def resonance_half_width_pendulum(params: SystemParams) -> float:
 def inner_flow(state: InnerState, t: float, params: SystemParams,
                tol: Tolerances = DEFAULT_TOL) -> InnerState:
     """Flow the inner equations for time t (exact in the eps = 0 limit)."""
-    I, phi, _ = _advance(state, t, params, tol.tol_ode)
-    return InnerState(I=I, phi=phi, s=state.s + t)
-
-
-def energy_balance_residual(state: InnerState, t: float,
-                            params: SystemParams,
-                            tol: Tolerances = DEFAULT_TOL) -> float:
-    """|K(end) - K(start) - int dK/ds dt| along the trajectory.
-
-    The time-dependent energy balance dK/dt = eps a2 sin(r phi - s) is
-    integrated alongside the flow; the residual measures integrator
-    consistency.
-    """
-    I, phi, bal = _advance(state, t, params, tol.tol_ode)
-    end = InnerState(I=I, phi=phi, s=state.s + t)
-    return abs(restricted_hamiltonian(end, params)
-               - restricted_hamiltonian(state, params) - bal)
-
-
-def _advance(state: InnerState, t: float, params: SystemParams,
-             tol_ode: float) -> tuple[float, float, float]:
-    I, phi, bal, _, status = integrate_inner(
-        state.I, state.phi, state.s, 0.0, t, params.eps, params.a1,
-        params.a2, params.r, tol_ode, tol_ode)
+    I, phi, _, _, status = integrate_inner(
+        state.I, state.phi, state.s, 0.0, t, H_START, params.eps, params.a1,
+        params.a2, params.r, tol.tol_ode, tol.tol_ode)
     if status != ODE_OK:
         raise StepFailure(f"step size collapsed near t = {t}")
-    return I, phi, bal
+    return InnerState(I=I, phi=phi, s=state.s + t)
 
 
 def sections(state: InnerState, params: SystemParams,
@@ -124,13 +105,14 @@ def sections(state: InnerState, params: SystemParams,
     """The stroboscopic sections s = s0 + 2*pi*n, n = 1, 2, ..., without end.
 
     Yields (t, I, phi) with t the time since ``state`` and phi unwrapped.
-    Every period is one integrator call that starts afresh at the section.
+    Every period is one integrator call, which starts with the step size
+    the previous call proposed before clipping onto its section.
     """
     I, phi = state.I, state.phi
-    t = 0.0
+    t, h = 0.0, H_START
     for n in itertools.count():
-        I, phi, _, _, status = integrate_inner(
-            I, phi, state.s, t, t + TWO_PI, params.eps, params.a1,
+        I, phi, h, _, status = integrate_inner(
+            I, phi, state.s, t, t + TWO_PI, h, params.eps, params.a1,
             params.a2, params.r, tol_ode, tol_ode)
         if status != ODE_OK:
             raise StepFailure(f"step size collapsed in period {n} at "

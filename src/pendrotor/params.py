@@ -35,7 +35,7 @@ class Tolerances:
     tol_disc     band around theta = pi/2, 3pi/2 treated as discontinuity
     tol_quad     absolute error target of the splitting-integral quadrature
     tol_ode      rtol = atol of the inner-flow integrator: each step's
-                 error estimate, RMS over (I, phi, E) of the error over
+                 error estimate, RMS over (I, phi) of the error over
                  atol + rtol*|y|, is at most 1
     tie_tol      |tau| tie window for the minimal-|tau| criterion
     """

@@ -573,20 +573,40 @@ class TestFlagSets:
         ["inner-portrait", "--mu", "0.75", "--theta-n", "4"],
     ])
     def test_unread_flag_exits_2(self, argv, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+        assert main(argv) == 2
         err = capsys.readouterr().err
+        assert err.startswith("config error:")
         assert "unrecognized arguments" in err
         assert "Traceback" not in err
 
     def test_config_key_not_taken_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("mu = 0.5\ngrid_n = 5\n")
+        assert main(["thresholds", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "--grid-n" in err
+
+    def test_bad_choice_exits_2(self, capsys):
+        assert main(["portrait", "--mu", "0.5", "--format", "xml"]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["thresholds", "--config", str(cfg)])
-        assert exc.value.code == 2
-        assert "--grid-n" in capsys.readouterr().err
+            main(["diffuse", "--help"])
+        assert exc.value.code == 0
+        assert "--I-start" in capsys.readouterr().out
+
+    def test_diffuse_refuses_tol_ode(self, tmp_path, capsys):
+        # drift arcs run at the builder's and the verifier's own
+        # tolerances, so a tol_ode given to diffuse would be ignored
+        out = tmp_path / "orbit.csv"
+        assert main(["diffuse", "--a1", "0.75", "--a2", "1", "--eps", "0.01",
+                     "--tol-override", "tol_ode=1e-6",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "tol_ode" in err
+        assert out.read_text() == ""
 
     def test_mu_with_a2_scales_a1(self, tmp_path):
         out = tmp_path / "thr.csv"

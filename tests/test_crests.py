@@ -124,6 +124,20 @@ class TestThresholds:
         assert lab["I_A"] == pytest.approx(1.367, abs=5e-3)
         assert lab["I_B"] == pytest.approx(1.85, abs=5e-3)
 
+    @pytest.mark.parametrize("mu, mid", [(0.3, (0.660, 0.809)),
+                                         (3.0, (0.210, 0.353))])
+    def test_labels_from_mu_not_window(self, mu, mid):
+        # both outer components hold crossings (e^{-pi/2} < mu < e^{pi/2}),
+        # so the middle pair is I_c/I_C, even on (-5, 5), which misses
+        # beta's -7.69 at mu = 0.3 and beta's 6.87 at mu = 3
+        p = pr.SystemParams(a1=mu, a2=1.0)
+        narrow = pr.find_thresholds(p, window=(-5.0, 5.0)).labels
+        wide = pr.find_thresholds(p, window=(-10.0, 10.0)).labels
+        assert (narrow["I_c"], narrow["I_C"]) == pytest.approx(mid, abs=5e-4)
+        assert set(narrow) < set(wide)
+        for name, value in narrow.items():
+            assert wide[name] == pytest.approx(value, abs=1e-9), name
+
     def test_horizontal_transversal_interval(self, p05):
         rep = pr.find_thresholds(p05)
         ivs = [iv for iv in rep.intervals

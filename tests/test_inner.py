@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import pendrotor as pr
-from pendrotor.inner import (InnerState, energy_balance_residual, inner_flow,
-                             region_of, resonance_half_width_pendulum,
-                             restricted_hamiltonian, stroboscopic_sections,
-                             torus_value)
+from pendrotor._ode import H_START
+from pendrotor.inner import (InnerState, inner_flow, region_of,
+                             resonance_half_width_pendulum,
+                             restricted_hamiltonian, sections,
+                             stroboscopic_sections, torus_value)
 
 TWO_PI = 2.0 * math.pi
 
@@ -22,9 +24,23 @@ class TestFlow:
         assert s1.phi == pytest.approx(s0.phi + s0.I * 123.456, rel=1e-15)
         assert s1.s == pytest.approx(s0.s + 123.456)
 
-    def test_energy_balance_long_run(self, p075):
+    def test_one_harmonic_invariants_long_run(self):
+        # the integrator's consistency check: with one harmonic the flow
+        # conserves an exact invariant
         s0 = InnerState(I=0.37, phi=1.1, s=0.0)
-        assert energy_balance_residual(s0, 1000.0, p075) < 1e-8
+        eps = 0.01
+        cases = (
+            # a1 = 0, r = 1: autonomous in the frame phi - s
+            (0.0, 1.0, lambda st: 0.5 * (st.I - 1.0) ** 2
+             + eps * math.cos(st.phi - st.s)),
+            # a2 = 0: autonomous
+            (0.75, 0.0, lambda st: 0.5 * st.I ** 2
+             + eps * 0.75 * math.cos(st.phi)),
+        )
+        for a1, a2, invariant in cases:
+            p = pr.SystemParams(a1=a1, a2=a2, eps=eps)
+            s1 = inner_flow(s0, 1000.0, p)
+            assert abs(invariant(s1) - invariant(s0)) < 1e-8, (a1, a2)
 
     def test_reversibility(self, p075):
         s0 = InnerState(I=0.37, phi=1.1, s=0.0)
@@ -73,7 +89,7 @@ class TestFlow:
         # the tolerance demands; the stepper must report the collapse
         from pendrotor._ode import ODE_STEPFAIL, integrate_inner
         t0 = 1e13
-        *_, status = integrate_inner(0.3, 0.1, 0.0, t0, t0 + 100.0,
+        *_, status = integrate_inner(0.3, 0.1, 0.0, t0, t0 + 100.0, H_START,
                                      p075.eps, p075.a1, p075.a2, p075.r,
                                      1e-13, 1e-16)
         assert status == ODE_STEPFAIL
@@ -121,7 +137,7 @@ class TestDOP853:
         total = 0
         for I0 in (0.5, -1.3, 1.05, 0.02):
             I, phi, _, nsteps, status = integrate_inner(
-                I0, 0.0, 0.0, 0.0, T, p075.eps, p075.a1, p075.a2,
+                I0, 0.0, 0.0, 0.0, T, H_START, p075.eps, p075.a1, p075.a2,
                 p075.r, 1e-12, 1e-12)
             assert status == ODE_OK
             ref = solve_ivp(rhs, (0.0, T), [I0, 0.0], method="DOP853",
@@ -189,6 +205,38 @@ class TestStroboscopicDrift:
         back = inner_flow(end, -rows[-1, 0], p075)
         assert back.I == pytest.approx(st.I, abs=1e-8)
         assert back.phi == pytest.approx(st.phi, abs=1e-8)
+
+
+class TestSections:
+    def test_step_carried(self, p075, monkeypatch):
+        # each period starts with the step the last one proposed, so
+        # integrating period by period costs at most 10% more accepted
+        # steps (index 3 of integrate_inner's result) than one call
+        from pendrotor import _ode, inner
+        tol, n = 1e-10, 300
+        steps = []
+
+        def counted(*args):
+            res = _ode.integrate_inner(*args)
+            steps.append(res[3])
+            return res
+
+        monkeypatch.setattr(inner, "integrate_inner", counted)
+        for I0 in (-2.0, -0.5, 0.02, 1.3):
+            steps.clear()
+            list(itertools.islice(
+                sections(InnerState(I0, 0.0, 0.0), p075, tol), n))
+            assert len(steps) == n
+            *_, one, status = _ode.integrate_inner(
+                I0, 0.0, 0.0, 0.0, n * TWO_PI, H_START, p075.eps, p075.a1,
+                p075.a2, p075.r, tol, tol)
+            assert status == _ode.ODE_OK
+            assert sum(steps) <= 1.10 * one, I0
+        # the step handed on is the one proposed before the clip onto t1
+        _, _, h_next, nsteps, _ = _ode.integrate_inner(
+            0.5, 0.0, 0.0, 0.0, 0.01, H_START, p075.eps, p075.a1, p075.a2,
+            p075.r, tol, tol)
+        assert (h_next, nsteps) == (H_START, 1)
 
 
 class TestHamiltonian:
