@@ -34,9 +34,8 @@ from .scattering import (TauCriterion, TauSolution, ScatteringState,
                          scattering_step, extended_map_domain,
                          piecewise_global_map, theta_plus)
 from .inner import (InnerState, TorusRegion, RESONANCE_HALF_WIDTH,
-                    restricted_hamiltonian, region_of, torus_value,
-                    resonance_half_width_pendulum, inner_flow,
-                    stroboscopic_sections)
+                    region_of, torus_value, resonance_half_width_pendulum,
+                    inner_flow, stroboscopic_sections, orbit_sections)
 from .diffusion import (TransversalityReport, poisson_bracket, transversality,
                         ScatterLeg, InnerLeg, PseudoOrbit,
                         VerificationReport, build_pseudo_orbit,

@@ -21,8 +21,8 @@ import numpy as np
 
 from .crests import classify, crest_phi, crest_residual, crest_sigma, find_thresholds
 from .diffusion import ScatterLeg, build_pseudo_orbit, verify_pseudo_orbit
-from .errors import ConfigError, OutOfDomain, PendrotorError
-from .inner import InnerState, region_of, stroboscopic_sections, torus_value
+from .errors import ConfigError, OutOfDomain, PendrotorError, StepFailure
+from .inner import InnerState, orbit_sections, region_of, torus_value
 from .model import amplitude_A1, amplitude_A2
 from .params import DEFAULT_TOL, SystemParams, Tolerances
 from .scattering import ATLAS, TauCriterion, sweep
@@ -180,6 +180,22 @@ def _params_from(args) -> SystemParams:
                         r=1.0 if args.r is None else args.r)
 
 
+#: the Tolerances keys each subcommand reads, through the functions its
+#: cmd_* calls; --tol-override refuses the others, which would be ignored
+#: (no subcommand reads delta_sing or tol_disc)
+TOL_KEYS = {
+    "thresholds": frozenset({"tol_root", "tol_cls"}),
+    "crests": frozenset({"tol_cls"}),
+    "portrait": frozenset({"tol_cls", "tie_tol", "tol_degen"}),
+    "tau-field": frozenset({"tol_cls", "tie_tol", "tol_degen"}),
+    "inner-portrait": frozenset({"tol_ode"}),
+    # drift arcs are integrated at the builder's and the verifier's own
+    # tolerances, so tol_ode is not among these
+    "diffuse": frozenset({"tol_cls", "tie_tol", "tol_degen"}),
+    "verify": frozenset({"tol_quad", "tol_cls", "tie_tol", "tol_degen"}),
+}
+
+
 def _tol_from(args) -> Tolerances:
     overrides = {}
     for item in args.tol_override:
@@ -195,6 +211,10 @@ def _tol_from(args) -> Tolerances:
             raise ConfigError(f"bad value for tolerance {key!r}: {val!r}")
         # every tolerance is a positive width or error target
         _require_positive(f"tolerance {key!r}", overrides[key])
+        if key not in TOL_KEYS[args.command]:
+            raise ConfigError(
+                f"{args.command} does not read tolerance {key!r}; it reads "
+                f"{', '.join(sorted(TOL_KEYS[args.command]))}")
     return DEFAULT_TOL.override(**overrides) if overrides else DEFAULT_TOL
 
 
@@ -353,14 +373,18 @@ def cmd_tau_field(args) -> int:
 
 def cmd_inner_portrait(args) -> int:
     params, tol = _setup(args)
-    I_vals = np.linspace(args.I_min, args.I_max, args.grid_n)
+    starts = [InnerState(I=float(I0), phi=0.0, s=0.0)
+              for I0 in np.linspace(args.I_min, args.I_max, args.grid_n)]
+    orbits = orbit_sections(starts, args.periods, params, tol.tol_ode)
     em = Emitter(args.out, args.format, "inner_portrait",
                  _header(params, {"periods": args.periods}),
                  ["orbit", "n", "t", "I", "phi_mod", "region", "torus_value"])
-    for i, I0 in enumerate(I_vals):
-        state = InnerState(I=float(I0), phi=0.0, s=0.0)
-        rows = stroboscopic_sections(state, args.periods, params,
-                                      tol.tol_ode)
+    for i, rows in enumerate(orbits):
+        if isinstance(rows, StepFailure):
+            # the error, held in ``orbits``, keeps this frame and the file
+            # unflushed until a garbage collection: close it first
+            em.close()
+            raise rows
         for n in range(rows.shape[0]):
             t, I, phi = rows[n]
             st = InnerState(I=I, phi=phi, s=t)
@@ -372,11 +396,6 @@ def cmd_inner_portrait(args) -> int:
 
 def cmd_diffuse(args) -> int:
     params, tol = _setup(args)
-    if any(item.split("=", 1)[0].strip() == "tol_ode"
-           for item in args.tol_override):
-        raise ConfigError("diffuse does not read tol_ode: drift arcs are "
-                          "integrated at the builder's and the verifier's "
-                          "own tolerances")
     orbit = build_pseudo_orbit(args.I_start, args.I_end, params, tol=tol)
     report = verify_pseudo_orbit(orbit, tol)
     em = Emitter(args.out, args.format, "pseudo_orbit",

@@ -21,7 +21,8 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from collections.abc import Iterator
+import os
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,13 +52,6 @@ class InnerState:
     I: float
     phi: float
     s: float
-
-
-def restricted_hamiltonian(state: InnerState, params: SystemParams) -> float:
-    return (0.5 * state.I * state.I
-            + params.eps * (params.a1 * math.cos(state.phi)
-                            + params.a2 * math.cos(params.r * state.phi
-                                                   - state.s)))
 
 
 def region_of(I: float, params: SystemParams,
@@ -131,3 +125,58 @@ def stroboscopic_sections(state: InnerState, n_periods: int,
     return np.fromiter(itertools.islice(sections(state, params, tol_ode),
                                         n_periods),
                        dtype=np.dtype((float, 3)), count=n_periods)
+
+
+def _share(states: Sequence[InnerState], n_periods: int, params: SystemParams,
+           tol_ode: float) -> list[np.ndarray | StepFailure]:
+    """:func:`stroboscopic_sections` of each state in turn, up to the first
+    that raises :class:`StepFailure`; that error takes its orbit's place
+    and ends the list."""
+    out = []
+    for state in states:
+        try:
+            out.append(stroboscopic_sections(state, n_periods, params,
+                                             tol_ode))
+        except StepFailure as exc:
+            out.append(exc)
+            break
+    return out
+
+
+def orbit_sections(states: Sequence[InnerState], n_periods: int,
+                   params: SystemParams,
+                   tol_ode: float = DEFAULT_TOL.tol_ode
+                   ) -> list[np.ndarray | StepFailure]:
+    """:func:`stroboscopic_sections` of every state, in order, spread over
+    the usable cores.
+
+    With n = min(usable cores, orbits), orbit i goes to share i mod n
+    (striding balances the load, as step counts vary smoothly with I).
+    Share 0 runs in this process and the others in forked workers, which
+    have all exited on return.  Each orbit is integrated as in a serial
+    loop, so the arrays do not depend on n.  The list ends at the first
+    orbit whose integration failed, with its :class:`StepFailure` in place
+    of its array.
+    """
+    n = min(len(os.sched_getaffinity(0)), len(states))
+    if n <= 1:
+        return _share(states, n_periods, params, tol_ode)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(n - 1,
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(_share, states[k::n], n_periods, params,
+                               tol_ode) for k in range(1, n)]
+        shares = [_share(states[::n], n_periods, params, tol_ode)]
+        shares += [f.result() for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+    merged = []
+    for i in range(len(states)):
+        # a share ends early only at a failure, which ends this loop first
+        merged.append(shares[i % n][i // n])
+        if isinstance(merged[-1], StepFailure):
+            break
+    return merged

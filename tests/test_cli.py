@@ -1,6 +1,8 @@
 import argparse
+import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import shlex
 import subprocess
@@ -298,6 +300,97 @@ class TestInnerPortraitCmd:
             assert np.ptp(vals) < 0.02
 
 
+#: runs each argv of a JSON list in turn through ``python -m pendrotor``,
+#: all to one stdout, with os.sched_getaffinity reporting ``cores`` cores;
+#: ends by writing to stderr whether multiprocessing was imported
+_CORES_SCRIPT = """
+import json, os, runpy, sys
+cores, runs = int(sys.argv[1]), json.loads(sys.argv[2])
+os.sched_getaffinity = lambda pid: set(range(cores))
+for argv in runs:
+    sys.argv = ["pendrotor"] + argv
+    try:
+        runpy.run_module("pendrotor", run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+sys.stderr.write(json.dumps("multiprocessing" in sys.modules))
+"""
+
+
+def _inner_argv(grid_n, fmt, *extra):
+    return ["inner-portrait", "--mu", "0.75", "--eps", "0.01",
+            "--periods", "3", "--grid-n", str(grid_n), "--format", fmt,
+            *extra]
+
+
+def _report_cores(monkeypatch, cores):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cores)))
+
+
+class TestInnerPortraitCores:
+    """Orbits spread over the usable cores give the serial loop's bytes."""
+
+    def test_bytes_independent_of_core_count(self, tmp_path, monkeypatch):
+        # grids below, at and above each core count
+        configs = [(grid_n, fmt) for fmt in ("csv", "jsonl")
+                   for grid_n in (2, 5)]
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(pr.__file__)))
+        # block-buffered, so that a header a worker flushed again would show
+        env.pop("PYTHONUNBUFFERED", None)
+        files, stdout = {}, {}
+        for cores in (1, 2, 3):
+            _report_cores(monkeypatch, cores)
+            for grid_n, fmt in configs:
+                out = tmp_path / f"{cores}-{grid_n}.{fmt}"
+                assert main(_inner_argv(grid_n, fmt, "--out", str(out))) == 0
+                assert multiprocessing.active_children() == []
+                files[cores, grid_n, fmt] = out.read_bytes()
+            # a pipe, not capsys, which would hide a duplicate
+            proc = subprocess.run(
+                [sys.executable, "-c", _CORES_SCRIPT, str(cores),
+                 json.dumps([_inner_argv(g, f) for g, f in configs])],
+                capture_output=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            stdout[cores] = proc.stdout
+            assert json.loads(proc.stderr) is (cores > 1)
+        serial = b"".join(files[1, g, f] for g, f in configs)
+        assert serial.count(b"# periods = 3") == 2
+        for cores in (2, 3):
+            for grid_n, fmt in configs:
+                assert files[cores, grid_n, fmt] == files[1, grid_n, fmt]
+            assert stdout[cores] == serial
+        assert stdout[1] == serial
+
+    @pytest.mark.parametrize("fail_at", [2, 3])
+    def test_step_failure_matches_serial(self, fail_at, tmp_path,
+                                         monkeypatch, capsys):
+        # with 2 cores orbit 2 runs in this process and orbit 3 in a worker,
+        # which inherits the patch through fork
+        from pendrotor import _ode, inner
+        I_fail = float(np.linspace(-2.0, 2.0, 5)[fail_at])
+
+        def failing(I, phi, s0, t0, *rest):
+            if t0 == 0.0 and I == I_fail:
+                return I, phi, _ode.H_START, 0, _ode.ODE_STEPFAIL
+            return _ode.integrate_inner(I, phi, s0, t0, *rest)
+
+        monkeypatch.setattr(inner, "integrate_inner", failing)
+        got = {}
+        for cores in (1, 2):
+            _report_cores(monkeypatch, cores)
+            out = tmp_path / f"{cores}.csv"
+            rc = main(_inner_argv(5, "csv", "--out", str(out)))
+            assert multiprocessing.active_children() == []
+            got[cores] = rc, capsys.readouterr().err, out.read_text()
+        assert got[2] == got[1]
+        rc, err, _ = got[1]
+        assert rc == 3 and err.startswith("solver error:")
+        _, rows = _read_rows(out)
+        assert sorted({int(r["orbit"]) for r in rows}) == list(range(fail_at))
+
+
 class TestDiffuseCmd:
     def test_small_run(self, tmp_path):
         out = tmp_path / "orbit.jsonl"
@@ -403,6 +496,10 @@ class TestBadNumericInput:
         ["thresholds", "--a1", "0.5", "--a2", "1", "--k1", "2", "--k2", "1",
          "--l1", "0", "--l2", "-1", "--mu", "9"],
         ["thresholds", "--a1", "0.5", "--a2", "1", "--l1", "0"],
+        # a tolerance the subcommand never reads
+        ["thresholds", "--mu", "0.5", "--tol-override", "tol_ode=1e-6"],
+        ["inner-portrait", "--mu", "0.75", "--eps", "0.01", "--periods", "2",
+         "--tol-override", "tol_quad=1e-3"],
     ])
     def test_exits_2_with_message(self, argv, capsys):
         # a small grid where the subcommand takes one, in case a check
@@ -500,6 +597,16 @@ class TestStartup:
         assert got["scipy_before"] == []
         assert got["verify"] == 0
         assert got["scipy_after"] == []
+
+    def test_import_loads_no_multiprocessing(self):
+        # only an inner-portrait run with more than one share imports it
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(pr.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, pendrotor.cli; "
+             "assert 'multiprocessing' not in sys.modules"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestConfigFile:
@@ -606,7 +713,30 @@ class TestFlagSets:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "tol_ode" in err
-        assert out.read_text() == ""
+        assert not out.exists()
+
+    def test_tolerance_keys_per_subcommand(self):
+        # the Tolerances fields each cmd_* reads through what it calls
+        sweep = {"tol_cls", "tie_tol", "tol_degen"}
+        want = {
+            "thresholds": {"tol_root", "tol_cls"},
+            "crests": {"tol_cls"},
+            "portrait": sweep,
+            "tau-field": sweep,
+            "inner-portrait": {"tol_ode"},
+            "diffuse": sweep,
+            "verify": sweep | {"tol_quad"},
+        }
+        assert cli.TOL_KEYS == want
+        for command in _subparsers():
+            for field in dataclasses.fields(pr.Tolerances):
+                args = cli.build_parser().parse_args(
+                    [command, "--tol-override", f"{field.name}=1e-3"])
+                if field.name in want[command]:
+                    assert getattr(cli._tol_from(args), field.name) == 1e-3
+                else:
+                    with pytest.raises(pr.ConfigError, match="does not read"):
+                        cli._tol_from(args)
 
     def test_mu_with_a2_scales_a1(self, tmp_path):
         out = tmp_path / "thr.csv"

@@ -8,8 +8,7 @@ from scipy.integrate import solve_ivp
 import pendrotor as pr
 from pendrotor._ode import H_START
 from pendrotor.inner import (InnerState, inner_flow, region_of,
-                             resonance_half_width_pendulum,
-                             restricted_hamiltonian, sections,
+                             resonance_half_width_pendulum, sections,
                              stroboscopic_sections, torus_value)
 
 TWO_PI = 2.0 * math.pi
@@ -238,12 +237,3 @@ class TestSections:
             p075.r, tol, tol)
         assert (h_next, nsteps) == (H_START, 1)
 
-
-class TestHamiltonian:
-    def test_matches_definition(self, p075):
-        st = InnerState(I=0.4, phi=1.2, s=0.7)
-        expected = (0.5 * 0.4 ** 2
-                    + p075.eps * (p075.a1 * math.cos(1.2)
-                                  + p075.a2 * math.cos(1.2 - 0.7)))
-        assert restricted_hamiltonian(st, p075) == pytest.approx(expected,
-                                                                 rel=1e-15)
