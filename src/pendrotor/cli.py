@@ -182,7 +182,6 @@ def _params_from(args) -> SystemParams:
 
 #: the Tolerances keys each subcommand reads, through the functions its
 #: cmd_* calls; --tol-override refuses the others, which would be ignored
-#: (no subcommand reads delta_sing or tol_disc)
 TOL_KEYS = {
     "thresholds": frozenset({"tol_root", "tol_cls"}),
     "crests": frozenset({"tol_cls"}),

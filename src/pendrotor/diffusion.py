@@ -333,7 +333,6 @@ def verify_pseudo_orbit(orbit: PseudoOrbit,
     eps = p.eps
     rho = math.pi + DELTA
     level_budget = LEVEL_COEFF * eps * eps
-    reint_tol = tol.override(tol_ode=0.1 * ARC_TOL)
     failures: list[str] = []
     max_level = 0.0
     max_reint = 0.0
@@ -395,7 +394,7 @@ def verify_pseudo_orbit(orbit: PseudoOrbit,
             prev_dst = ScatteringState(leg.dst.I, leg.dst.phi % TWO_PI)
             dst_res = None
             try:
-                end = inner_flow(leg.src, leg.duration, p, reint_tol)
+                end = inner_flow(leg.src, leg.duration, p, 0.1 * ARC_TOL)
             except StepFailure:
                 failures.append(f"leg {idx}: verification re-integration "
                                 f"failed")

@@ -6,7 +6,7 @@ The restriction of the Hamiltonian to the cylinder is
     phi' = I,  s' = 1,  I' = eps (a1 sin(phi) + r a2 sin(r phi - s)),
 
 with first-order resonances at I = 0 and I = 1/r.  Inside bands of
-half-width ``resonance_half_width`` around them the motion is
+half-width ``RESONANCE_HALF_WIDTH`` around them the motion is
 pendulum-like and approximately conserves
 
     F0 = I^2/2 + eps a1 cos(phi)              (around I = 0),
@@ -29,7 +29,7 @@ import numpy as np
 
 from ._ode import H_START, ODE_OK, integrate_inner
 from .errors import StepFailure
-from .params import DEFAULT_TOL, SystemParams, Tolerances
+from .params import DEFAULT_TOL, SystemParams
 
 TWO_PI = 2.0 * math.pi
 
@@ -54,12 +54,11 @@ class InnerState:
     s: float
 
 
-def region_of(I: float, params: SystemParams,
-              half_width: float = RESONANCE_HALF_WIDTH) -> TorusRegion:
+def region_of(I: float, params: SystemParams) -> TorusRegion:
     """Which resonance band (if any) the action I falls in."""
-    if abs(I) <= half_width:
+    if abs(I) <= RESONANCE_HALF_WIDTH:
         return TorusRegion.RES0
-    if abs(I - 1.0 / params.r) <= half_width:
+    if abs(I - 1.0 / params.r) <= RESONANCE_HALF_WIDTH:
         return TorusRegion.RES1
     return TorusRegion.NONRES
 
@@ -84,11 +83,11 @@ def resonance_half_width_pendulum(params: SystemParams) -> float:
 
 
 def inner_flow(state: InnerState, t: float, params: SystemParams,
-               tol: Tolerances = DEFAULT_TOL) -> InnerState:
+               tol_ode: float = DEFAULT_TOL.tol_ode) -> InnerState:
     """Flow the inner equations for time t (exact in the eps = 0 limit)."""
     I, phi, _, _, status = integrate_inner(
         state.I, state.phi, state.s, 0.0, t, H_START, params.eps, params.a1,
-        params.a2, params.r, tol.tol_ode, tol.tol_ode)
+        params.a2, params.r, tol_ode, tol_ode)
     if status != ODE_OK:
         raise StepFailure(f"step size collapsed near t = {t}")
     return InnerState(I=I, phi=phi, s=state.s + t)

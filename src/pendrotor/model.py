@@ -4,7 +4,7 @@ The splitting potential of the coupled system factors through two amplitude
 profiles
 
     A1(I) = 2 pi I a1 / sinh(pi I / 2),
-    A2(I) = 2 pi (rI - 1) a2 / (r... ) evaluated at the shifted argument,
+    A2(I) = 2 pi (rI - 1) a2 / sinh(pi (rI - 1) / 2),
 
 both with removable singularities (A1(0) = 4 a1, A2(1/r) = 4 a2), and the
 odd rational-hyperbolic ratio
@@ -24,7 +24,10 @@ from dataclasses import dataclass
 
 from . import _kernels as K
 from .errors import PoleAtOne, PoleAtOneOverR
-from .params import DEFAULT_TOL, SystemParams, Tolerances
+from .params import SystemParams
+
+#: half-width in I of the pole guard of alpha, beta, alpha_r and beta_r
+DELTA_SING = 1e-4
 
 
 @dataclass(frozen=True)
@@ -73,40 +76,40 @@ def amplitude_A2_prime(I: float, params: SystemParams) -> float:
     return K.amp2_prime(I, params.a2, params.r)
 
 
-def alpha_r(I: float, r: float, tol: Tolerances = DEFAULT_TOL) -> float:
+def alpha_r(I: float, r: float) -> float:
     """alpha generalized to frequency ratio r; pole at I = 1/r.
 
-    Raises :class:`PoleAtOneOverR` within ``tol.delta_sing`` of the pole,
+    Raises :class:`PoleAtOneOverR` within ``DELTA_SING`` of the pole,
     where callers must switch to the vertical-ridge regime.
     """
-    if abs(r * I - 1.0) < tol.delta_sing:
+    if abs(r * I - 1.0) < DELTA_SING:
         raise PoleAtOneOverR(
             f"alpha_r undefined at I = 1/r = {1.0 / r}; got I = {I}")
     return K.alpha_r_raw(I, r)
 
 
-def beta_r(I: float, r: float, tol: Tolerances = DEFAULT_TOL) -> float:
+def beta_r(I: float, r: float) -> float:
     """beta_r(I) = I alpha_r(I) / (rI - 1)."""
-    if abs(r * I - 1.0) < tol.delta_sing:
+    if abs(r * I - 1.0) < DELTA_SING:
         raise PoleAtOneOverR(
             f"beta_r undefined at I = 1/r = {1.0 / r}; got I = {I}")
     return K.beta_r_raw(I, r)
 
 
-def alpha(I: float, tol: Tolerances = DEFAULT_TOL) -> float:
+def alpha(I: float) -> float:
     """alpha(I) = I^2 sinh(pi(I-1)/2) / ((I-1)^2 sinh(pi I/2)).
 
     alpha(0) = 0 exactly; raises :class:`PoleAtOne` near the pole I = 1.
     Limits: alpha -> exp(+pi/2) as I -> -inf and exp(-pi/2) as I -> +inf,
     approached at algebraic rate O(1/I) through the (I/(I-1))^2 prefactor.
     """
-    if abs(I - 1.0) < tol.delta_sing:
+    if abs(I - 1.0) < DELTA_SING:
         raise PoleAtOne(f"alpha undefined at I = 1; got I = {I}")
     return K.alpha_r_raw(I, 1.0)
 
 
-def beta(I: float, tol: Tolerances = DEFAULT_TOL) -> float:
+def beta(I: float) -> float:
     """beta(I) = I alpha(I) / (I - 1); |beta(1/2)| = |alpha(1/2)| = 1."""
-    if abs(I - 1.0) < tol.delta_sing:
+    if abs(I - 1.0) < DELTA_SING:
         raise PoleAtOne(f"beta undefined at I = 1; got I = {I}")
     return K.beta_r_raw(I, 1.0)

@@ -27,12 +27,10 @@ from .errors import ConfigError
 class Tolerances:
     """Numerical tolerances shared across the solvers.
 
-    delta_sing   half-width of the removable-singularity / pole guard in I
     tol_cls      band around |mu*alpha(I)| = 1 classified as Singular
     tol_root     relative width at which threshold roots stop bisecting
                  (tau* roots stop on the Newton finish's own 1e-15 rule)
     tol_degen    transversality margin below which tau* is flagged degenerate
-    tol_disc     band around theta = pi/2, 3pi/2 treated as discontinuity
     tol_quad     absolute error target of the splitting-integral quadrature
     tol_ode      rtol = atol of the inner-flow integrator: each step's
                  error estimate, RMS over (I, phi) of the error over
@@ -40,11 +38,9 @@ class Tolerances:
     tie_tol      |tau| tie window for the minimal-|tau| criterion
     """
 
-    delta_sing: float = 1e-4
     tol_cls: float = 1e-9
     tol_root: float = 1e-12
     tol_degen: float = 1e-6
-    tol_disc: float = 1e-9
     tol_quad: float = 1e-10
     tol_ode: float = 1e-10
     tie_tol: float = 1e-9

@@ -112,16 +112,15 @@ class ScatteringState:
         return ScatteringState(self.I, self.theta % TWO_PI)
 
 
-@dataclass(frozen=True)
 class PiecewiseMapAtlas:
     """theta-partition of the minimal-|tau| global map into smooth pieces."""
 
-    regions: tuple[tuple[float, float, str, int], ...] = (
+    regions = (
         (0.0, math.pi / 2.0, "I", 0),
         (math.pi / 2.0, 3.0 * math.pi / 2.0, "II", 1),
         (3.0 * math.pi / 2.0, TWO_PI, "III", 2),
     )
-    discontinuities: tuple[float, ...] = (math.pi / 2.0, 3.0 * math.pi / 2.0)
+    discontinuities = (math.pi / 2.0, 3.0 * math.pi / 2.0)
 
     def region_of(self, theta: float) -> tuple[str, int]:
         th = theta % TWO_PI
@@ -132,6 +131,10 @@ class PiecewiseMapAtlas:
 
 
 ATLAS = PiecewiseMapAtlas()
+
+#: half-width of the band around the atlas discontinuities in which
+#: :func:`piecewise_global_map` raises :class:`OnDiscontinuity`
+TOL_DISC = 1e-9
 
 
 # ----------------------------------------------------------------------
@@ -357,7 +360,7 @@ def piecewise_global_map(state: ScatteringState, params: SystemParams,
     """
     th = state.theta % TWO_PI
     for d in ATLAS.discontinuities:
-        if abs(th - d) < tol.tol_disc:
+        if abs(th - d) < TOL_DISC:
             raise OnDiscontinuity(f"theta = {th} lies on the discontinuity "
                                   f"line {d}")
     name, k = ATLAS.region_of(th)

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 
@@ -7,8 +8,8 @@ from scipy.integrate import solve_ivp
 
 import pendrotor as pr
 from pendrotor._ode import H_START
-from pendrotor.inner import (InnerState, inner_flow, region_of,
-                             resonance_half_width_pendulum, sections,
+from pendrotor.inner import (RESONANCE_HALF_WIDTH, InnerState, inner_flow,
+                             region_of, resonance_half_width_pendulum, sections,
                              stroboscopic_sections, torus_value)
 
 TWO_PI = 2.0 * math.pi
@@ -158,6 +159,13 @@ class TestTorusModels:
         assert region_of(2.0, p) is pr.TorusRegion.RES1  # I = 1/r
         assert region_of(1.0, p) is pr.TorusRegion.NONRES
 
+    def test_region_band_is_the_constant(self, p075):
+        # the band width has one source, RESONANCE_HALF_WIDTH
+        assert list(inspect.signature(region_of).parameters) == ["I", "params"]
+        w = RESONANCE_HALF_WIDTH
+        assert region_of(w, p075) is pr.TorusRegion.RES0
+        assert region_of(math.nextafter(w, 1.0), p075) is pr.TorusRegion.NONRES
+
     def test_pendulum_half_width(self, p075):
         # separatrix level F0 = eps*a1 through the saddle (I=0, phi=0);
         # widest at phi=pi: I = 2 sqrt(eps a1)
@@ -166,10 +174,6 @@ class TestTorusModels:
         sep_level = p075.eps * p075.a1
         st = InnerState(I=w, phi=math.pi, s=0.0)
         assert torus_value(st, p075) == pytest.approx(sep_level, rel=1e-12)
-
-    def test_region_respects_half_width_argument(self, p075):
-        assert region_of(0.2, p075) is pr.TorusRegion.RES0
-        assert region_of(0.2, p075, half_width=0.1) is pr.TorusRegion.NONRES
 
 
 class TestStroboscopicDrift:

@@ -892,6 +892,17 @@ class TestAtlas:
         assert pr.ATLAS.region_of(5.0) == ("III", 2)
         assert pr.ATLAS.region_of(5.0 + TWO_PI) == ("III", 2)
 
+    def test_atlas_takes_no_arguments(self):
+        # piecewise_global_map and portrait read the module's ATLAS, so a
+        # partition given to the constructor would change nothing
+        atlas = pr.PiecewiseMapAtlas()
+        assert atlas.regions == pr.ATLAS.regions
+        assert atlas.discontinuities == pr.ATLAS.discontinuities
+        with pytest.raises(TypeError):
+            pr.PiecewiseMapAtlas(regions=())
+        with pytest.raises(TypeError):
+            pr.PiecewiseMapAtlas((), ())
+
 
 class TestThetaPlus:
     def test_horizontal_midpoint(self):
