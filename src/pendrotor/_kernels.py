@@ -85,38 +85,44 @@ def h_ratio_prime(x: float) -> float:
     return -v if x > 0.0 else v
 
 
-def sinh_quot(u: float, v: float) -> float:
-    """sinh(u)/sinh(v), overflow-safe for large same-scale arguments."""
-    au = abs(u)
-    av = abs(v)
-    if au < 300.0 and av < 300.0:
-        return math.sinh(u) / math.sinh(v)
-    s = 1.0
-    if u < 0.0:
-        s = -s
-    if v < 0.0:
-        s = -s
-    return s * math.exp(au - av) * (1.0 - math.exp(-2.0 * au)) / (1.0 - math.exp(-2.0 * av))
+#: pi|I|/2 or pi|rI - 1|/2 from which alpha_r is taken by _alpha_r_far;
+#: below it neither x/sinh(x) underflows
+SINH_FAR = 300.0
+
+
+def _alpha_r_far(I: float, r: float, d: float) -> float:
+    """alpha_r(I) for d = rI - 1 != 0 where pi|I|/2 or pi|d|/2 reaches
+    SINH_FAR.
+
+    sinh(pi d/2)/sinh(pi I/2) = s_d s_I exp(pi(|d| - |I|)/2) times a ratio
+    of expm1 tails, with s = sign.  The exponent is formed as
+    (pi/2)((s_d r - s_I) I - s_d), so that the -1 in d is not lost against
+    |I| (at r = 1 the I term cancels exactly), and (I/d)^2 as (I/d)*(I/d)
+    so that it does not overflow.
+    """
+    s_d = 1.0 if d > 0.0 else -1.0
+    s_I = 1.0 if I > 0.0 else -1.0
+    q = I / d
+    tails = math.expm1(-PI * abs(d)) / math.expm1(-PI * abs(I))
+    return (s_d * s_I * q * q * tails
+            * math.exp(0.5 * PI * ((s_d * r - s_I) * I - s_d)))
 
 
 def alpha_r_raw(I: float, r: float) -> float:
     """I^2 sinh(pi(rI-1)/2) / ((rI-1)^2 sinh(pi I/2)); +/-inf at I = 1/r.
 
     Evaluated as (I/(rI-1)) * h(pi I/2)/h(pi(rI-1)/2) so the removable zero
-    at I = 0 is exact and large |I| stays finite.
+    at I = 0 is exact, and by :func:`_alpha_r_far` from SINH_FAR on.
     """
-    u = 0.5 * PI * (r * I - 1.0)
-    v = 0.5 * PI * I
     d = r * I - 1.0
     if d == 0.0:
         # pole; sign from the one-sided limit is irrelevant to callers
         return math.inf if I > 0.0 else -math.inf
-    au = abs(u)
-    av = abs(v)
-    if au < 300.0 and av < 300.0:
+    u = 0.5 * PI * d
+    v = 0.5 * PI * I
+    if abs(u) < SINH_FAR and abs(v) < SINH_FAR:
         return (I / d) * h_ratio_fn(v) / h_ratio_fn(u)
-    # large-|I| branch: use the sinh quotient directly
-    return (I * I / (d * d)) * sinh_quot(u, v)
+    return _alpha_r_far(I, r, d)
 
 
 def beta_r_raw(I: float, r: float) -> float:
@@ -130,16 +136,20 @@ def beta_r_raw(I: float, r: float) -> float:
 def crest_coef(I: float, a1: float, a2: float, r: float) -> float:
     """c = mu * alpha_r(I) = I*A1(I) / ((rI-1)*A2(I)); signed, +/-inf at poles."""
     d = r * I - 1.0
-    num = a1 * I * h_ratio_fn(0.5 * PI * I)
-    den = a2 * d * h_ratio_fn(0.5 * PI * d)
-    if den == 0.0:
-        if num == 0.0:
-            return 0.0
-        return math.inf if num > 0.0 else -math.inf
     u = 0.5 * PI * d
     v = 0.5 * PI * I
-    if abs(u) >= 300.0 or abs(v) >= 300.0:
-        return (a1 / a2) * (I * I / (d * d)) * sinh_quot(u, v)
+    if ((abs(u) >= SINH_FAR or abs(v) >= SINH_FAR) and d != 0.0
+            and a2 != 0.0):
+        return (a1 / a2) * _alpha_r_far(I, r, d)
+    num = a1 * I * h_ratio_fn(v)
+    den = a2 * d * h_ratio_fn(u)
+    if den == 0.0:
+        # num has the sign of a1*I, and is zero only with it (not where
+        # h underflows, at a2 = 0)
+        s = a1 * I
+        if s == 0.0:
+            return 0.0
+        return math.inf if s > 0.0 else -math.inf
     return num / den
 
 

@@ -88,6 +88,16 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+class _StoreGiven(argparse.Action):
+    """Store the value and add the flag's dest to ``namespace.given``, so a
+    command can tell a flag given on the command line or in --config from
+    one left at its default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", frozenset()) | {self.dest}
+
+
 def _flag_groups() -> tuple[argparse.ArgumentParser, ...]:
     """Parent parsers of the shared flags: parameters, config, tolerances and
     output; format; action window; grid; tau* sweep."""
@@ -105,9 +115,11 @@ def _flag_groups() -> tuple[argparse.ArgumentParser, ...]:
                       metavar="KEY=VAL",
                       help="override a named tolerance, e.g. tol_cls=1e-8")
     fmt.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    window.add_argument("--I-min", type=float, default=-2.0)
-    window.add_argument("--I-max", type=float, default=2.0)
-    grid.add_argument("--grid-n", type=int, default=100)
+    window.add_argument("--I-min", type=float, default=-2.0,
+                        action=_StoreGiven)
+    window.add_argument("--I-max", type=float, default=2.0,
+                        action=_StoreGiven)
+    grid.add_argument("--grid-n", type=int, default=100, action=_StoreGiven)
     sweep.add_argument("--theta-n", type=int,
                        help="theta resolution (defaults to --grid-n)")
     sweep.add_argument("--criterion", default="branch=1",
@@ -290,6 +302,16 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_crests(args) -> int:
+    if args.I_list:
+        # --I gives the actions, and with --angle-n the angle grid too
+        overridden = {"I_min", "I_max"}
+        if args.angle_n is not None:
+            overridden.add("grid_n")
+        unread = sorted(overridden & getattr(args, "given", frozenset()))
+        if unread:
+            flags = ", ".join("--" + f.replace("_", "-") for f in unread)
+            raise ConfigError(f"crests with --I (and --angle-n) does not "
+                              f"read {flags}; drop them")
     params, tol = _setup(args)
     n = args.angle_n or args.grid_n
     I_values = args.I_list or list(np.linspace(args.I_min, args.I_max,

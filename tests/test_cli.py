@@ -496,6 +496,11 @@ class TestBadNumericInput:
         ["thresholds", "--a1", "0.5", "--a2", "1", "--k1", "2", "--k2", "1",
          "--l1", "0", "--l2", "-1", "--mu", "9"],
         ["thresholds", "--a1", "0.5", "--a2", "1", "--l1", "0"],
+        # a window or grid flag that --I (with --angle-n) overrides
+        ["crests", "--mu", "0.5", "--I", "0.68", "--I-min", "-3"],
+        ["crests", "--mu", "0.5", "--I", "0.68", "--I-max=3"],
+        ["crests", "--mu", "0.5", "--I", "0.68", "--angle-n", "4",
+         "--I-min", "-3", "--I-max", "3", "--grid-n", "7"],
         # a tolerance the subcommand never reads
         ["thresholds", "--mu", "0.5", "--tol-override", "tol_ode=1e-6"],
         ["inner-portrait", "--mu", "0.75", "--eps", "0.01", "--periods", "2",
@@ -542,6 +547,22 @@ class TestBadNumericInput:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "Traceback" not in err
+
+    def test_crests_flag_at_its_default_counts_as_given(self, tmp_path,
+                                                        capsys):
+        # a flag counts as given on the command line or in --config, even
+        # at its default value; --grid-n is read when --angle-n is absent
+        base = ["crests", "--mu", "0.5", "--I", "0.68"]
+        assert main(base + ["--angle-n", "4", "--grid-n", "100"]) == 2
+        assert "--grid-n" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("I_min = -2\n")
+        assert main(base + ["--config", str(cfg)]) == 2
+        assert "--I-min" in capsys.readouterr().err
+        out = tmp_path / "c.csv"
+        assert main(base + ["--grid-n", "4", "--out", str(out)]) == 0
+        _, rows = _read_rows(out)
+        assert len(rows) == 8  # 2 branches x 4 angles at I = 0.68
 
     def test_module_entry_point_exits_2(self):
         # python -m pendrotor hands main()'s exit code to the shell
@@ -714,6 +735,12 @@ class TestFlagSets:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "tol_ode" in err
         assert not out.exists()
+
+    def test_every_tolerance_is_read(self):
+        # a Tolerances field that no subcommand reads is a setting no
+        # caller sets
+        assert (frozenset().union(*cli.TOL_KEYS.values())
+                == {f.name for f in dataclasses.fields(pr.Tolerances)})
 
     def test_tolerance_keys_per_subcommand(self):
         # the Tolerances fields each cmd_* reads through what it calls

@@ -156,6 +156,22 @@ class TestThresholds:
         rep = pr.find_thresholds(p)
         assert all(v > 0 for v in rep.alpha_thresholds)
 
+    @pytest.mark.parametrize("window", [(-2000.0, 5.0), (-1e16, 1e16)])
+    def test_wide_window_keeps_the_six_crossings(self, p05, window):
+        # past |I| ~ 191 alpha and c come from the one-exponential form;
+        # there c tends to mu*e^{pi/2} ~ 2.4 on I < 0, so the far interval
+        # is vertical
+        near, wide = pr.find_thresholds(p05), pr.find_thresholds(p05, window)
+        for got, want in ((wide.alpha_thresholds, near.alpha_thresholds),
+                          (wide.beta_thresholds, near.beta_thresholds)):
+            assert len(got) == len(want) == 3
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert wide.labels.keys() == near.labels.keys()
+        assert wide.intervals[0].lo == window[0]
+        assert wide.intervals[0].kind is pr.CrestKind.VERTICAL
+        assert ([(iv.kind, iv.tangency) for iv in wide.intervals]
+                == [(iv.kind, iv.tangency) for iv in near.intervals])
+
     def test_zero_mu_rejected(self):
         with pytest.raises(pr.ConfigError):
             pr.find_thresholds(pr.SystemParams(a1=0.0, a2=1.0))

@@ -1,11 +1,16 @@
+import inspect
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pendrotor as pr
+from pendrotor import _kernels as K
+from pendrotor import model
 from conftest import alpha_direct, beta_direct
 
 E_PI_HALF = math.exp(math.pi / 2.0)
@@ -165,6 +170,76 @@ class TestAlphaBeta:
         lhs = pr.beta_r(I, r)
         rhs = I * pr.alpha_r(I, r) / (r * I - 1.0)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+def _alpha_r_mp(I, r):
+    """alpha_r at the exact binary values of I and r, at 400 digits (enough
+    for sinh of |I| up to 1e300)."""
+    with mpmath.workdps(400):
+        I, r = mpmath.mpf(I), mpmath.mpf(r)
+        d = r * I - 1
+        return I * I * mpmath.sinh(mpmath.pi * d / 2) / (
+            d * d * mpmath.sinh(mpmath.pi * I / 2))
+
+
+class TestLargeActions:
+    """alpha_r, beta_r and c = mu*alpha_r beyond |I| ~ 191, where the
+    sinh quotient is taken as one exponential."""
+
+    MU = 0.5
+
+    @pytest.mark.parametrize("r", [1.0, 0.5, 0.9])
+    @pytest.mark.parametrize("mag", [250.0, 1e3, 1e8, 1e16, 1e100, 1e300])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_against_mpmath(self, r, mag, sign):
+        I = sign * mag
+        a = _alpha_r_mp(I, r)
+        with mpmath.workdps(400):
+            want = {"alpha": a,
+                    "beta": a * mpmath.mpf(I) / (mpmath.mpf(r) * I - 1),
+                    "crest": self.MU * a}
+        got = {"alpha": K.alpha_r_raw(I, r), "beta": K.beta_r_raw(I, r),
+               "crest": K.crest_coef(I, self.MU, 1.0, r)}
+        for name, ref in want.items():
+            if abs(ref) < sys.float_info.min:
+                assert got[name] == 0.0, name
+            else:
+                err = abs((got[name] - ref) / ref)
+                assert err <= 1e-13, (name, got[name], float(ref))
+
+    def test_zero_a2_stays_infinite(self):
+        # mu = inf: c is +/-inf with the sign of a1*I, also where
+        # I/sinh(pi I/2) underflows
+        for I in (-3.0, -1e3, -1e16):
+            assert K.crest_coef(I, 1.0, 0.0, 1.0) == -math.inf
+            assert K.crest_coef(-I, 1.0, 0.0, 0.5) == math.inf
+        assert K.crest_coef(0.0, 1.0, 0.0, 1.0) == 0.0
+
+    def test_public_functions_use_the_same_path(self):
+        for I in (-1e16, 1e16):
+            assert pr.alpha(I) == K.alpha_r_raw(I, 1.0)
+            assert pr.alpha_r(I, 0.9) == K.alpha_r_raw(I, 0.9)
+            assert pr.beta(I) == K.beta_r_raw(I, 1.0)
+        assert pr.alpha(1e16) == pytest.approx(1.0 / E_PI_HALF, rel=1e-15)
+        assert pr.alpha(-1e16) == pytest.approx(E_PI_HALF, rel=1e-15)
+
+
+class TestSignatures:
+    """The model functions take no tolerance: their pole guard is the
+    constant DELTA_SING."""
+
+    def test_parameters(self):
+        names = {f: list(inspect.signature(f).parameters)
+                 for f in (pr.alpha, pr.beta, pr.alpha_r, pr.beta_r)}
+        assert names == {pr.alpha: ["I"], pr.beta: ["I"],
+                         pr.alpha_r: ["I", "r"], pr.beta_r: ["I", "r"]}
+
+    def test_pole_guard_is_delta_sing(self):
+        with pytest.raises(pr.PoleAtOne):
+            pr.alpha(1.0 + 0.99 * model.DELTA_SING)
+        assert math.isfinite(pr.alpha(1.0 + 1.01 * model.DELTA_SING))
+        with pytest.raises(pr.PoleAtOneOverR):
+            pr.beta_r(2.0 - 0.49 * model.DELTA_SING, 0.5)
 
 
 class TestParams:
