@@ -16,6 +16,7 @@ import dataclasses
 import json
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -98,6 +99,28 @@ class _StoreGiven(argparse.Action):
         namespace.given = getattr(namespace, "given", frozenset()) | {self.dest}
 
 
+def _finite(text: str) -> float:
+    """Argparse type of an action flag: a finite float."""
+    try:
+        val = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return val
+
+
+def _at_least(least: int, text: str) -> int:
+    """Argparse type of a count flag, bound by ``partial``: int >= least."""
+    try:
+        val = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if val < least:
+        raise argparse.ArgumentTypeError(f"must be >= {least}, got {val}")
+    return val
+
+
 def _flag_groups() -> tuple[argparse.ArgumentParser, ...]:
     """Parent parsers of the shared flags: parameters, config, tolerances and
     output; format; action window; grid; tau* sweep."""
@@ -115,12 +138,13 @@ def _flag_groups() -> tuple[argparse.ArgumentParser, ...]:
                       metavar="KEY=VAL",
                       help="override a named tolerance, e.g. tol_cls=1e-8")
     fmt.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    window.add_argument("--I-min", type=float, default=-2.0,
+    window.add_argument("--I-min", type=_finite, default=-2.0,
                         action=_StoreGiven)
-    window.add_argument("--I-max", type=float, default=2.0,
+    window.add_argument("--I-max", type=_finite, default=2.0,
                         action=_StoreGiven)
-    grid.add_argument("--grid-n", type=int, default=100, action=_StoreGiven)
-    sweep.add_argument("--theta-n", type=int,
+    grid.add_argument("--grid-n", type=partial(_at_least, 2), default=100,
+                      action=_StoreGiven)
+    sweep.add_argument("--theta-n", type=partial(_at_least, 2),
                        help="theta resolution (defaults to --grid-n)")
     sweep.add_argument("--criterion", default="branch=1",
                        help="down | up | minabs | branch=k")
@@ -130,44 +154,9 @@ def _flag_groups() -> tuple[argparse.ArgumentParser, ...]:
     return base, fmt, window, grid, sweep
 
 
-def _require_positive(what: str, val: float) -> None:
-    if not (math.isfinite(val) and val > 0.0):
-        raise ConfigError(f"{what} must be finite and > 0, got {val!r}")
-
-
-def _validate_grids(args) -> None:
-    """Check the grid, count, seed, action and tolerance flags; parses the
-    --I values."""
-    for name, least in (("grid_n", 2), ("theta_n", 2), ("angle_n", 2),
-                        ("periods", 2), ("n_melnikov", 1), ("n_tau", 1),
-                        ("seed", 0)):
-        val = getattr(args, name, None)
-        if val is not None and val < least:
-            raise ConfigError(
-                f"--{name.replace('_', '-')} must be >= {least}")
-    for name in ("tol_melnikov", "tol_tau"):
-        val = getattr(args, name, None)
-        if val is not None:
-            _require_positive(f"--{name.replace('_', '-')}", val)
-    bounds = [(name.replace("_", "-"), getattr(args, name, None))
-              for name in ("I_min", "I_max", "I_start", "I_end")]
-    if hasattr(args, "I_list"):
-        try:
-            args.I_list = [float(x) for x in args.I_list]
-        except ValueError as exc:
-            raise ConfigError(f"--I takes numbers: {exc}")
-        bounds += [("I", val) for val in args.I_list]
-    for flag, val in bounds:
-        if val is not None and not math.isfinite(val):
-            raise ConfigError(f"--{flag} must be finite, got {val}")
-    if getattr(args, "I_min", 0.0) >= getattr(args, "I_max", 1.0):
-        raise ConfigError("--I-min must be below --I-max")
-
-
 def _params_from(args) -> SystemParams:
     """The run's system; a flag that another given flag overrides is
     refused, not dropped."""
-    _validate_grids(args)
     if any(getattr(args, n) is not None for n in ("k1", "k2", "l1", "l2")):
         missing = [n for n in ("k1", "k2", "l1", "l2", "a1", "a2")
                    if getattr(args, n) is None]
@@ -221,7 +210,9 @@ def _tol_from(args) -> Tolerances:
         except ValueError:
             raise ConfigError(f"bad value for tolerance {key!r}: {val!r}")
         # every tolerance is a positive width or error target
-        _require_positive(f"tolerance {key!r}", overrides[key])
+        if not (math.isfinite(overrides[key]) and overrides[key] > 0.0):
+            raise ConfigError(f"tolerance {key!r} must be finite and > 0, "
+                              f"got {overrides[key]!r}")
         if key not in TOL_KEYS[args.command]:
             raise ConfigError(
                 f"{args.command} does not read tolerance {key!r}; it reads "
@@ -230,12 +221,15 @@ def _tol_from(args) -> Tolerances:
 
 
 def _setup(args) -> tuple[SystemParams, Tolerances]:
-    """Check every flag; return the run's parameters and tolerances.
+    """Check what each flag's own type cannot: the window, the parameters
+    and the tolerances; return the run's parameters and tolerances.
 
     Each output path is opened for appending and closed again, so that one
     that cannot be written stops the run before any work (and no existing
     file is truncated before its command writes it).
     """
+    if hasattr(args, "I_min") and args.I_min >= args.I_max:
+        raise ConfigError("--I-min must be below --I-max")
     params, tol = _params_from(args), _tol_from(args)
     for flag in ("out", "report"):
         path = getattr(args, flag, None)
@@ -457,9 +451,7 @@ def cmd_diffuse(args) -> int:
 def cmd_verify(args) -> int:
     params, tol = _setup(args)
     results = run_suite(params, n_melnikov=args.n_melnikov, n_tau=args.n_tau,
-                        seed=args.seed, tol_melnikov=args.tol_melnikov,
-                        tol_tau=args.tol_tau, tol=tol,
-                        corrupt=args.inject_fault)
+                        seed=args.seed, tol=tol, corrupt=args.inject_fault)
     payload = {"params": {"a1": params.a1, "a2": params.a2, "r": params.r,
                           "eps": params.eps},
                "checks": [c.as_dict() for c in results],
@@ -490,29 +482,27 @@ def build_parser() -> argparse.ArgumentParser:
         base, fmt, window)
     p = add("crests", cmd_crests, "sampled ridge-branch polylines",
             base, fmt, window, grid)
-    p.add_argument("--angle-n", type=int,
+    p.add_argument("--angle-n", type=partial(_at_least, 2),
                    help="phi/sigma sampling resolution (defaults to --grid-n)")
-    p.add_argument("--I", dest="I_list", action="append", default=[],
-                   help="specific action value (repeatable)")
+    p.add_argument("--I", dest="I_list", type=_finite, action="append",
+                   default=[], help="specific action value (repeatable)")
     add("portrait", cmd_portrait, "grid of L* and drift signs",
         base, fmt, window, grid, sweep)
     add("tau-field", cmd_tau_field, "grid of contact times tau*",
         base, fmt, window, grid, sweep)
     p = add("inner-portrait", cmd_inner_portrait,
             "stroboscopic sections of the inner flow", base, fmt, window, grid)
-    p.add_argument("--periods", type=int, default=200)
+    p.add_argument("--periods", type=partial(_at_least, 2), default=200)
     p = add("diffuse", cmd_diffuse, "build and verify a drift pseudo-orbit",
             base, fmt)
-    p.add_argument("--I-start", type=float, default=-1.0)
-    p.add_argument("--I-end", type=float, default=1.0)
+    p.add_argument("--I-start", type=_finite, default=-1.0)
+    p.add_argument("--I-end", type=_finite, default=1.0)
     p.add_argument("--report",
                    help="write the verification report to this path")
     p = add("verify", cmd_verify, "oracle self-check suite", base)
-    p.add_argument("--n-melnikov", type=int, default=60)
-    p.add_argument("--n-tau", type=int, default=150)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol-melnikov", type=float, default=1e-8)
-    p.add_argument("--tol-tau", type=float, default=1e-6)
+    p.add_argument("--n-melnikov", type=partial(_at_least, 1), default=60)
+    p.add_argument("--n-tau", type=partial(_at_least, 1), default=150)
+    p.add_argument("--seed", type=partial(_at_least, 0), default=0)
     p.add_argument("--inject-fault", choices=("a2-sign",),
                    help="corrupt a closed form to exercise the checks")
     return ap

@@ -213,9 +213,13 @@ def _level(params: SystemParams) -> float:
 
 
 def _bisect_level(f, lo: float, hi: float, tol_root: float) -> float:
+    """Bisect f's sign change on [lo, hi] to tol_root, relative beyond 1, or
+    until no float lies between the ends, however wide the start."""
     flo = f(lo)
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:   # no float between the ends (or a NaN)
+            break
         fm = f(mid)
         if fm == 0.0:
             return mid

@@ -124,7 +124,6 @@ class PseudoOrbit:
     I_start: float
     I_end: float
     params: SystemParams            # canonical frame (a1, a2 > 0)
-    original_params: SystemParams
     frame_phi_shift: float
     frame_s_shift: float
 
@@ -311,8 +310,7 @@ def build_pseudo_orbit(I_start: float, I_end: float, params: SystemParams,
         I, th = Icur, phicur % TWO_PI
 
     return PseudoOrbit(legs=legs, I_start=I_start, I_end=I_end, params=canon,
-                       original_params=params, frame_phi_shift=phi_shift,
-                       frame_s_shift=s_shift)
+                       frame_phi_shift=phi_shift, frame_s_shift=s_shift)
 
 
 # ----------------------------------------------------------------------

@@ -67,7 +67,7 @@ class TauCriterion:
         text = text.strip().lower()
         if text in ("down", "up", "minabs"):
             return cls(text)
-        if text.startswith("branch=") or text.startswith("branch:"):
+        if text.startswith("branch="):
             try:
                 return cls("branch", int(text[7:]))
             except ValueError:

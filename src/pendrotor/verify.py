@@ -24,6 +24,10 @@ TWO_PI = 2.0 * math.pi
 #: tau_oracle_check's draw budget per requested sample; default runs use
 #: fewer than 1.1 draws per sample
 MAX_DRAWS_PER_SAMPLE = 20
+#: pass bounds of melnikov_check (closed form against quadrature) and of
+#: tau_oracle_check (tau* against the ray scan)
+MELNIKOV_TOL = 1e-8
+TAU_TOL = 1e-6
 
 
 @dataclass
@@ -54,7 +58,7 @@ def _require_r_one(params: SystemParams) -> None:
 
 
 def melnikov_check(params: SystemParams, n: int = 100, seed: int = 0,
-                   tol_cmp: float = 1e-8, tol: Tolerances = DEFAULT_TOL,
+                   tol: Tolerances = DEFAULT_TOL,
                    corrupt: str | None = None) -> CheckResult:
     """Closed-form splitting potential against the trapezoid-rule quadrature.
 
@@ -76,8 +80,8 @@ def melnikov_check(params: SystemParams, n: int = 100, seed: int = 0,
         diff = abs(melnikov_closed(I, phi, s, closed_params)
                    - melnikov_quadrature(I, phi, s, params, tol))
         worst = max(worst, diff)
-    return CheckResult("melnikov_closed_vs_quadrature", worst <= tol_cmp,
-                       worst, tol_cmp, n)
+    return CheckResult("melnikov_closed_vs_quadrature", worst <= MELNIKOV_TOL,
+                       worst, MELNIKOV_TOL, n)
 
 
 def _sample_criterion(rng) -> TauCriterion:
@@ -92,7 +96,6 @@ def _sample_criterion(rng) -> TauCriterion:
 
 
 def tau_oracle_check(params: SystemParams, n: int = 200, seed: int = 0,
-                     tol_cmp: float = 1e-6,
                      tol: Tolerances = DEFAULT_TOL) -> CheckResult:
     """Production tau* solver against the uniform fine-grid ray scan.
 
@@ -123,11 +126,11 @@ def tau_oracle_check(params: SystemParams, n: int = 200, seed: int = 0,
         worst = max(worst, abs(sol.tau_star - ref))
         used += 1
     if used < n:
-        return CheckResult("tau_star_vs_ray_scan", False, worst, tol_cmp, used,
+        return CheckResult("tau_star_vs_ray_scan", False, worst, TAU_TOL, used,
                            note=f"{used} of {n} samples solved cleanly in "
                                 f"{MAX_DRAWS_PER_SAMPLE * n} draws")
-    return CheckResult("tau_star_vs_ray_scan", worst <= tol_cmp, worst,
-                       tol_cmp, used)
+    return CheckResult("tau_star_vs_ray_scan", worst <= TAU_TOL, worst,
+                       TAU_TOL, used)
 
 
 def lemma_symmetry_check(params: SystemParams, n_I: int = 60, n_th: int = 60,
@@ -214,17 +217,15 @@ def drift_sign_check(params: SystemParams, n_I: int = 41, n_th: int = 25,
 
 
 def run_suite(params: SystemParams, n_melnikov: int = 60, n_tau: int = 150,
-              seed: int = 0, tol_melnikov: float = 1e-8,
-              tol_tau: float = 1e-6, tol: Tolerances = DEFAULT_TOL,
+              seed: int = 0, tol: Tolerances = DEFAULT_TOL,
               corrupt: str | None = None) -> list[CheckResult]:
     """All four checks; raises :class:`ConfigError` before any of them runs
     when r != 1."""
     _require_r_one(params)
     return [
-        melnikov_check(params, n=n_melnikov, seed=seed, tol_cmp=tol_melnikov,
-                       tol=tol, corrupt=corrupt),
-        tau_oracle_check(params, n=n_tau, seed=seed, tol_cmp=tol_tau,
-                         tol=tol),
+        melnikov_check(params, n=n_melnikov, seed=seed, tol=tol,
+                       corrupt=corrupt),
+        tau_oracle_check(params, n=n_tau, seed=seed, tol=tol),
         lemma_symmetry_check(params, tol=tol),
         drift_sign_check(params, tol=tol),
     ]

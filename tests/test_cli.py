@@ -1,9 +1,11 @@
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import multiprocessing
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 import pendrotor as pr
-from pendrotor import cli
+from pendrotor import cli, verify
 from pendrotor.cli import DTH_ZERO_RTOL, main
 
 TWO_PI = 2.0 * math.pi
@@ -448,11 +450,11 @@ class TestVerifyCmd:
                if c["name"] == "melnikov_closed_vs_quadrature"]
         assert bad and bad[0]["passed"] is False
 
-    def test_tolerance_override_flag(self, tmp_path):
+    def test_tolerance_override_flag(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(verify, "TAU_TOL", 1e-18)
         out = tmp_path / "verify.json"
         rc = main(["verify", "--mu", "0.75", "--eps", "0.01",
-                   "--n-melnikov", "6", "--n-tau", "25",
-                   "--tol-tau", "1e-18", "--out", str(out)])
+                   "--n-melnikov", "6", "--n-tau", "25", "--out", str(out)])
         assert rc == 4  # below the root-refinement floor: must flag
 
     def test_unknown_tol_override_exits_2(self):
@@ -505,6 +507,8 @@ class TestBadNumericInput:
         ["thresholds", "--mu", "0.5", "--tol-override", "tol_ode=1e-6"],
         ["inner-portrait", "--mu", "0.75", "--eps", "0.01", "--periods", "2",
          "--tol-override", "tol_quad=1e-3"],
+        # the criterion has one spelling, branch=k
+        ["portrait", "--mu", "0.5", "--criterion", "branch:1"],
     ])
     def test_exits_2_with_message(self, argv, capsys):
         # a small grid where the subcommand takes one, in case a check
@@ -682,14 +686,46 @@ class TestFlagSets:
             "diffuse": _PARAM_FLAGS + ["--format", "--I-start", "--I-end",
                                        "--report"],
             "verify": _PARAM_FLAGS + ["--n-melnikov", "--n-tau", "--seed",
-                                      "--tol-melnikov", "--tol-tau",
                                       "--inject-fault"],
         }
         got = {name: sorted(o for a in p._actions for o in a.option_strings
                             if o not in ("-h", "--help"))
                for name, p in _subparsers().items()}
         assert got == {name: sorted(flags) for name, flags in want.items()}
-        assert sum(map(len, got.values())) == 122
+        assert sum(map(len, got.values())) == 120
+
+    def test_numeric_ranges_are_flag_types(self):
+        # each numeric flag states its range once, as its argparse type;
+        # the first value outside it is refused at parse time
+        least = {"grid_n": 2, "theta_n": 2, "angle_n": 2, "periods": 2,
+                 "n_melnikov": 1, "n_tau": 1, "seed": 0}
+        finite = {"I_min", "I_max", "I_start", "I_end", "I_list"}
+        typed = {}
+        for name, p in _subparsers().items():
+            for a in p._actions:
+                if a.type is cli._finite or (
+                        isinstance(a.type, functools.partial)
+                        and a.type.func is cli._at_least):
+                    typed.setdefault(a.dest, []).append(
+                        (name, a.option_strings[0]))
+        assert set(typed) == set(least) | finite
+        for dest, uses in typed.items():
+            bad = [str(least[dest] - 1)] if dest in least else ["nan", "inf"]
+            for command, flag in uses:
+                for val in bad:
+                    with pytest.raises(pr.ConfigError, match=flag):
+                        cli.build_parser().parse_args(
+                            [command, f"{flag}={val}"])
+
+    def test_readme_flag_table_lists_every_flag(self):
+        # the '| flags | subcommands |' table names each subcommand flag
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        table = readme.read_text().split("| flags | subcommands |\n", 1)[1]
+        rows = table.split("\n\n", 1)[0]
+        listed = set(re.findall(r"--[A-Za-z][\w-]*", rows))
+        flags = {o for p in _subparsers().values() for a in p._actions
+                 for o in a.option_strings if o not in ("-h", "--help")}
+        assert listed == flags
 
     @pytest.mark.parametrize("argv", [
         ["diffuse", "--a1", "0.75", "--a2", "1", "--eps", "0.01",

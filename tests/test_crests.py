@@ -172,6 +172,17 @@ class TestThresholds:
         assert ([(iv.kind, iv.tangency) for iv in wide.intervals]
                 == [(iv.kind, iv.tangency) for iv in near.intervals])
 
+    @pytest.mark.parametrize("window", [(-1e60, 1e60), (-1e300, 1e300)])
+    def test_widest_windows_resolve_the_crossings(self, p05, window):
+        # a scan cell there is 5e56 wide or more; the bisection must go on
+        # until no float lies between its ends, not stop at a fixed count
+        near, wide = pr.find_thresholds(p05), pr.find_thresholds(p05, window)
+        for got, want in ((wide.alpha_thresholds, near.alpha_thresholds),
+                          (wide.beta_thresholds, near.beta_thresholds)):
+            assert len(got) == len(want) == 3
+            assert got == pytest.approx(want, rel=1e-11, abs=0.0)
+        assert wide.labels["I_b"] != wide.labels["I_a"]
+
     def test_zero_mu_rejected(self):
         with pytest.raises(pr.ConfigError):
             pr.find_thresholds(pr.SystemParams(a1=0.0, a2=1.0))
