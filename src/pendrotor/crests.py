@@ -354,13 +354,16 @@ def find_thresholds(params: SystemParams,
             if len(held) == 2:
                 report.labels.update(held)
 
-    # every crossing is a cut, so kind and tangency are constant in between
+    # every crossing is a cut, so kind and tangency are constant in between;
+    # an interval too thin to resolve, or so thin that its midpoint lies in
+    # the singular band of a cut, is skipped
     cuts = sorted(set(report.alpha_thresholds + report.beta_thresholds))
     edges = [window[0]] + cuts + [window[1]]
     for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi - lo < 4.0 * tol.tol_root:
-            continue
         mid = 0.5 * (lo + hi)
+        kind = classify(mid, params, tol)
+        if hi - lo < 4.0 * tol.tol_root or kind is CrestKind.SINGULAR:
+            continue
         report.intervals.append(IntervalInfo(
-            lo, hi, classify(mid, params, tol), has_tangency(mid, params, tol)))
+            lo, hi, kind, has_tangency(mid, params, tol)))
     return report

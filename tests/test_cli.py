@@ -91,6 +91,23 @@ class TestThresholdsCmd:
                                  window=(-2.0, 2.0))
         assert set(rep.labels) == {"I_c", "I_C", "I_A", "I_B"}
 
+    def test_edge_interval_at_a_singular_cut(self, tmp_path):
+        # |alpha_r(-10)| = 1 exactly at r = 0.9 (rI - 1 = I), so the crossing
+        # near -10 leaves a 5e-12-wide edge interval whose midpoint lies in
+        # the singular band; it used to raise SingularCrest (exit 3)
+        out = tmp_path / "thr.csv"
+        assert main(["thresholds", "--a1", "1", "--a2", "1", "--r", "0.9",
+                     "--I-min", "-10", "--I-max", "10",
+                     "--out", str(out)]) == 0
+        _, rows = _read_rows(out)
+        alphas = [float(r["value"]) for r in rows
+                  if r["record"] == "threshold"
+                  and r["curve_or_kind"] == "alpha"]
+        assert alphas[0] == pytest.approx(-10.0, abs=1e-10)
+        ivs = [r for r in rows if r["record"] == "interval"]
+        assert all(r["curve_or_kind"] != "singular" for r in ivs)
+        assert float(ivs[0]["I_lo"]) == pytest.approx(alphas[0], abs=0.0)
+
     def test_mu_zero_exits_2(self):
         assert main(["thresholds", "--mu", "0"]) == 2
 
