@@ -12,7 +12,7 @@ variants, the resonant inner dynamics on the invariant cylinder, and
 constructive drift pseudo-orbits that carry the action across resonances.
 """
 
-from .params import SystemParams, Tolerances, DEFAULT_TOL
+from .params import SystemParams
 from .errors import (PendrotorError, ConfigError, PoleAtOne, PoleAtOneOverR,
                      OutOfDomain, NoSolutionInWindow, SingularCrest,
                      TangencyDegenerate, UnreachableBranch,

@@ -56,6 +56,11 @@ PI = math.pi
 # tau = 0 on those sweeps was such a mirror pair.
 MARGIN_TIE_RTOL = 32.0 * 2.0 ** -52
 
+#: band around |c| = 1 (c = mu*alpha_r(I)) classified as singular
+TOL_CLS = 1e-9
+#: |tau| window within which two crossings tie for the minimal-|tau| criterion
+TIE_TOL = 1e-9
+
 
 # ----------------------------------------------------------------------
 # stable special-function cores
@@ -362,7 +367,7 @@ def _walk_band(lo, hi, d, m, w0, lw, phi0, sig0, rphi, rsig, c, ac,
     return found, best_t, best_key, best_marg
 
 
-def tau_star_kernel(I, theta, r, c, crit, kreq, tol_cls, tie_tol):
+def tau_star_kernel(I, theta, r, c, crit, kreq):
     """Crossing time tau* of the connection line with the ridge set.
 
     Returns (status, tau, band_index, margin, phi_star, sigma_star).
@@ -374,7 +379,7 @@ def tau_star_kernel(I, theta, r, c, crit, kreq, tol_cls, tie_tol):
     r = float(r)
     c = float(c)
     ac = abs(c)
-    if abs(ac - 1.0) < tol_cls:
+    if abs(ac - 1.0) < TOL_CLS:
         return TAU_SINGULAR, math.nan, 0, 0.0, math.nan, math.nan
     horizontal = ac < 1.0
     phi0 = theta
@@ -432,7 +437,7 @@ def tau_star_kernel(I, theta, r, c, crit, kreq, tol_cls, tie_tol):
             entry = ta if dtau > 0.0 else -tb
             if entry > tau_max:
                 break
-            if found and entry > best_key + tie_tol:
+            if found and entry > best_key + TIE_TOL:
                 break
             if dtau > 0.0 and tb > tau_max:
                 tb = tau_max
@@ -441,7 +446,7 @@ def tau_star_kernel(I, theta, r, c, crit, kreq, tol_cls, tie_tol):
             if tb >= ta and (not marching or (m % 2) == 0):
                 found, best_t, best_key, best_marg = _walk_band(
                     ta, tb, dtau, m, w0, lw, phi0, sig0, rphi, rsig, c, ac,
-                    horizontal, psi0, rpsi, q, tie_tol, found, best_t,
+                    horizontal, psi0, rpsi, q, TIE_TOL, found, best_t,
                     best_key, best_marg)
             m += step_m
     if not found:
@@ -455,7 +460,7 @@ def tau_star_kernel(I, theta, r, c, crit, kreq, tol_cls, tie_tol):
             sig0 + rsig * best_t)
 
 
-def lstar_kernel(I, theta, r, a1, a2, crit, kreq, tol_cls, tie_tol):
+def lstar_kernel(I, theta, r, a1, a2, crit, kreq):
     """Reduced splitting value and gradient at the selected crossing.
 
     Returns (status, tau, band, margin, phi*, sigma*, L, dL/dtheta, dL/dI).
@@ -466,7 +471,7 @@ def lstar_kernel(I, theta, r, a1, a2, crit, kreq, tol_cls, tie_tol):
     a2 = float(a2)
     c = crest_coef(I, a1, a2, r)
     status, tau, kb, margin, phis, sigs = tau_star_kernel(
-        I, theta, r, c, crit, kreq, tol_cls, tie_tol)
+        I, theta, r, c, crit, kreq)
     if status != TAU_OK:
         return status, tau, kb, margin, phis, sigs, math.nan, math.nan, math.nan
     d = r * I - 1.0
@@ -483,7 +488,7 @@ def lstar_kernel(I, theta, r, a1, a2, crit, kreq, tol_cls, tie_tol):
     return status, tau, kb, margin, phis, sigs, L, dth, dI
 
 
-def sweep_kernel(Ivals, thvals, r, a1, a2, crit, kreq, tol_cls, tie_tol):
+def sweep_kernel(Ivals, thvals, r, a1, a2, crit, kreq):
     """lstar_kernel for a criterion over the grid Ivals x thvals.
 
     Returns (nI, nth) arrays (status, tau, band, margin, lstar, dth, dI);
@@ -497,7 +502,7 @@ def sweep_kernel(Ivals, thvals, r, a1, a2, crit, kreq, tol_cls, tie_tol):
     for i in range(nI):
         for j in range(nth):
             st, t, kb, mg, ph, sg, L, g1, g2 = lstar_kernel(
-                Ivals[i], thvals[j], r, a1, a2, crit, kreq, tol_cls, tie_tol)
+                Ivals[i], thvals[j], r, a1, a2, crit, kreq)
             status[i, j] = st
             tau[i, j] = t
             band[i, j] = kb

@@ -12,7 +12,6 @@ Exit codes: 0 ok, 2 config error, 3 solver error, 4 verification failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -25,7 +24,8 @@ from .diffusion import ScatterLeg, build_pseudo_orbit, verify_pseudo_orbit
 from .errors import ConfigError, OutOfDomain, PendrotorError, StepFailure
 from .inner import InnerState, orbit_sections, region_of, torus_value
 from .model import amplitude_A1, amplitude_A2
-from .params import DEFAULT_TOL, SystemParams, Tolerances
+from .params import SystemParams
+from . import scattering
 from .scattering import ATLAS, TauCriterion, sweep
 from .verify import run_suite
 
@@ -122,8 +122,8 @@ def _at_least(least: int, text: str) -> int:
 
 
 def _flag_groups() -> tuple[argparse.ArgumentParser, ...]:
-    """Parent parsers of the shared flags: parameters, config, tolerances and
-    output; format; action window; grid; tau* sweep."""
+    """Parent parsers of the shared flags: parameters, config and output;
+    format; action window; grid; tau* sweep."""
     base, fmt, window, grid, sweep = (argparse.ArgumentParser(add_help=False)
                                       for _ in range(5))
     for name in ("a1", "a2", "mu", "r"):  # --r defaults to 1
@@ -134,9 +134,6 @@ def _flag_groups() -> tuple[argparse.ArgumentParser, ...]:
     base.add_argument("--out")
     base.add_argument("--config",
                       help="KEY=VAL file supplying flag defaults (flags win)")
-    base.add_argument("--tol-override", action="append", default=[],
-                      metavar="KEY=VAL",
-                      help="override a named tolerance, e.g. tol_cls=1e-8")
     fmt.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     window.add_argument("--I-min", type=_finite, default=-2.0,
                         action=_StoreGiven)
@@ -181,48 +178,9 @@ def _params_from(args) -> SystemParams:
                         r=1.0 if args.r is None else args.r)
 
 
-#: the Tolerances keys each subcommand reads, through the functions its
-#: cmd_* calls; --tol-override refuses the others, which would be ignored
-TOL_KEYS = {
-    "thresholds": frozenset({"tol_root", "tol_cls"}),
-    "crests": frozenset({"tol_cls"}),
-    "portrait": frozenset({"tol_cls", "tie_tol", "tol_degen"}),
-    "tau-field": frozenset({"tol_cls", "tie_tol", "tol_degen"}),
-    "inner-portrait": frozenset({"tol_ode"}),
-    # drift arcs are integrated at the builder's and the verifier's own
-    # tolerances, so tol_ode is not among these
-    "diffuse": frozenset({"tol_cls", "tie_tol", "tol_degen"}),
-    "verify": frozenset({"tol_quad", "tol_cls", "tie_tol", "tol_degen"}),
-}
-
-
-def _tol_from(args) -> Tolerances:
-    overrides = {}
-    for item in args.tol_override:
-        if "=" not in item:
-            raise ConfigError(f"bad --tol-override {item!r}")
-        key, val = item.split("=", 1)
-        key = key.strip()
-        if key not in {f.name for f in dataclasses.fields(Tolerances)}:
-            raise ConfigError(f"unknown tolerance {key!r}")
-        try:
-            overrides[key] = float(val)
-        except ValueError:
-            raise ConfigError(f"bad value for tolerance {key!r}: {val!r}")
-        # every tolerance is a positive width or error target
-        if not (math.isfinite(overrides[key]) and overrides[key] > 0.0):
-            raise ConfigError(f"tolerance {key!r} must be finite and > 0, "
-                              f"got {overrides[key]!r}")
-        if key not in TOL_KEYS[args.command]:
-            raise ConfigError(
-                f"{args.command} does not read tolerance {key!r}; it reads "
-                f"{', '.join(sorted(TOL_KEYS[args.command]))}")
-    return DEFAULT_TOL.override(**overrides) if overrides else DEFAULT_TOL
-
-
-def _setup(args) -> tuple[SystemParams, Tolerances]:
-    """Check what each flag's own type cannot: the window, the parameters
-    and the tolerances; return the run's parameters and tolerances.
+def _setup(args) -> SystemParams:
+    """Check what each flag's own type cannot: the window and the
+    parameters; return the run's parameters.
 
     Each output path is opened for appending and closed again, so that one
     that cannot be written stops the run before any work (and no existing
@@ -230,7 +188,7 @@ def _setup(args) -> tuple[SystemParams, Tolerances]:
     """
     if hasattr(args, "I_min") and args.I_min >= args.I_max:
         raise ConfigError("--I-min must be below --I-max")
-    params, tol = _params_from(args), _tol_from(args)
+    params = _params_from(args)
     for flag in ("out", "report"):
         path = getattr(args, flag, None)
         if path is not None:
@@ -239,7 +197,7 @@ def _setup(args) -> tuple[SystemParams, Tolerances]:
             except OSError as exc:
                 raise ConfigError(f"cannot write --{flag} {path!r}: "
                                   f"{exc.strerror or exc}")
-    return params, tol
+    return params
 
 
 def _header(params: SystemParams, extra: dict | None = None) -> dict:
@@ -273,8 +231,8 @@ def _config_args(path: str) -> list[str]:
 # ----------------------------------------------------------------------
 
 def cmd_thresholds(args) -> int:
-    params, tol = _setup(args)
-    report = find_thresholds(params, (args.I_min, args.I_max), tol)
+    params = _setup(args)
+    report = find_thresholds(params, (args.I_min, args.I_max))
     em = Emitter(args.out, args.format, "thresholds",
                  _header(params, {"I_min": args.I_min, "I_max": args.I_max}),
                  ["record", "curve_or_kind", "I_lo", "I_hi", "value",
@@ -306,7 +264,7 @@ def cmd_crests(args) -> int:
             flags = ", ".join("--" + f.replace("_", "-") for f in unread)
             raise ConfigError(f"crests with --I (and --angle-n) does not "
                               f"read {flags}; drop them")
-    params, tol = _setup(args)
+    params = _setup(args)
     n = args.angle_n or args.grid_n
     I_values = args.I_list or list(np.linspace(args.I_min, args.I_max,
                                                args.grid_n))
@@ -315,7 +273,7 @@ def cmd_crests(args) -> int:
                   "residual"])
     grid = np.linspace(0.0, TWO_PI, n, endpoint=False)
     for I in I_values:
-        kind = classify(I, params, tol)
+        kind = classify(I, params)
         for k in (0, 1):
             for ang in grid:
                 try:
@@ -333,7 +291,7 @@ def cmd_crests(args) -> int:
     return EXIT_OK
 
 
-def _grid_sweep(args, params: SystemParams, tol: Tolerances):
+def _grid_sweep(args, params: SystemParams):
     """The (I, theta) grid of the flags and :func:`sweep` over it."""
     if params.a1 == 0.0 and params.a2 == 0.0:
         raise ConfigError("a1 = a2 = 0 makes the splitting potential zero; "
@@ -342,12 +300,12 @@ def _grid_sweep(args, params: SystemParams, tol: Tolerances):
     th_vals = np.linspace(0.0, TWO_PI, args.theta_n or args.grid_n,
                           endpoint=False)
     crit = TauCriterion.parse(args.criterion)
-    return I_vals, th_vals, sweep(I_vals, th_vals, crit, params, tol)
+    return I_vals, th_vals, sweep(I_vals, th_vals, crit, params)
 
 
 def cmd_portrait(args) -> int:
-    params, tol = _setup(args)
-    I_vals, th_vals, res = _grid_sweep(args, params, tol)
+    params = _setup(args)
+    I_vals, th_vals, res = _grid_sweep(args, params)
     status, tau, band, margin, lstar, dth, dI = res
     em = Emitter(args.out, args.format, "portrait",
                  _header(params, {"criterion": args.criterion}),
@@ -362,15 +320,16 @@ def cmd_portrait(args) -> int:
             em.row([float(I), float(th), lstar[i, j], g,
                     int(np.sign(g)) if status[i, j] == 0 else 0,
                     region,
-                    int(margin[i, j] < tol.tol_degen) if status[i, j] == 0 else 1,
+                    int(margin[i, j] < scattering.TOL_DEGEN)
+                    if status[i, j] == 0 else 1,
                     int(status[i, j])])
     em.close()
     return EXIT_OK
 
 
 def cmd_tau_field(args) -> int:
-    params, tol = _setup(args)
-    I_vals, th_vals, res = _grid_sweep(args, params, tol)
+    params = _setup(args)
+    I_vals, th_vals, res = _grid_sweep(args, params)
     status, tau, band, margin, lstar, dth, dI = res
     em = Emitter(args.out, args.format, "tau_field",
                  _header(params, {"criterion": args.criterion}),
@@ -380,17 +339,18 @@ def cmd_tau_field(args) -> int:
         for j, th in enumerate(th_vals):
             em.row([float(I), float(th), tau[i, j], int(band[i, j]),
                     margin[i, j],
-                    int(margin[i, j] < tol.tol_degen) if status[i, j] == 0 else 1,
+                    int(margin[i, j] < scattering.TOL_DEGEN)
+                    if status[i, j] == 0 else 1,
                     int(status[i, j])])
     em.close()
     return EXIT_OK
 
 
 def cmd_inner_portrait(args) -> int:
-    params, tol = _setup(args)
+    params = _setup(args)
     starts = [InnerState(I=float(I0), phi=0.0, s=0.0)
               for I0 in np.linspace(args.I_min, args.I_max, args.grid_n)]
-    orbits = orbit_sections(starts, args.periods, params, tol.tol_ode)
+    orbits = orbit_sections(starts, args.periods, params)
     em = Emitter(args.out, args.format, "inner_portrait",
                  _header(params, {"periods": args.periods}),
                  ["orbit", "n", "t", "I", "phi_mod", "region", "torus_value"])
@@ -410,9 +370,9 @@ def cmd_inner_portrait(args) -> int:
 
 
 def cmd_diffuse(args) -> int:
-    params, tol = _setup(args)
-    orbit = build_pseudo_orbit(args.I_start, args.I_end, params, tol=tol)
-    report = verify_pseudo_orbit(orbit, tol)
+    params = _setup(args)
+    orbit = build_pseudo_orbit(args.I_start, args.I_end, params)
+    report = verify_pseudo_orbit(orbit)
     em = Emitter(args.out, args.format, "pseudo_orbit",
                  _header(params, {
                      "I_start": args.I_start, "I_end": args.I_end,
@@ -449,9 +409,9 @@ def cmd_diffuse(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    params, tol = _setup(args)
+    params = _setup(args)
     results = run_suite(params, n_melnikov=args.n_melnikov, n_tau=args.n_tau,
-                        seed=args.seed, tol=tol, corrupt=args.inject_fault)
+                        seed=args.seed, corrupt=args.inject_fault)
     payload = {"params": {"a1": params.a1, "a2": params.a2, "r": params.r,
                           "eps": params.eps},
                "checks": [c.as_dict() for c in results],

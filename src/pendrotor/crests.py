@@ -20,11 +20,14 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import ConfigError, NoSolutionInWindow, OutOfDomain, SingularCrest
-from .params import DEFAULT_TOL, SystemParams, Tolerances
+from .params import SystemParams
 
 E_PI_HALF = math.exp(math.pi / 2.0)
 
 DEFAULT_WINDOW = (-5.0, 5.0)
+
+#: relative width at which threshold roots stop bisecting (beyond |I| = 1)
+TOL_ROOT = 1e-12
 
 
 class CrestKind(enum.Enum):
@@ -71,17 +74,16 @@ def _coef(I: float, params: SystemParams) -> float:
     return K.crest_coef(I, params.a1, params.a2, params.r)
 
 
-def _kind(c: float, tol: Tolerances) -> CrestKind:
+def _kind(c: float) -> CrestKind:
     ac = abs(c)
-    if abs(ac - 1.0) < tol.tol_cls:
+    if abs(ac - 1.0) < K.TOL_CLS:
         return CrestKind.SINGULAR
     return CrestKind.HORIZONTAL if ac < 1.0 else CrestKind.VERTICAL
 
 
-def classify(I: float, params: SystemParams,
-             tol: Tolerances = DEFAULT_TOL) -> CrestKind:
+def classify(I: float, params: SystemParams) -> CrestKind:
     """Horizontal / Vertical / Singular by |mu*alpha_r(I)| against 1."""
-    return _kind(_coef(I, params), tol)
+    return _kind(_coef(I, params))
 
 
 def _graph(x: float, k: int, I: float, name: str, angle: float) -> float:
@@ -123,9 +125,9 @@ def crest_residual(I: float, phi: float, sigma: float,
     return math.copysign(1.0, c) * math.sin(phi) + math.sin(sigma) / ac
 
 
-def _tangent(I: float, c: float, r: float, tol: Tolerances) -> bool:
+def _tangent(I: float, c: float, r: float) -> bool:
     """has_tangency at I, given c = mu*alpha_r(I)."""
-    if _kind(c, tol) is CrestKind.SINGULAR:
+    if _kind(c) is CrestKind.SINGULAR:
         raise SingularCrest(f"classification singular at I = {I}")
     c = abs(c)
     d = r * I - 1.0
@@ -136,18 +138,16 @@ def _tangent(I: float, c: float, r: float, tol: Tolerances) -> bool:
     return bool((c - 1.0) * (cb - 1.0) < 0.0)
 
 
-def has_tangency(I: float, params: SystemParams,
-                 tol: Tolerances = DEFAULT_TOL) -> bool:
+def has_tangency(I: float, params: SystemParams) -> bool:
     """True iff some connection line is tangent to the ridge at this I.
 
     Sign test: (|alpha|-1/|mu|)(|beta|-1/|mu|) < 0, written with
     c = mu*alpha and c_b = mu*beta so it is safe at large values.
     """
-    return _tangent(I, _coef(I, params), params.r, tol)
+    return _tangent(I, _coef(I, params), params.r)
 
 
-def tangency_points(I: float, params: SystemParams,
-                    tol: Tolerances = DEFAULT_TOL) -> list[TangencyPoint]:
+def tangency_points(I: float, params: SystemParams) -> list[TangencyPoint]:
     """Angles where a connection line is tangent to a ridge branch.
 
     In the strip frame of the tau* kernel the branches are graphs
@@ -159,9 +159,9 @@ def tangency_points(I: float, params: SystemParams,
     there.
     """
     c = _coef(I, params)
-    if not _tangent(I, c, params.r, tol):
+    if not _tangent(I, c, params.r):
         return []
-    kind = _kind(c, tol)
+    kind = _kind(c)
     m = (params.r * I - 1.0) / I
     q, slope = (c, m) if kind is CrestKind.HORIZONTAL else (1.0 / c, 1.0 / m)
     t2 = (q * q - slope * slope) / (slope * slope * (1.0 - q * q))
@@ -212,8 +212,8 @@ def _level(params: SystemParams) -> float:
     return 1.0 / abs(mu)
 
 
-def _bisect_level(f, lo: float, hi: float, tol_root: float) -> float:
-    """Bisect f's sign change on [lo, hi] to tol_root, relative beyond 1, or
+def _bisect_level(f, lo: float, hi: float) -> float:
+    """Bisect f's sign change on [lo, hi] to TOL_ROOT, relative beyond 1, or
     until no float lies between the ends, however wide the start."""
     flo = f(lo)
     while True:
@@ -227,13 +227,13 @@ def _bisect_level(f, lo: float, hi: float, tol_root: float) -> float:
             lo, flo = mid, fm
         else:
             hi = mid
-        if hi - lo <= tol_root * max(1.0, abs(lo), abs(hi)):
+        if hi - lo <= TOL_ROOT * max(1.0, abs(lo), abs(hi)):
             break
     return 0.5 * (lo + hi)
 
 
-def _crossings(curve, level: float, lo: float, hi: float, r: float,
-               tol_root: float) -> list[float]:
+def _crossings(curve, level: float, lo: float, hi: float,
+               r: float) -> list[float]:
     """Every solution of |curve(I, r)| = level in (lo, hi), ascending, by a
     4000-point scan plus bisection; none when lo >= hi."""
     if lo >= hi:
@@ -256,7 +256,7 @@ def _crossings(curve, level: float, lo: float, hi: float, r: float,
             continue
         fx = f(x)
         if fprev is not None and (fprev > 0.0) != (fx > 0.0):
-            rt = _bisect_level(f, xprev, x, tol_root)
+            rt = _bisect_level(f, xprev, x)
             if not roots or abs(rt - roots[-1]) > 1e-8:
                 roots.append(rt)
         fprev, xprev = fx, x
@@ -264,8 +264,8 @@ def _crossings(curve, level: float, lo: float, hi: float, r: float,
 
 
 def solve_level_crossing(curve: str, component: str, params: SystemParams,
-                         window: tuple[float, float] = DEFAULT_WINDOW,
-                         tol: Tolerances = DEFAULT_TOL) -> float:
+                         window: tuple[float, float] = DEFAULT_WINDOW
+                         ) -> float:
     """The lowest |alpha_r| or |beta_r| crossing of 1/|mu| on a named component.
 
     ``curve`` is 'alpha' or 'beta'; ``component`` is one of 'neg'
@@ -280,7 +280,7 @@ def solve_level_crossing(curve: str, component: str, params: SystemParams,
     if curve not in _CURVES or component not in comps:
         raise ConfigError(f"unknown curve {curve!r} or component {component!r}")
     lo, hi, asym = comps[component]
-    roots = _crossings(_CURVES[curve], level, lo, hi, params.r, tol.tol_root)
+    roots = _crossings(_CURVES[curve], level, lo, hi, params.r)
     if not roots:
         raise NoSolutionInWindow(
             f"|{curve}| never reaches 1/|mu| = {level:.6g} on component "
@@ -311,8 +311,8 @@ def _r1_label_names(mu: float) -> dict[tuple[str, str], str]:
 
 
 def find_thresholds(params: SystemParams,
-                    window: tuple[float, float] = DEFAULT_WINDOW,
-                    tol: Tolerances = DEFAULT_TOL) -> ClassificationReport:
+                    window: tuple[float, float] = DEFAULT_WINDOW
+                    ) -> ClassificationReport:
     """All regime and tangency thresholds of |mu*alpha_r|, |mu*beta_r| = 1.
 
     The report lists every crossing action of both curves on each component
@@ -331,7 +331,7 @@ def find_thresholds(params: SystemParams,
         for comp, lo, hi, asym in _components(window, params.r):
             if lo >= hi:
                 continue
-            roots = _crossings(fn, level, lo, hi, params.r, tol.tol_root)
+            roots = _crossings(fn, level, lo, hi, params.r)
             if roots:
                 first[curve][comp] = roots[0]
                 found[curve] += roots
@@ -361,9 +361,9 @@ def find_thresholds(params: SystemParams,
     edges = [window[0]] + cuts + [window[1]]
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid = 0.5 * (lo + hi)
-        kind = classify(mid, params, tol)
-        if hi - lo < 4.0 * tol.tol_root or kind is CrestKind.SINGULAR:
+        kind = classify(mid, params)
+        if hi - lo < 4.0 * TOL_ROOT or kind is CrestKind.SINGULAR:
             continue
         report.intervals.append(IntervalInfo(
-            lo, hi, kind, has_tangency(mid, params, tol)))
+            lo, hi, kind, has_tangency(mid, params)))
     return report

@@ -19,12 +19,13 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 
+from . import _kernels as K, scattering
 from .errors import (ConfigError, SingularCrest, StepFailure,
                      StuckAtResonance, TangencyDegenerate, UnreachableBranch,
                      WindowEmpty)
 from .inner import (InnerState, TorusRegion, inner_flow, region_of, sections,
                     torus_value)
-from .params import DEFAULT_TOL, SystemParams, Tolerances
+from .params import SystemParams
 from .scattering import (ODD, TAU_OK, ScatteringState, TauCriterion,
                          _grad_of, _lstar_raw, grad_reduced_poincare, lstar,
                          theta_plus)
@@ -58,21 +59,19 @@ class TransversalityReport:
 
 
 def poisson_bracket(I: float, theta: float, criterion: TauCriterion,
-                    params: SystemParams,
-                    tol: Tolerances = DEFAULT_TOL) -> float:
+                    params: SystemParams) -> float:
     """{F_region, L*} = dF/dtheta * dL*/dI - dF/dI * dL*/dtheta at s = 0.
 
     F is the truncated invariant of the resonance band containing I (or
     I^2/2 outside the bands).  A nonzero bracket means the jump map moves
     points across the inner invariant curves.
     """
-    return transversality(I, theta, criterion, params, tol).bracket
+    return transversality(I, theta, criterion, params).bracket
 
 
 def transversality(I: float, theta: float, criterion: TauCriterion,
-                   params: SystemParams,
-                   tol: Tolerances = DEFAULT_TOL) -> TransversalityReport:
-    dI_L, dth_L = grad_reduced_poincare(I, theta, criterion, params, tol)
+                   params: SystemParams) -> TransversalityReport:
+    dI_L, dth_L = grad_reduced_poincare(I, theta, criterion, params)
     return _transversality(I, theta, dI_L, dth_L, params)
 
 
@@ -184,17 +183,16 @@ def _canonical_frame(params: SystemParams) -> tuple[SystemParams, float, float]:
     return replace(params, a1=a1, a2=a2), phi_shift, s_shift
 
 
-def _theta_plus_safe(I: float, params: SystemParams,
-                     tol: Tolerances) -> float:
+def _theta_plus_safe(I: float, params: SystemParams) -> float:
     try:
-        return theta_plus(I, params, tol)
+        return theta_plus(I, params)
     except SingularCrest:
-        return min(theta_plus(I - 10.0 * tol.tol_cls, params, tol),
-                   theta_plus(I + 10.0 * tol.tol_cls, params, tol))
+        return min(theta_plus(I - 10.0 * K.TOL_CLS, params),
+                   theta_plus(I + 10.0 * K.TOL_CLS, params))
 
 
-def build_pseudo_orbit(I_start: float, I_end: float, params: SystemParams,
-                       tol: Tolerances = DEFAULT_TOL) -> PseudoOrbit:
+def build_pseudo_orbit(I_start: float, I_end: float,
+                       params: SystemParams) -> PseudoOrbit:
     """Construct a drift pseudo-orbit carrying I from I_start up to I_end.
 
     Jump legs use the odd-branch criterion, which increases I strictly for
@@ -217,7 +215,7 @@ def build_pseudo_orbit(I_start: float, I_end: float, params: SystemParams,
     n_max_periods = max(4, int(T_MAX_FACTOR / eps / TWO_PI))
 
     def window(I: float) -> tuple[float, float]:
-        thp = _theta_plus_safe(I, canon, tol)
+        thp = _theta_plus_safe(I, canon)
         if thp - rho <= 2.5 * margin:
             raise WindowEmpty(
                 f"drift window (rho, theta_plus) too small at I = {I}: "
@@ -235,11 +233,12 @@ def build_pseudo_orbit(I_start: float, I_end: float, params: SystemParams,
         step, which starts there, need not repeat it.
         """
         status, tau, kb, margin_t, _, _, L0, dth_L, dI_L = res
-        if status != TAU_OK or margin_t < tol.tol_degen or dth_L <= 0.0:
+        if (status != TAU_OK or margin_t < scattering.TOL_DEGEN
+                or dth_L <= 0.0):
             return None
         I_new = I + eps * dth_L
         th_new = (th - eps * dI_L) % TWO_PI
-        res1 = lstar(I_new, th_new, ODD, canon, tol)
+        res1 = lstar(I_new, th_new, ODD, canon)
         if res1[0] != TAU_OK:
             return None
         L1 = res1[6]
@@ -266,7 +265,7 @@ def build_pseudo_orbit(I_start: float, I_end: float, params: SystemParams,
                 break
             if nxt is None:
                 nxt = probe_step(I, th, res if res is not None
-                                 else lstar(I, th, ODD, canon, tol))
+                                 else lstar(I, th, ODD, canon))
             if nxt is None:
                 break  # reroute around tangency / high-curvature spots
             I_new, th_new, L0, resid, tau, kb, res = nxt
@@ -298,7 +297,7 @@ def build_pseudo_orbit(I_start: float, I_end: float, params: SystemParams,
                 continue
             if lo < th_n < hi:
                 nxt = probe_step(Icur, th_n,
-                                 lstar(Icur, th_n, ODD, canon, tol))
+                                 lstar(Icur, th_n, ODD, canon))
                 if nxt is not None:
                     break
         else:
@@ -317,8 +316,7 @@ def build_pseudo_orbit(I_start: float, I_end: float, params: SystemParams,
 # verification
 # ----------------------------------------------------------------------
 
-def verify_pseudo_orbit(orbit: PseudoOrbit,
-                        tol: Tolerances = DEFAULT_TOL) -> VerificationReport:
+def verify_pseudo_orbit(orbit: PseudoOrbit) -> VerificationReport:
     """Recompute every invariant of the orbit independently.
 
     Jump legs: fresh tau* solve and step at the stored source, level values
@@ -352,9 +350,9 @@ def verify_pseudo_orbit(orbit: PseudoOrbit,
             res, dst_res = dst_res, None
             try:
                 if res is None:
-                    res = _lstar_raw(leg.src.I, leg.src.theta, ODD, p, tol)
-                dst_res = _lstar_raw(leg.dst.I, leg.dst.theta, ODD, p, tol)
-                dI_L, dth_L = _grad_of(res, leg.src.I, leg.src.theta, tol)
+                    res = _lstar_raw(leg.src.I, leg.src.theta, ODD, p)
+                dst_res = _lstar_raw(leg.dst.I, leg.dst.theta, ODD, p)
+                dI_L, dth_L = _grad_of(res, leg.src.I, leg.src.theta)
             except (SingularCrest, UnreachableBranch,
                     TangencyDegenerate) as exc:
                 failures.append(f"leg {idx}: re-solve failed: {exc}")
@@ -372,7 +370,7 @@ def verify_pseudo_orbit(orbit: PseudoOrbit,
             max_mismatch = max(max_mismatch, mism)
             if mism > 1e-10:
                 failures.append(f"leg {idx}: step mismatch {mism:.3e}")
-            thp = _theta_plus_safe(leg.src.I, p, tol)
+            thp = _theta_plus_safe(leg.src.I, p)
             if not (rho <= leg.src.theta <= thp):
                 window_violations += 1
                 failures.append(

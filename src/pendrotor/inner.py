@@ -29,9 +29,13 @@ import numpy as np
 
 from ._ode import H_START, ODE_OK, integrate_inner
 from .errors import StepFailure
-from .params import DEFAULT_TOL, SystemParams
+from .params import SystemParams
 
 TWO_PI = 2.0 * math.pi
+
+#: default rtol = atol of the inner-flow integrator: each step's error
+#: estimate, RMS over (I, phi) of the error over atol + rtol*|y|, is at most 1
+TOL_ODE = 1e-10
 
 #: Half-width of the resonance bands in I.  It contains the pendulum zones
 #: around I = 0 and I = 1/r, of half-widths 2 sqrt(eps |a1|) and
@@ -83,7 +87,7 @@ def resonance_half_width_pendulum(params: SystemParams) -> float:
 
 
 def inner_flow(state: InnerState, t: float, params: SystemParams,
-               tol_ode: float = DEFAULT_TOL.tol_ode) -> InnerState:
+               tol_ode: float = TOL_ODE) -> InnerState:
     """Flow the inner equations for time t (exact in the eps = 0 limit)."""
     I, phi, _, _, status = integrate_inner(
         state.I, state.phi, state.s, 0.0, t, H_START, params.eps, params.a1,
@@ -116,7 +120,7 @@ def sections(state: InnerState, params: SystemParams,
 
 def stroboscopic_sections(state: InnerState, n_periods: int,
                           params: SystemParams,
-                          tol_ode: float = DEFAULT_TOL.tol_ode) -> np.ndarray:
+                          tol_ode: float = TOL_ODE) -> np.ndarray:
     """States at the next ``n_periods`` sections s = s0 + 2*pi*n.
 
     Returns an array of rows (t, I, phi); phi is unwrapped.
@@ -144,7 +148,7 @@ def _share(states: Sequence[InnerState], n_periods: int, params: SystemParams,
 
 def orbit_sections(states: Sequence[InnerState], n_periods: int,
                    params: SystemParams,
-                   tol_ode: float = DEFAULT_TOL.tol_ode
+                   tol_ode: float = TOL_ODE
                    ) -> list[np.ndarray | StepFailure]:
     """:func:`stroboscopic_sections` of every state, in order, spread over
     the usable cores.

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import SingularCrest, UnreachableBranch
-from .params import DEFAULT_TOL, SystemParams, Tolerances
+from .params import SystemParams
 from .scattering import TauCriterion
 
 TWO_PI = 2.0 * math.pi
@@ -67,8 +67,7 @@ def _band_of(t, phi0, sig0, rphi, rsig, horizontal):
 
 def brute_tau_scan(I: float, theta: float, criterion: TauCriterion,
                    params: SystemParams, h: float = 1e-5,
-                   chunk: int = 8192,
-                   tol: Tolerances = DEFAULT_TOL) -> float:
+                   chunk: int = 8192) -> float:
     """First criterion-matching ridge crossing found by uniform ray marching.
 
     Scans the ray at step h, refines each detected sign change by bisection
@@ -112,7 +111,7 @@ def brute_tau_scan(I: float, theta: float, criterion: TauCriterion,
     th = theta % TWO_PI
     c = K.crest_coef(I, params.a1, params.a2, params.r)
     ac = abs(c)
-    if abs(ac - 1.0) < tol.tol_cls:
+    if abs(ac - 1.0) < K.TOL_CLS:
         raise SingularCrest(f"singular regime at I = {I}")
     horizontal = ac < 1.0
     phi0, sig0 = th, params.r * th

@@ -1,4 +1,4 @@
-"""System parameters and numerical tolerances.
+"""System parameters.
 
 The physical model is a pendulum-rotor Hamiltonian with a two-harmonic
 time-periodic coupling
@@ -21,35 +21,6 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerances shared across the solvers.
-
-    tol_cls      band around |mu*alpha(I)| = 1 classified as Singular
-    tol_root     relative width at which threshold roots stop bisecting
-                 (tau* roots stop on the Newton finish's own 1e-15 rule)
-    tol_degen    transversality margin below which tau* is flagged degenerate
-    tol_quad     absolute error target of the splitting-integral quadrature
-    tol_ode      rtol = atol of the inner-flow integrator: each step's
-                 error estimate, RMS over (I, phi) of the error over
-                 atol + rtol*|y|, is at most 1
-    tie_tol      |tau| tie window for the minimal-|tau| criterion
-    """
-
-    tol_cls: float = 1e-9
-    tol_root: float = 1e-12
-    tol_degen: float = 1e-6
-    tol_quad: float = 1e-10
-    tol_ode: float = 1e-10
-    tie_tol: float = 1e-9
-
-    def override(self, **kwargs) -> "Tolerances":
-        return replace(self, **kwargs)
-
-
-DEFAULT_TOL = Tolerances()
 
 
 @dataclass(frozen=True)

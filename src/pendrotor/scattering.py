@@ -31,10 +31,15 @@ from . import _kernels as K
 from .crests import CrestBranch, CrestKind, classify
 from .errors import (ConfigError, OnDiscontinuity, QuadratureNotConverged,
                      SingularCrest, TangencyDegenerate, UnreachableBranch)
-from .params import DEFAULT_TOL, SystemParams, Tolerances
+from .params import SystemParams
 
 TWO_PI = 2.0 * math.pi
 TAU_OK = K.TAU_OK
+
+#: transversality margin below which a tau* contact is degenerate
+TOL_DEGEN = 1e-6
+#: absolute error target of the splitting-integral quadrature
+TOL_QUAD = 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -148,8 +153,8 @@ def melnikov_closed(I: float, phi: float, s: float,
             + K.amp2(I, params.a2, params.r) * math.cos(params.r * phi - s))
 
 
-def melnikov_quadrature(I: float, phi: float, s: float, params: SystemParams,
-                        tol: Tolerances = DEFAULT_TOL) -> float:
+def melnikov_quadrature(I: float, phi: float, s: float,
+                        params: SystemParams) -> float:
     """Composite trapezoidal rule for the splitting integral; sign-convention
     oracle.
 
@@ -159,7 +164,7 @@ def melnikov_quadrature(I: float, phi: float, s: float, params: SystemParams,
     error falls like exp(-pi^2/h) (Trefethen & Weideman, SIAM Rev. 56,
     2014).  Starting at h = 0.1 the step is halved, adding only the new
     midpoints, until two successive sums agree to within
-    100 * tol_quad + 1e-13 * |value|; :class:`QuadratureNotConverged` after
+    100 * TOL_QUAD + 1e-13 * |value|; :class:`QuadratureNotConverged` after
     six halvings.  Sums are compared only once the coarser step takes two
     nodes per period of the faster harmonic (|I| or |rI - 1|): the finer
     sum shares the coarser one's even aliases, so below that rate both can
@@ -191,12 +196,12 @@ def melnikov_quadrature(I: float, phi: float, s: float, params: SystemParams,
         total += integrand(-L + h * np.arange(1, 2 * n, 2)).sum()
         n *= 2
         prev, val = val, float(h * total)
-        target = 100.0 * tol.tol_quad + 1e-13 * abs(val)
+        target = 100.0 * TOL_QUAD + 1e-13 * abs(val)
         if 2.0 * h * w_max <= math.pi and abs(val - prev) <= target:
             return val
     raise QuadratureNotConverged(
         f"trapezoid sums not settled at h = {h:.3g} (last change "
-        f"{abs(val - prev):.3g}, target {tol.tol_quad:.3g}, fastest harmonic "
+        f"{abs(val - prev):.3g}, target {TOL_QUAD:.3g}, fastest harmonic "
         f"frequency {w_max:.3g}) at (I, phi, s) = ({I}, {phi}, {s})")
 
 
@@ -205,7 +210,7 @@ def melnikov_quadrature(I: float, phi: float, s: float, params: SystemParams,
 # ----------------------------------------------------------------------
 
 def lstar(I: float, theta: float, criterion: TauCriterion,
-          params: SystemParams, tol: Tolerances = DEFAULT_TOL) -> tuple:
+          params: SystemParams) -> tuple:
     """The selected contact and L* there, as the kernel returns them:
     (status, tau*, band, margin, phi*, sigma*, L*, dL*/dtheta, dL*/dI).
 
@@ -215,12 +220,11 @@ def lstar(I: float, theta: float, criterion: TauCriterion,
     if not (math.isfinite(I) and math.isfinite(theta)):
         raise ConfigError(f"(I, theta) must be finite, got ({I}, {theta})")
     return K.lstar_kernel(I, theta % TWO_PI, params.r, params.a1, params.a2,
-                          criterion.code, criterion.k, tol.tol_cls,
-                          tol.tie_tol)
+                          criterion.code, criterion.k)
 
 
-def sweep(I_vals, th_vals, criterion: TauCriterion, params: SystemParams,
-          tol: Tolerances = DEFAULT_TOL) -> tuple:
+def sweep(I_vals, th_vals, criterion: TauCriterion,
+          params: SystemParams) -> tuple:
     """:func:`lstar` over the grid of the 1-D arrays I_vals x th_vals.
 
     Returns (nI, nth) arrays (status, tau*, band, margin, L*, dL*/dtheta,
@@ -229,14 +233,13 @@ def sweep(I_vals, th_vals, criterion: TauCriterion, params: SystemParams,
     if not (np.isfinite(I_vals).all() and np.isfinite(th_vals).all()):
         raise ConfigError("sweep grid values must be finite")
     return K.sweep_kernel(I_vals, np.mod(th_vals, TWO_PI), params.r,
-                          params.a1, params.a2, criterion.code, criterion.k,
-                          tol.tol_cls, tol.tie_tol)
+                          params.a1, params.a2, criterion.code, criterion.k)
 
 
 def _lstar_raw(I: float, theta: float, criterion: TauCriterion,
-               params: SystemParams, tol: Tolerances) -> tuple:
+               params: SystemParams) -> tuple:
     """:func:`lstar`, raising for a status other than ``TAU_OK``."""
-    res = lstar(I, theta, criterion, params, tol)
+    res = lstar(I, theta, criterion, params)
     if res[0] == K.TAU_SINGULAR:
         raise SingularCrest(
             f"|mu*alpha(I)| within tolerance of 1 at I = {I}")
@@ -248,33 +251,30 @@ def _lstar_raw(I: float, theta: float, criterion: TauCriterion,
 
 
 def solve_tau_star(I: float, theta: float, criterion: TauCriterion,
-                   params: SystemParams,
-                   tol: Tolerances = DEFAULT_TOL) -> TauSolution:
+                   params: SystemParams) -> TauSolution:
     """Contact time tau* of the connection line with the selected ridge.
 
     theta is reduced mod 2*pi before solving.  Near-tangent contacts (ridge
-    transversality below ``tol.tol_degen``) are returned with
+    transversality below ``TOL_DEGEN``) are returned with
     ``degenerate=True``; map evaluations refuse them.
     """
     _, tau, kband, margin, phis, sigs = _lstar_raw(I, theta, criterion,
-                                                   params, tol)[:6]
+                                                   params)[:6]
     return TauSolution(
         I=I, theta=theta % TWO_PI, tau_star=tau,
-        branch_hit=CrestBranch(k=kband, kind=classify(I, params, tol), I=I),
+        branch_hit=CrestBranch(k=kband, kind=classify(I, params), I=I),
         phi_star=phis, sigma_star=sigs, margin=margin,
-        degenerate=margin < tol.tol_degen, criterion=criterion)
+        degenerate=margin < TOL_DEGEN, criterion=criterion)
 
 
 def reduced_poincare(I: float, theta: float, criterion: TauCriterion,
-                     params: SystemParams,
-                     tol: Tolerances = DEFAULT_TOL) -> float:
+                     params: SystemParams) -> float:
     """L*(I, theta): the splitting potential at the selected contact."""
-    return _lstar_raw(I, theta, criterion, params, tol)[6]
+    return _lstar_raw(I, theta, criterion, params)[6]
 
 
 def grad_reduced_poincare(I: float, theta: float, criterion: TauCriterion,
-                          params: SystemParams,
-                          tol: Tolerances = DEFAULT_TOL) -> tuple[float, float]:
+                          params: SystemParams) -> tuple[float, float]:
     """(dL*/dI, dL*/dtheta) from the analytic formulas.
 
     dL*/dtheta = A1 sin(phi*)/(rI-1) = -A2 sin(sigma*)/I (the form with the
@@ -282,15 +282,13 @@ def grad_reduced_poincare(I: float, theta: float, criterion: TauCriterion,
     - tau* dL*/dtheta.  Raises :class:`TangencyDegenerate` at near-tangent
     contacts, where the contact ceases to be differentiable.
     """
-    return _grad_of(_lstar_raw(I, theta, criterion, params, tol), I, theta,
-                    tol)
+    return _grad_of(_lstar_raw(I, theta, criterion, params), I, theta)
 
 
-def _grad_of(res, I: float, theta: float,
-             tol: Tolerances) -> tuple[float, float]:
+def _grad_of(res, I: float, theta: float) -> tuple[float, float]:
     """(dL*/dI, dL*/dtheta) of an OK :func:`lstar` result at (I, theta)."""
     _, tau, _, margin, _, _, _, dth, dI = res
-    if margin < tol.tol_degen:
+    if margin < TOL_DEGEN:
         raise TangencyDegenerate(
             f"tau* transversality margin {margin:.3g} below tolerance at "
             f"(I, theta) = ({I}, {theta})")
@@ -309,8 +307,7 @@ def grad_theta_forms(sol: TauSolution,
 
 
 def scattering_step(state: ScatteringState, criterion: TauCriterion,
-                    params: SystemParams,
-                    tol: Tolerances = DEFAULT_TOL) -> ScatteringState:
+                    params: SystemParams) -> ScatteringState:
     """One first-order jump: (I, theta) -> (I + eps dL*/dtheta, theta - eps dL*/dI).
 
     The discarded remainder is O(eps^2) per application, so iterates follow
@@ -319,15 +316,13 @@ def scattering_step(state: ScatteringState, criterion: TauCriterion,
     """
     if params.eps == 0.0:
         return state.normalized()
-    dI, dth = grad_reduced_poincare(state.I, state.theta, criterion, params,
-                                    tol)
+    dI, dth = grad_reduced_poincare(state.I, state.theta, criterion, params)
     return ScatteringState(I=state.I + params.eps * dth,
                            theta=(state.theta - params.eps * dI) % TWO_PI)
 
 
 def extended_map_domain(I: float, theta: float, params: SystemParams,
-                        branch_k: int | None = None,
-                        tol: Tolerances = DEFAULT_TOL) -> bool:
+                        branch_k: int | None = None) -> bool:
     """Whether the horizontally-parameterized branch map extends to (I, theta).
 
     In the horizontal regime the branch-k map exists for every theta.  In
@@ -340,15 +335,14 @@ def extended_map_domain(I: float, theta: float, params: SystemParams,
     if branch_k is None:
         _, branch_k = ATLAS.region_of(th)
     try:
-        sol = solve_tau_star(I, th, branch(branch_k), params, tol)
+        sol = solve_tau_star(I, th, branch(branch_k), params)
     except (UnreachableBranch, SingularCrest):
         return False
     dev = abs(sol.sigma_star - branch_k * math.pi)
     return dev < math.pi / 2.0 - 1e-9
 
 
-def piecewise_global_map(state: ScatteringState, params: SystemParams,
-                         tol: Tolerances = DEFAULT_TOL
+def piecewise_global_map(state: ScatteringState, params: SystemParams
                          ) -> tuple[ScatteringState, str]:
     """Minimal-|tau*| global jump map plus its atlas region label.
 
@@ -364,15 +358,13 @@ def piecewise_global_map(state: ScatteringState, params: SystemParams,
             raise OnDiscontinuity(f"theta = {th} lies on the discontinuity "
                                   f"line {d}")
     name, k = ATLAS.region_of(th)
-    sol_min = solve_tau_star(state.I, th, MINABS, params, tol)
+    sol_min = solve_tau_star(state.I, th, MINABS, params)
     use = branch(k) if sol_min.branch_hit.k == k else MINABS
-    new_state = scattering_step(ScatteringState(state.I, th), use, params,
-                                tol)
+    new_state = scattering_step(ScatteringState(state.I, th), use, params)
     return new_state, name
 
 
-def theta_plus(I: float, params: SystemParams,
-               tol: Tolerances = DEFAULT_TOL) -> float:
+def theta_plus(I: float, params: SystemParams) -> float:
     """Upper end theta_plus(I) of the window (pi, theta_plus) where the
     odd-branch jump map increases I (positive amplitudes).
 
@@ -385,7 +377,7 @@ def theta_plus(I: float, params: SystemParams,
         raise ConfigError("theta_plus closed forms are derived for r = 1")
     if params.a1 <= 0.0 or params.a2 <= 0.0:
         raise ConfigError("theta_plus requires a1, a2 > 0")
-    kind = classify(I, params, tol)
+    kind = classify(I, params)
     if kind is CrestKind.SINGULAR:
         raise SingularCrest(f"singular crest regime at I = {I}")
     if kind is CrestKind.HORIZONTAL:

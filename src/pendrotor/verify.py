@@ -15,7 +15,7 @@ from . import _kernels as K
 from .crests import find_thresholds
 from .errors import ConfigError, PendrotorError
 from .oracles import brute_tau_scan
-from .params import DEFAULT_TOL, SystemParams, Tolerances
+from .params import SystemParams
 from .scattering import (MINABS, DOWN, ODD, TAU_OK, UP, TauCriterion, branch,
                          lstar, melnikov_closed, melnikov_quadrature,
                          solve_tau_star, theta_plus)
@@ -58,7 +58,6 @@ def _require_r_one(params: SystemParams) -> None:
 
 
 def melnikov_check(params: SystemParams, n: int = 100, seed: int = 0,
-                   tol: Tolerances = DEFAULT_TOL,
                    corrupt: str | None = None) -> CheckResult:
     """Closed-form splitting potential against the trapezoid-rule quadrature.
 
@@ -78,7 +77,7 @@ def melnikov_check(params: SystemParams, n: int = 100, seed: int = 0,
         phi = rng.uniform(0.0, TWO_PI)
         s = rng.uniform(0.0, TWO_PI)
         diff = abs(melnikov_closed(I, phi, s, closed_params)
-                   - melnikov_quadrature(I, phi, s, params, tol))
+                   - melnikov_quadrature(I, phi, s, params))
         worst = max(worst, diff)
     return CheckResult("melnikov_closed_vs_quadrature", worst <= MELNIKOV_TOL,
                        worst, MELNIKOV_TOL, n)
@@ -95,8 +94,8 @@ def _sample_criterion(rng) -> TauCriterion:
     return branch(int(i) - 3)  # branches 0, 1, 2
 
 
-def tau_oracle_check(params: SystemParams, n: int = 200, seed: int = 0,
-                     tol: Tolerances = DEFAULT_TOL) -> CheckResult:
+def tau_oracle_check(params: SystemParams, n: int = 200,
+                     seed: int = 0) -> CheckResult:
     """Production tau* solver against the uniform fine-grid ray scan.
 
     Draws samples until n of them solve cleanly (margin >= 1e-3), and fails
@@ -117,12 +116,12 @@ def tau_oracle_check(params: SystemParams, n: int = 200, seed: int = 0,
         theta = rng.uniform(0.0, TWO_PI)
         crit = _sample_criterion(rng)
         try:
-            sol = solve_tau_star(I, theta, crit, params, tol)
+            sol = solve_tau_star(I, theta, crit, params)
         except PendrotorError:
             continue
         if sol.degenerate or sol.margin < 1e-3:
             continue
-        ref = brute_tau_scan(I, theta, crit, params, h=1e-5, tol=tol)
+        ref = brute_tau_scan(I, theta, crit, params, h=1e-5)
         worst = max(worst, abs(sol.tau_star - ref))
         used += 1
     if used < n:
@@ -133,8 +132,8 @@ def tau_oracle_check(params: SystemParams, n: int = 200, seed: int = 0,
                        TAU_TOL, used)
 
 
-def lemma_symmetry_check(params: SystemParams, n_I: int = 60, n_th: int = 60,
-                         tol: Tolerances = DEFAULT_TOL) -> CheckResult:
+def lemma_symmetry_check(params: SystemParams, n_I: int = 60,
+                         n_th: int = 60) -> CheckResult:
     """dL0*/dtheta(I, theta) = -dL2*/dtheta(I, 2pi - theta) on a masked grid
     over I in [-2, 2], to within 1e-8.
 
@@ -159,8 +158,8 @@ def lemma_symmetry_check(params: SystemParams, n_I: int = 60, n_th: int = 60,
         if abs(c - 1.0) < 1e-6:
             continue
         for th in ths:
-            r0 = lstar(I, th, even0, params, tol)
-            r2 = lstar(I, TWO_PI - th, even2, params, tol)
+            r0 = lstar(I, th, even0, params)
+            r2 = lstar(I, TWO_PI - th, even2, params)
             if r0[0] != TAU_OK or r2[0] != TAU_OK:
                 continue
             if r0[3] < 1e-3 or r2[3] < 1e-3:
@@ -172,8 +171,8 @@ def lemma_symmetry_check(params: SystemParams, n_I: int = 60, n_th: int = 60,
                        note="" if used else "no grid point solved cleanly")
 
 
-def drift_sign_check(params: SystemParams, n_I: int = 41, n_th: int = 25,
-                     tol: Tolerances = DEFAULT_TOL) -> CheckResult:
+def drift_sign_check(params: SystemParams, n_I: int = 41,
+                     n_th: int = 25) -> CheckResult:
     """Odd-branch map increases I throughout theta in (pi, theta_plus(I)).
 
     Sampled over I in [-2, 2], farther than 0.02 from the resonant actions
@@ -194,13 +193,13 @@ def drift_sign_check(params: SystemParams, n_I: int = 41, n_th: int = 25,
         if any(abs(I - s) < 0.02 for s in switches):
             continue
         try:
-            thp = theta_plus(I, params, tol)
+            thp = theta_plus(I, params)
         except PendrotorError:
             bad += 1
             continue
         ths = np.linspace(math.pi + 1e-3, thp - 1e-3, n_th)
         for th in ths:
-            res = lstar(I, th, ODD, params, tol)
+            res = lstar(I, th, ODD, params)
             if res[0] != TAU_OK:
                 bad += 1
                 continue
@@ -217,15 +216,14 @@ def drift_sign_check(params: SystemParams, n_I: int = 41, n_th: int = 25,
 
 
 def run_suite(params: SystemParams, n_melnikov: int = 60, n_tau: int = 150,
-              seed: int = 0, tol: Tolerances = DEFAULT_TOL,
+              seed: int = 0,
               corrupt: str | None = None) -> list[CheckResult]:
     """All four checks; raises :class:`ConfigError` before any of them runs
     when r != 1."""
     _require_r_one(params)
     return [
-        melnikov_check(params, n=n_melnikov, seed=seed, tol=tol,
-                       corrupt=corrupt),
-        tau_oracle_check(params, n=n_tau, seed=seed, tol=tol),
-        lemma_symmetry_check(params, tol=tol),
-        drift_sign_check(params, tol=tol),
+        melnikov_check(params, n=n_melnikov, seed=seed, corrupt=corrupt),
+        tau_oracle_check(params, n=n_tau, seed=seed),
+        lemma_symmetry_check(params),
+        drift_sign_check(params),
     ]

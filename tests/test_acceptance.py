@@ -104,7 +104,6 @@ def test_c03b_alpha_zero_exact():
 def test_c04_down_up_reflection_symmetry(p075):
     """max over a 200x200 (I, theta) grid (tangency-masked) of
     |dL0*/dtheta(I,theta) + dL2*/dtheta(I, 2pi-theta)| <= 1e-8."""
-    tol = pr.DEFAULT_TOL
     Is = np.linspace(-2.0, 2.0, 200)
     ths = np.linspace(1e-4, TWO_PI - 1e-4, 200)
     worst = 0.0
@@ -119,9 +118,9 @@ def test_c04_down_up_reflection_symmetry(p075):
         for th in ths:
             total += 1
             r0 = K.lstar_kernel(I, th, p075.r, p075.a1, p075.a2,
-                                K.CRIT_BRANCH, 0, tol.tol_cls, tol.tie_tol)
+                                K.CRIT_BRANCH, 0)
             r2 = K.lstar_kernel(I, TWO_PI - th, p075.r, p075.a1, p075.a2,
-                                K.CRIT_BRANCH, 2, tol.tol_cls, tol.tie_tol)
+                                K.CRIT_BRANCH, 2)
             if r0[0] != K.TAU_OK or r2[0] != K.TAU_OK:
                 continue
             if min(r0[3], r2[3]) < 1e-3:  # tangency-affected contacts
@@ -143,7 +142,6 @@ def test_c05_positive_drift_window_and_theta_plus(p075):
     (pi+1e-3, theta_plus(I)-1e-3); theta_plus matches its closed forms."""
     rep = pr.find_thresholds(p075)
     switches = list(rep.alpha_thresholds) + [0.0, 1.0]
-    tol = pr.DEFAULT_TOL
 
     def formula(I, horizontal):
         if horizontal:
@@ -164,7 +162,7 @@ def test_c05_positive_drift_window_and_theta_plus(p075):
         assert thp == formula(I, kind is pr.CrestKind.HORIZONTAL)
         for th in np.linspace(math.pi + 1e-3, thp - 1e-3, 50):
             res = K.lstar_kernel(I, th, p075.r, p075.a1, p075.a2,
-                                 K.CRIT_BRANCH, 1, tol.tol_cls, tol.tie_tol)
+                                 K.CRIT_BRANCH, 1)
             checked += 1
             if res[0] != K.TAU_OK or not res[7] > 0.0:
                 failures += 1

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -680,7 +679,7 @@ class TestConfigFile:
 
 
 _PARAM_FLAGS = ["--a1", "--a2", "--mu", "--r", "--k1", "--k2", "--l1", "--l2",
-                "--eps", "--out", "--config", "--tol-override"]
+                "--eps", "--out", "--config"]
 _GRID_FLAGS = ["--format", "--I-min", "--I-max", "--grid-n"]
 
 
@@ -709,7 +708,7 @@ class TestFlagSets:
                             if o not in ("-h", "--help"))
                for name, p in _subparsers().items()}
         assert got == {name: sorted(flags) for name, flags in want.items()}
-        assert sum(map(len, got.values())) == 120
+        assert sum(map(len, got.values())) == 113
 
     def test_numeric_ranges_are_flag_types(self):
         # each numeric flag states its range once, as its argparse type;
@@ -788,35 +787,6 @@ class TestFlagSets:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "tol_ode" in err
         assert not out.exists()
-
-    def test_every_tolerance_is_read(self):
-        # a Tolerances field that no subcommand reads is a setting no
-        # caller sets
-        assert (frozenset().union(*cli.TOL_KEYS.values())
-                == {f.name for f in dataclasses.fields(pr.Tolerances)})
-
-    def test_tolerance_keys_per_subcommand(self):
-        # the Tolerances fields each cmd_* reads through what it calls
-        sweep = {"tol_cls", "tie_tol", "tol_degen"}
-        want = {
-            "thresholds": {"tol_root", "tol_cls"},
-            "crests": {"tol_cls"},
-            "portrait": sweep,
-            "tau-field": sweep,
-            "inner-portrait": {"tol_ode"},
-            "diffuse": sweep,
-            "verify": sweep | {"tol_quad"},
-        }
-        assert cli.TOL_KEYS == want
-        for command in _subparsers():
-            for field in dataclasses.fields(pr.Tolerances):
-                args = cli.build_parser().parse_args(
-                    [command, "--tol-override", f"{field.name}=1e-3"])
-                if field.name in want[command]:
-                    assert getattr(cli._tol_from(args), field.name) == 1e-3
-                else:
-                    with pytest.raises(pr.ConfigError, match="does not read"):
-                        cli._tol_from(args)
 
     def test_mu_with_a2_scales_a1(self, tmp_path):
         out = tmp_path / "thr.csv"

@@ -8,8 +8,9 @@ from scipy.integrate import solve_ivp
 
 import pendrotor as pr
 from pendrotor._ode import H_START
-from pendrotor.inner import (RESONANCE_HALF_WIDTH, InnerState, inner_flow,
-                             region_of, resonance_half_width_pendulum, sections,
+from pendrotor.inner import (RESONANCE_HALF_WIDTH, TOL_ODE, InnerState,
+                             inner_flow, region_of,
+                             resonance_half_width_pendulum, sections,
                              stroboscopic_sections, torus_value)
 
 TWO_PI = 2.0 * math.pi
@@ -46,13 +47,13 @@ class TestFlow:
         s0 = InnerState(I=0.37, phi=1.1, s=0.0)
         t = 10.0
         back = inner_flow(inner_flow(s0, t, p075), -t, p075)
-        assert abs(back.I - s0.I) < 10 * pr.DEFAULT_TOL.tol_ode
-        assert abs(back.phi - s0.phi) < 10 * pr.DEFAULT_TOL.tol_ode
+        assert abs(back.I - s0.I) < 10 * TOL_ODE
+        assert abs(back.phi - s0.phi) < 10 * TOL_ODE
         # over long spans the angle error grows secularly; the per-unit-time
         # budget still holds
         t = 200.0
         back = inner_flow(inner_flow(s0, t, p075), -t, p075)
-        assert abs(back.phi - s0.phi) < 10 * pr.DEFAULT_TOL.tol_ode * 2 * t
+        assert abs(back.phi - s0.phi) < 10 * TOL_ODE * 2 * t
 
     def test_against_independent_integrator(self, p075):
         # dual route: scipy DOP853 at tighter tolerance

@@ -1,6 +1,7 @@
 import inspect
 import math
 import sys
+import types
 
 import mpmath
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import pendrotor as pr
 from pendrotor import _kernels as K
-from pendrotor import model
+from pendrotor import crests, inner, model, scattering
 from conftest import alpha_direct, beta_direct
 
 E_PI_HALF = math.exp(math.pi / 2.0)
@@ -225,8 +226,47 @@ class TestLargeActions:
 
 
 class TestSignatures:
-    """The model functions take no tolerance: their pole guard is the
-    constant DELTA_SING."""
+    """No public function takes a tolerance: each is a module constant,
+    read where it is used (the model's pole guard is DELTA_SING)."""
+
+    TOL_NAMES = {"tol", "tol_cls", "tie_tol", "tol_root", "tol_quad",
+                 "tol_degen"}
+
+    @staticmethod
+    def _public_callables():
+        """(name, callable) of every exported function, of every exported
+        class with its own constructor, and of every public method an
+        exported class defines."""
+        for name in pr.__all__:
+            obj = getattr(pr, name)
+            if not inspect.isclass(obj):
+                if callable(obj):
+                    yield name, obj
+                continue
+            if "__init__" in vars(obj):
+                yield name, obj
+            for attr, member in vars(obj).items():
+                if not attr.startswith("_") and isinstance(
+                        member, (types.FunctionType, classmethod,
+                                 staticmethod)):
+                    yield f"{name}.{attr}", getattr(obj, attr)
+
+    def test_no_tolerance_parameter(self):
+        found = {name: sorted(self.TOL_NAMES
+                              & set(inspect.signature(f).parameters))
+                 for name, f in self._public_callables()}
+        assert len(found) > 50
+        assert {name: p for name, p in found.items() if p} == {}
+        assert not {"Tolerances", "DEFAULT_TOL"} & set(dir(pr))
+
+    def test_tolerance_constants(self):
+        assert (K.TOL_CLS, K.TIE_TOL, scattering.TOL_DEGEN,
+                scattering.TOL_QUAD, crests.TOL_ROOT, inner.TOL_ODE) == (
+            1e-9, 1e-9, 1e-6, 1e-10, 1e-12, 1e-10)
+        for f in (inner.inner_flow, inner.stroboscopic_sections,
+                  inner.orbit_sections):
+            assert (inspect.signature(f).parameters["tol_ode"].default
+                    == inner.TOL_ODE)
 
     def test_parameters(self):
         names = {f: list(inspect.signature(f).parameters)

@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 
 import pendrotor as pr
 from pendrotor import _kernels as K
-from pendrotor import oracles
+from pendrotor import oracles, scattering
 from pendrotor.crests import crest_phi, crest_sigma
 from pendrotor.oracles import _band_of, _refine, _residual_grid, brute_tau_scan
 from pendrotor.scattering import grad_theta_forms
@@ -211,14 +211,14 @@ class TestTauStar:
         with pytest.raises(pr.UnreachableBranch):
             pr.solve_tau_star(0.4, 1.0, pr.branch(40), p075)
 
-    def test_singular_regime_raises(self):
+    def test_singular_regime_raises(self, monkeypatch):
         # |mu alpha(I)| = 1 exactly at the regime threshold
         p = pr.SystemParams(a1=0.5, a2=1.0)
         rep = pr.find_thresholds(p)
         I_c = rep.alpha_thresholds[1]
+        monkeypatch.setattr(K, "TOL_CLS", 1e-5)
         with pytest.raises(pr.SingularCrest):
-            pr.solve_tau_star(I_c, 2.0, pr.MINABS, p,
-                              pr.DEFAULT_TOL.override(tol_cls=1e-5))
+            pr.solve_tau_star(I_c, 2.0, pr.MINABS, p)
 
 
 def _plain_scan(I, theta, crit, p, h):
@@ -455,7 +455,7 @@ class TestBracketAdversarial:
 
         I = brentq(gap, I_c - 1e-4, I_c + 1e-4, xtol=1e-15, rtol=1e-15)
         c = abs(K.crest_coef(I, p.a1, p.a2, r))
-        assert pr.DEFAULT_TOL.tol_cls < abs(c - 1.0) < 1.01e-6
+        assert K.TOL_CLS < abs(c - 1.0) < 1.01e-6
         _check_against_oracles(I, theta, crit, p)
 
 
@@ -542,7 +542,7 @@ class TestMirrorTie:
                     continue
                 tp, tm, mp, mm = _mirror_pair(I, th_vals[j], tau[i, j], p)
                 assert tm < 0 <= tp
-                assert abs(tp + tm) <= pr.DEFAULT_TOL.tie_tol
+                assert abs(tp + tm) <= K.TIE_TOL
                 assert abs(mp - mm) <= K.MARGIN_TIE_RTOL * max(mp, mm)
                 assert tau[i, j] == pytest.approx(float(tp), abs=1e-12)
                 n += 1
@@ -767,11 +767,11 @@ class TestReducedPoincare:
             dI, dth = pr.grad_reduced_poincare(I, math.pi, pr.branch(1), p075)
             assert abs(dth) < 1e-12
 
-    def test_degenerate_contact_refused(self, p075):
+    def test_degenerate_contact_refused(self, p075, monkeypatch):
         # force the degeneracy flag with an absurdly large margin tolerance
-        tol = pr.DEFAULT_TOL.override(tol_degen=1e9)
+        monkeypatch.setattr(scattering, "TOL_DEGEN", 1e9)
         with pytest.raises(pr.TangencyDegenerate):
-            pr.grad_reduced_poincare(0.4, 2.0, pr.branch(1), p075, tol)
+            pr.grad_reduced_poincare(0.4, 2.0, pr.branch(1), p075)
 
 
 class TestScatteringStep:
@@ -973,26 +973,22 @@ class TestKernelScalarTypes:
 
     @pytest.mark.parametrize("crit,k", CASES)
     def test_lstar_kernel_returns_python_scalars(self, p075, crit, k):
-        tol = pr.DEFAULT_TOL
         for I, th in ((0.4, 2.0), (-1.3, 4.0)):
             res = K.lstar_kernel(np.float64(I), np.float64(th), p075.r,
-                                 p075.a1, p075.a2, crit, k, tol.tol_cls,
-                                 tol.tie_tol)
+                                 p075.a1, p075.a2, crit, k)
             assert res[0] == K.TAU_OK
             assert all(type(x) in (float, int) for x in res), \
                 [type(x).__name__ for x in res]
             # same values as the Python-float call
-            ref = K.lstar_kernel(I, th, p075.r, p075.a1, p075.a2, crit, k,
-                                 tol.tol_cls, tol.tie_tol)
+            ref = K.lstar_kernel(I, th, p075.r, p075.a1, p075.a2, crit, k)
             assert res == ref
 
     @pytest.mark.parametrize("crit,k", CASES)
     def test_tau_star_kernel_returns_python_scalars(self, p075, crit, k):
-        tol = pr.DEFAULT_TOL
         I = np.float64(0.4)
         c = K.crest_coef(I, p075.a1, p075.a2, p075.r)
         res = K.tau_star_kernel(I, np.float64(2.0), np.float64(p075.r), c,
-                                crit, k, tol.tol_cls, tol.tie_tol)
+                                crit, k)
         assert res[0] == K.TAU_OK
         assert all(type(x) in (float, int) for x in res), \
             [type(x).__name__ for x in res]
@@ -1003,22 +999,20 @@ class TestSweepKernel:
 
     @pytest.mark.parametrize("crit,k", TestKernelScalarTypes.CASES)
     def test_entries_equal_lstar_kernel(self, p075, crit, k):
-        tol = pr.DEFAULT_TOL
         Ivals = np.linspace(-1.5, 1.5, 5)
         thvals = np.linspace(0.0, TWO_PI, 7, endpoint=False)
         criterion = next(c for c in (pr.DOWN, pr.UP, pr.MINABS, pr.branch(k))
                          if c.code == crit)
         # the kernel and the scattering entry that wraps it
         outs = (K.sweep_kernel(Ivals, thvals, p075.r, p075.a1, p075.a2, crit,
-                               k, tol.tol_cls, tol.tie_tol),
-                pr.sweep(Ivals, thvals, criterion, p075, tol))
+                               k),
+                pr.sweep(Ivals, thvals, criterion, p075))
         # (status, tau, band, margin, L, dL/dtheta, dL/dI) of lstar_kernel
         expected = np.empty((7, 5, 7))
         for i, I in enumerate(Ivals):
             for j, th in enumerate(thvals):
                 res = K.lstar_kernel(float(I), float(th), p075.r, p075.a1,
-                                     p075.a2, crit, k, tol.tol_cls,
-                                     tol.tie_tol)
+                                     p075.a2, crit, k)
                 expected[:, i, j] = [res[n] for n in (0, 1, 2, 3, 6, 7, 8)]
         for out in outs:
             assert len(out) == 7
@@ -1031,13 +1025,13 @@ class TestSweepKernel:
 class TestLstar:
     """scattering.lstar: the per-point tau* entry, status returned."""
 
-    def test_singular_status_is_returned(self, p075):
-        tol = pr.DEFAULT_TOL.override(tol_cls=10.0)
-        res = pr.lstar(0.4, 2.0, pr.MINABS, p075, tol)
+    def test_singular_status_is_returned(self, p075, monkeypatch):
+        monkeypatch.setattr(K, "TOL_CLS", 10.0)
+        res = pr.lstar(0.4, 2.0, pr.MINABS, p075)
         assert res[0] == K.TAU_SINGULAR
         assert all(math.isnan(x) for x in res[6:])
         with pytest.raises(pr.SingularCrest):
-            pr.solve_tau_star(0.4, 2.0, pr.MINABS, p075, tol)
+            pr.solve_tau_star(0.4, 2.0, pr.MINABS, p075)
 
     def test_unreachable_status_is_returned(self, p075):
         res = pr.lstar(0.4, 2.0, pr.branch(40), p075)
@@ -1049,9 +1043,8 @@ class TestLstar:
     @pytest.mark.parametrize("crit", [pr.MINABS, pr.branch(1)])
     @pytest.mark.parametrize("theta", [-1.0, -13.0, TWO_PI, 7.5, 20.0])
     def test_reduces_theta(self, p075, crit, theta):
-        tol = pr.DEFAULT_TOL
         ref = K.lstar_kernel(0.4, theta % TWO_PI, p075.r, p075.a1, p075.a2,
-                             crit.code, crit.k, tol.tol_cls, tol.tie_tol)
+                             crit.code, crit.k)
         assert ref[0] == K.TAU_OK
         assert pr.lstar(0.4, theta, crit, p075) == ref
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pendrotor as pr
-from pendrotor import verify
+from pendrotor import _kernels as K, verify
 from pendrotor.cli import main
 from pendrotor.verify import CheckResult, drift_sign_check, lemma_symmetry_check
 
@@ -78,14 +78,15 @@ class TestTauOracleDrawCap:
     """tau_oracle_check stops after MAX_DRAWS_PER_SAMPLE * n draws."""
 
     def test_no_clean_sample_fails_fast(self, tmp_path):
-        # tol_cls = 10 makes every solve singular
+        # TOL_CLS = 10 makes every solve singular
         out = tmp_path / "verify.json"
         src = os.path.dirname(os.path.dirname(pr.__file__))
+        code = ("import sys; from pendrotor import _kernels as K, cli; "
+                "K.TOL_CLS = 10.0; sys.exit(cli.main(sys.argv[1:]))")
         t0 = time.perf_counter()
         proc = subprocess.run(
-            [sys.executable, "-m", "pendrotor.cli", "verify", "--mu", "0.75",
-             "--n-melnikov", "1", "--n-tau", "5", "--tol-override",
-             "tol_cls=10", "--out", str(out)],
+            [sys.executable, "-c", code, "verify", "--mu", "0.75",
+             "--n-melnikov", "1", "--n-tau", "5", "--out", str(out)],
             env={**os.environ, "PYTHONPATH": src}, timeout=60)
         assert proc.returncode == 4
         assert time.perf_counter() - t0 < 20.0
@@ -110,12 +111,12 @@ class TestEmptyChecksFail:
         _assert_plain(res)
         assert res.n == 0 and res.passed is False and res.note
 
-    def test_report_is_strict_json(self, tmp_path):
-        # tol_cls = 10 makes every solve singular, so no check has a point
+    def test_report_is_strict_json(self, tmp_path, monkeypatch):
+        # TOL_CLS = 10 makes every solve singular, so no check has a point
+        monkeypatch.setattr(K, "TOL_CLS", 10.0)
         out = tmp_path / "verify.json"
         assert main(["verify", "--mu", "0.75", "--n-melnikov", "1", "--n-tau",
-                     "5", "--tol-override", "tol_cls=10",
-                     "--out", str(out)]) == 4
+                     "5", "--out", str(out)]) == 4
 
         def reject(token):
             raise ValueError(f"non-standard JSON constant {token}")
