@@ -194,8 +194,11 @@ def _components(window: tuple[float, float], r: float):
     not reach them), with the level the curves tend to at the far end: -inf,
     the pole and +inf, in turn.  The window's own edge stands in for an
     infinite far end; 'mid' carries no asymptote (None) when the window
-    stops short of the pole."""
+    stops short of the pole.  A non-finite window raises
+    :class:`ConfigError`."""
     (lo, hi), pole, eps = window, 1.0 / r, 1e-9
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"threshold window must be finite, got {window}")
     return (("neg", lo, min(-eps, hi), E_PI_HALF if r == 1.0 else 0.0),
             ("mid", max(eps, lo), min(pole - eps, hi),
              math.inf if hi >= pole - eps else None),
@@ -235,12 +238,22 @@ def _bisect_level(f, lo: float, hi: float) -> float:
 def _crossings(curve, level: float, lo: float, hi: float,
                r: float) -> list[float]:
     """Every solution of |curve(I, r)| = level in (lo, hi), ascending, by a
-    4000-point scan plus bisection; none when lo >= hi."""
+    4000-point scan plus bisection; none when lo >= hi.
+
+    The first and last cells of the scan also get points at distances
+    halving from half a cell down to 1e-9 * max(1, |end|) from their end,
+    so that on a wide window the crossings near 0 and the pole, where the
+    components end, do not share one cell."""
     if lo >= hi:
         return []
     f = lambda x: abs(curve(x, r)) - level
     pole = 1.0 / r
     pts = np.linspace(lo, hi, 4000).tolist()
+    for end, inward in ((lo, 1.0), (hi, -1.0)):
+        d = 0.5 * (hi - lo) / 3999
+        while d >= 1e-9 * max(1.0, abs(end)):
+            pts.append(end + inward * d)
+            d *= 0.5
     # geometric refinement toward an interior/endpoint pole
     if lo < pole < hi or abs(lo - pole) < 1e-12 or abs(hi - pole) < 1e-12:
         for kk in range(1, 48):

@@ -183,6 +183,28 @@ class TestThresholds:
             assert got == pytest.approx(want, rel=1e-11, abs=0.0)
         assert wide.labels["I_b"] != wide.labels["I_a"]
 
+    @pytest.mark.parametrize("window", [(-1e60, 1e60), (-1e300, 1e300)])
+    def test_widest_windows_below_r_one(self, window):
+        # mu = 1.3, r = 0.5: both crossings of each curve on the negative
+        # component (alpha -2.678, -0.631; beta -3.060, -1.142) lie in the
+        # last cell of its linear scan, which only the end-cell points split
+        p = pr.SystemParams(a1=1.3, a2=1.0, r=0.5)
+        near, wide = pr.find_thresholds(p), pr.find_thresholds(p, window)
+        for got, want in ((wide.alpha_thresholds, near.alpha_thresholds),
+                          (wide.beta_thresholds, near.beta_thresholds)):
+            assert len(got) == len(want) == 4
+            assert got == pytest.approx(want, rel=1e-11, abs=0.0)
+        assert ([(iv.kind, iv.tangency) for iv in wide.intervals]
+                == [(iv.kind, iv.tangency) for iv in near.intervals])
+
+    @pytest.mark.parametrize("window", [(math.nan, 5.0), (-math.inf, 5.0),
+                                        (-5.0, math.inf)])
+    def test_non_finite_window_rejected(self, p05, window):
+        with pytest.raises(pr.ConfigError, match="finite"):
+            pr.find_thresholds(p05, window)
+        with pytest.raises(pr.ConfigError, match="finite"):
+            pr.solve_level_crossing("alpha", "mid", p05, window)
+
     def test_zero_mu_rejected(self):
         with pytest.raises(pr.ConfigError):
             pr.find_thresholds(pr.SystemParams(a1=0.0, a2=1.0))
