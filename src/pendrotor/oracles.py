@@ -29,6 +29,8 @@ TWO_PI = 2.0 * math.pi
 # 128 was the cheapest on near-grazing rays at h = 1e-5 (0.66 ms a query,
 # 1.02 ms at 8); verify-style queries cost the same across that range.
 MIN_JUMP_CELLS = 128
+# Grid cells a band skip passes, or a vectorised step evaluates, at once.
+CHUNK = 8192
 # Bound on the rounding of one computed residual sample, in units of
 # 2**-52 * (1 + the largest |phi| + |sigma| the ray reaches).
 SAMPLE_ERR_ULPS = 16
@@ -66,8 +68,7 @@ def _band_of(t, phi0, sig0, rphi, rsig, horizontal):
 
 
 def brute_tau_scan(I: float, theta: float, criterion: TauCriterion,
-                   params: SystemParams, h: float = 1e-5,
-                   chunk: int = 8192) -> float:
+                   params: SystemParams, h: float = 1e-5) -> float:
     """First criterion-matching ridge crossing found by uniform ray marching.
 
     Scans the ray at step h, refines each detected sign change by bisection
@@ -77,7 +78,7 @@ def brute_tau_scan(I: float, theta: float, criterion: TauCriterion,
     Each direction is marched from grid index k (tau_k = d*h*k) in three
     ways, and all three give the result of the full scan:
 
-    * *Band skip.*  The ``chunk`` cells from k are passed unevaluated when
+    * *Band skip.*  The ``CHUNK`` cells from k are passed unevaluated when
       no band between those of their end samples is accepted (``branch=k``
       needs band k, ``down``/``up`` an even band).  The strip coordinate
       w = w0 + r_w*tau is affine, and rounded ``+``, ``*`` and ``floor`` are
@@ -97,7 +98,7 @@ def brute_tau_scan(I: float, theta: float, criterion: TauCriterion,
       g_k, no cell in between flags a sign change, and the march jumps to
       the last such index.
     * *Chunk.*  Where that jump would clear fewer than MIN_JUMP_CELLS cells,
-      the ``chunk`` cells from k are evaluated at once and every flagged
+      the ``CHUNK`` cells from k are evaluated at once and every flagged
       cell is refined and classified, as in a plain scan.
 
     Every flagged cell is still visited in order along each direction, so
@@ -105,9 +106,8 @@ def brute_tau_scan(I: float, theta: float, criterion: TauCriterion,
     two directions' crossings the smaller |tau| wins, and tau >= 0 on an
     exact tie, whichever direction reached its crossing first.
     """
-    if not (math.isfinite(h) and h > 0.0) or chunk < 1:
-        raise ValueError(f"brute scan needs a finite step h > 0 and chunk "
-                         f">= 1, got h = {h}, chunk = {chunk}")
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"brute scan needs a finite step h > 0, got {h}")
     th = theta % TWO_PI
     c = K.crest_coef(I, params.a1, params.a2, params.r)
     ac = abs(c)
@@ -165,7 +165,7 @@ def brute_tau_scan(I: float, theta: float, criterion: TauCriterion,
         if best is not None and start * h > abs(best) + h:
             done[d] = True
             continue
-        n = min(chunk, n_cap - start)
+        n = min(CHUNK, n_cap - start)
         step = d * h
         if not accepts(band(step * start), band(step * (start + n))):
             starts[d] = start + n

@@ -298,11 +298,13 @@ class TestBruteScanSkip:
                             _ALL_CRITS[i % len(_ALL_CRITS)], p))
         return out
 
-    def test_chunk_size_does_not_change_results(self):
+    def test_chunk_size_does_not_change_results(self, monkeypatch):
         for I, th, crit, p in self._queries(41, 14):
-            got = [_scan_or_error(brute_tau_scan, I, th, crit, p, h=1e-5,
-                                  chunk=chunk)
-                   for chunk in (1024, 8192, 65536)]
+            got = []
+            for chunk in (1024, 8192, 65536):
+                monkeypatch.setattr(oracles, "CHUNK", chunk)
+                got.append(_scan_or_error(brute_tau_scan, I, th, crit, p,
+                                          h=1e-5))
             assert got[0] == got[1] == got[2], (I, th, crit, p.r, got)
 
     def test_equals_plain_scan(self):
@@ -325,13 +327,12 @@ class TestBruteScanSkip:
 
 def test_brute_scan_rejects_bad_step_and_chunk(p075, monkeypatch):
     # the guard runs before any sample: h = 0 used to die in int(tau_lim/h)
-    # and chunk = 0 to never advance the march
     def no_sample(*args):
         raise AssertionError("sampled the ray")
 
     monkeypatch.setattr(oracles, "_residual_grid", no_sample)
     for kwargs in ({"h": 0.0}, {"h": -1e-5}, {"h": math.nan},
-                   {"h": math.inf}, {"chunk": 0}, {"chunk": -1}):
+                   {"h": math.inf}):
         with pytest.raises(ValueError):
             brute_tau_scan(0.4, 1.0, pr.MINABS, p075, **kwargs)
 
