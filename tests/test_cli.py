@@ -93,7 +93,7 @@ class TestThresholdsCmd:
     def test_edge_interval_at_a_singular_cut(self, tmp_path):
         # |alpha_r(-10)| = 1 exactly at r = 0.9 (rI - 1 = I), so the crossing
         # near -10 leaves a 5e-12-wide edge interval whose midpoint lies in
-        # the singular band; it used to raise SingularCrest (exit 3)
+        # the singular band, where has_tangency raises; it is skipped
         out = tmp_path / "thr.csv"
         assert main(["thresholds", "--a1", "1", "--a2", "1", "--r", "0.9",
                      "--I-min", "-10", "--I-max", "10",
