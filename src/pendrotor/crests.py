@@ -247,20 +247,12 @@ def _crossings(curve, level: float, lo: float, hi: float,
     if lo >= hi:
         return []
     f = lambda x: abs(curve(x, r)) - level
-    pole = 1.0 / r
     pts = np.linspace(lo, hi, 4000).tolist()
     for end, inward in ((lo, 1.0), (hi, -1.0)):
         d = 0.5 * (hi - lo) / 3999
         while d >= 1e-9 * max(1.0, abs(end)):
             pts.append(end + inward * d)
             d *= 0.5
-    # geometric refinement toward an interior/endpoint pole
-    if lo < pole < hi or abs(lo - pole) < 1e-12 or abs(hi - pole) < 1e-12:
-        for kk in range(1, 48):
-            d = (hi - lo) * 0.5 ** kk
-            for cand in (pole - d, pole + d):
-                if lo < cand < hi:
-                    pts.append(cand)
     roots: list[float] = []
     fprev = xprev = None
     for x in sorted(set(pts)):

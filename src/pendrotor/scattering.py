@@ -46,6 +46,11 @@ TOL_QUAD = 1e-10
 # criteria and result types
 # ----------------------------------------------------------------------
 
+#: kernel code of each criterion kind
+_CRIT_CODES = {"down": K.CRIT_DOWN, "up": K.CRIT_UP, "minabs": K.CRIT_MINABS,
+               "branch": K.CRIT_BRANCH}
+
+
 @dataclass(frozen=True)
 class TauCriterion:
     """Contact selection rule for tau*.
@@ -64,8 +69,7 @@ class TauCriterion:
 
     @property
     def code(self) -> int:
-        return {"down": K.CRIT_DOWN, "up": K.CRIT_UP,
-                "minabs": K.CRIT_MINABS, "branch": K.CRIT_BRANCH}[self.kind]
+        return _CRIT_CODES[self.kind]
 
     @classmethod
     def parse(cls, text: str) -> "TauCriterion":

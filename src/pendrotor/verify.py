@@ -17,8 +17,8 @@ from .errors import ConfigError, PendrotorError
 from .oracles import brute_tau_scan
 from .params import SystemParams
 from .scattering import (MINABS, DOWN, ODD, TAU_OK, UP, TauCriterion, branch,
-                         lstar, melnikov_closed, melnikov_quadrature,
-                         solve_tau_star, theta_plus)
+                         melnikov_closed, melnikov_quadrature, solve_tau_star,
+                         sweep, theta_plus)
 
 TWO_PI = 2.0 * math.pi
 #: tau_oracle_check's draw budget per requested sample; default runs use
@@ -146,26 +146,18 @@ def lemma_symmetry_check(params: SystemParams, n_I: int = 60,
     """
     _require_r_one(params)
     tol_cmp = 1e-8
-    Is = np.linspace(-2.0, 2.0, n_I)
+    Is = np.array([I for I in np.linspace(-2.0, 2.0, n_I)
+                   if min(abs(I), abs(params.r * I - 1.0)) >= 0.02
+                   and abs(abs(K.crest_coef(I, params.a1, params.a2,
+                                            params.r)) - 1.0) >= 1e-6],
+                  dtype=float)
     ths = np.linspace(1e-3, TWO_PI - 1e-3, n_th)
-    even0, even2 = branch(0), branch(2)
-    worst = 0.0
-    used = 0
-    for I in Is:
-        if min(abs(I), abs(params.r * I - 1.0)) < 0.02:
-            continue
-        c = abs(K.crest_coef(I, params.a1, params.a2, params.r))
-        if abs(c - 1.0) < 1e-6:
-            continue
-        for th in ths:
-            r0 = lstar(I, th, even0, params)
-            r2 = lstar(I, TWO_PI - th, even2, params)
-            if r0[0] != TAU_OK or r2[0] != TAU_OK:
-                continue
-            if r0[3] < 1e-3 or r2[3] < 1e-3:
-                continue
-            worst = max(worst, abs(r0[7] + r2[7]))
-            used += 1
+    st0, _, _, m0, _, d0, _ = sweep(Is, ths, branch(0), params)
+    st2, _, _, m2, _, d2, _ = sweep(Is, TWO_PI - ths, branch(2), params)
+    clean = (st0 == TAU_OK) & (st2 == TAU_OK) & (m0 >= 1e-3) & (m2 >= 1e-3)
+    gaps = np.abs(d0 + d2)[clean]
+    worst = gaps.max(initial=0.0)
+    used = gaps.size
     return CheckResult("down_up_reflection_symmetry",
                        used > 0 and worst <= tol_cmp, worst, tol_cmp, used,
                        note="" if used else "no grid point solved cleanly")
@@ -198,15 +190,11 @@ def drift_sign_check(params: SystemParams, n_I: int = 41,
             bad += 1
             continue
         ths = np.linspace(math.pi + 1e-3, thp - 1e-3, n_th)
-        for th in ths:
-            res = lstar(I, th, ODD, params)
-            if res[0] != TAU_OK:
-                bad += 1
-                continue
-            worst = min(worst, res[7])
-            used += 1
-            if res[7] <= 0.0:
-                bad += 1
+        st, _, _, _, _, dth, _ = sweep(np.array([I]), ths, ODD, params)
+        ok = dth[st == TAU_OK]
+        bad += int((st != TAU_OK).sum() + (ok <= 0.0).sum())
+        worst = ok.min(initial=worst)
+        used += ok.size
     if not used:
         return CheckResult("positive_drift_window", False, 0.0, 0.0, 0,
                            note="no window point solved cleanly")

@@ -466,16 +466,12 @@ class TestVerifyCmd:
                if c["name"] == "melnikov_closed_vs_quadrature"]
         assert bad and bad[0]["passed"] is False
 
-    def test_tolerance_override_flag(self, tmp_path, monkeypatch):
+    def test_tau_tol_below_floor_fails(self, tmp_path, monkeypatch):
         monkeypatch.setattr(verify, "TAU_TOL", 1e-18)
         out = tmp_path / "verify.json"
         rc = main(["verify", "--mu", "0.75", "--eps", "0.01",
                    "--n-melnikov", "6", "--n-tau", "25", "--out", str(out)])
         assert rc == 4  # below the root-refinement floor: must flag
-
-    def test_unknown_tol_override_exits_2(self):
-        assert main(["verify", "--mu", "0.75",
-                     "--tol-override", "nosuch=1"]) == 2
 
 
 class TestBadNumericInput:
@@ -489,20 +485,24 @@ class TestBadNumericInput:
         ["portrait", "--mu", "nan"],
         ["portrait", "--a1", "inf", "--a2", "1"],
         ["thresholds", "--mu", "0.5", "--eps", "nan"],
+        # a removed flag, whatever its value
         ["verify", "--mu", "0.75", "--tol-override", "tol_root=abc"],
         ["verify", "--mu", "0.75", "--tol-override", "tol_cls=nan"],
+        # a value its flag's type refuses
         ["portrait", "--mu", "0.5", "--criterion", "branch=x"],
         ["portrait", "--mu", "0.5", "--criterion", "branch=1.5"],
         ["crests", "--mu", "0.5", "--I", "abc"],
         ["crests", "--mu", "0.5", "--I", "nan"],
         ["verify", "--mu", "0.75", "--n-melnikov", "0", "--n-tau", "0"],
         ["verify", "--mu", "0.75", "--n-tau", "-3"],
-        # every tolerance is a positive width or target
+        # a removed flag, whatever its value
         ["inner-portrait", "--mu", "0.75", "--eps", "0.01", "--periods", "2",
          "--tol-override", "tol_ode=0"],
         ["inner-portrait", "--mu", "0.75", "--eps", "0.01", "--periods", "2",
          "--tol-override", "tol_ode=-1"],
+        # a seed below 0
         ["verify", "--mu", "0.75", "--seed", "-1"],
+        # a removed flag, whatever its value
         ["verify", "--mu", "0.75", "--tol-melnikov", "nan"],
         ["verify", "--mu", "0.75", "--tol-melnikov", "-1"],
         ["verify", "--mu", "0.75", "--tol-tau", "nan"],
@@ -519,7 +519,7 @@ class TestBadNumericInput:
         ["crests", "--mu", "0.5", "--I", "0.68", "--I-max=3"],
         ["crests", "--mu", "0.5", "--I", "0.68", "--angle-n", "4",
          "--I-min", "-3", "--I-max", "3", "--grid-n", "7"],
-        # a tolerance the subcommand never reads
+        # a removed flag, whatever its value
         ["thresholds", "--mu", "0.5", "--tol-override", "tol_ode=1e-6"],
         ["inner-portrait", "--mu", "0.75", "--eps", "0.01", "--periods", "2",
          "--tol-override", "tol_quad=1e-3"],
@@ -751,6 +751,8 @@ class TestFlagSets:
         ["verify", "--mu", "0.75", "--format", "csv"],
         ["thresholds", "--mu", "0.5", "--grid-n", "5"],
         ["inner-portrait", "--mu", "0.75", "--theta-n", "4"],
+        # a removed flag
+        ["verify", "--mu", "0.75", "--tol-override", "nosuch=1"],
     ])
     def test_unread_flag_exits_2(self, argv, capsys):
         assert main(argv) == 2
@@ -777,9 +779,8 @@ class TestFlagSets:
         assert exc.value.code == 0
         assert "--I-start" in capsys.readouterr().out
 
-    def test_diffuse_refuses_tol_ode(self, tmp_path, capsys):
-        # drift arcs run at the builder's and the verifier's own
-        # tolerances, so a tol_ode given to diffuse would be ignored
+    def test_unknown_flag_writes_no_output(self, tmp_path, capsys):
+        # the flag is refused while parsing, before the output file opens
         out = tmp_path / "orbit.csv"
         assert main(["diffuse", "--a1", "0.75", "--a2", "1", "--eps", "0.01",
                      "--tol-override", "tol_ode=1e-6",

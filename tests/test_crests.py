@@ -283,6 +283,21 @@ class TestThresholds:
         assert ("alpha/mid", None) in rep.missing
         assert all(not name.endswith("/pos") for name, _ in rep.missing)
 
+    def test_components_ending_on_the_pole(self):
+        # at r = 1e-8, pole -+ 1e-9 rounds to the pole 1e8 itself, so 'mid'
+        # ends and 'pos' starts on it; the end cells' halving points alone
+        # must find every crossing, and 'pos' reaches neither level
+        rep = pr.find_thresholds(pr.SystemParams(a1=1.3, a2=1.0, r=1e-8),
+                                 window=(-5.0, 5e9))
+        assert rep.alpha_thresholds == pytest.approx(
+            [-2.060172770206164, -0.6088299303780649, 0.6088299273877973,
+             2.060172789776813], rel=0, abs=1e-12)
+        assert rep.beta_thresholds == pytest.approx(
+            [-3.5685656798739105, -0.8284352368793952, 0.8284352250239801,
+             3.5685658057042895], rel=0, abs=1e-12)
+        assert sorted(name for name, _ in rep.missing) == [
+            "alpha/pos", "beta/pos"]
+
 
 class TestTangency:
     def test_published_verdicts(self, p05):

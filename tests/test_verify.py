@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 import pendrotor as pr
 from pendrotor import _kernels as K, verify
 from pendrotor.cli import main
+from pendrotor.scattering import ODD, branch, lstar, theta_plus
 from pendrotor.verify import CheckResult, drift_sign_check, lemma_symmetry_check
 
 
@@ -126,3 +128,70 @@ class TestEmptyChecksFail:
         for name in ("down_up_reflection_symmetry", "positive_drift_window"):
             assert checks[name]["n"] == 0
             assert checks[name]["passed"] is False and checks[name]["note"]
+
+
+def _lemma_pointwise(params, n_I, n_th):
+    """lemma_symmetry_check as two per-point lstar solves per (I, theta)."""
+    Is = np.linspace(-2.0, 2.0, n_I)
+    ths = np.linspace(1e-3, verify.TWO_PI - 1e-3, n_th)
+    worst, used = 0.0, 0
+    for I in Is:
+        if min(abs(I), abs(params.r * I - 1.0)) < 0.02:
+            continue
+        if abs(abs(K.crest_coef(I, params.a1, params.a2, params.r)) - 1.0) < 1e-6:
+            continue
+        for th in ths:
+            r0 = lstar(I, th, branch(0), params)
+            r2 = lstar(I, verify.TWO_PI - th, branch(2), params)
+            if r0[0] != K.TAU_OK or r2[0] != K.TAU_OK:
+                continue
+            if r0[3] < 1e-3 or r2[3] < 1e-3:
+                continue
+            worst = max(worst, abs(r0[7] + r2[7]))
+            used += 1
+    return CheckResult("down_up_reflection_symmetry",
+                       used > 0 and worst <= 1e-8, worst, 1e-8, used,
+                       note="" if used else "no grid point solved cleanly")
+
+
+def _drift_pointwise(params, n_I, n_th):
+    """drift_sign_check as one per-point lstar solve per (I, theta)."""
+    switches = list(pr.find_thresholds(params).alpha_thresholds) + [0.0, 1.0]
+    worst, used, bad = math.inf, 0, 0
+    for I in np.linspace(-2.0, 2.0, n_I):
+        if any(abs(I - s) < 0.02 for s in switches):
+            continue
+        try:
+            thp = theta_plus(I, params)
+        except pr.PendrotorError:
+            bad += 1
+            continue
+        for th in np.linspace(math.pi + 1e-3, thp - 1e-3, n_th):
+            res = lstar(I, th, ODD, params)
+            if res[0] != K.TAU_OK:
+                bad += 1
+                continue
+            worst = min(worst, res[7])
+            used += 1
+            if res[7] <= 0.0:
+                bad += 1
+    if not used:
+        return CheckResult("positive_drift_window", False, 0.0, 0.0, 0,
+                           note="no window point solved cleanly")
+    return CheckResult("positive_drift_window", bad == 0 and worst > 0.0,
+                       worst, 0.0, used,
+                       note="worst = min dL*/dtheta over the window")
+
+
+class TestGridChecksMatchPointwise:
+    """The reflection and drift-window checks give the reports of their
+    per-point lstar loops, kept above as the reference."""
+
+    @pytest.mark.parametrize("mu", [0.3, 0.75, 2.0])
+    @pytest.mark.parametrize("n_I,n_th", [(7, 9), (0, 9)])
+    def test_same_report(self, mu, n_I, n_th):
+        p = pr.SystemParams(a1=mu, a2=1.0, eps=0.01)
+        assert (lemma_symmetry_check(p, n_I=n_I, n_th=n_th).as_dict()
+                == _lemma_pointwise(p, n_I, n_th).as_dict())
+        assert (drift_sign_check(p, n_I=n_I, n_th=n_th).as_dict()
+                == _drift_pointwise(p, n_I, n_th).as_dict())
