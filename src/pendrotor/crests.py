@@ -60,9 +60,6 @@ class IntervalInfo:
 
 @dataclass
 class ClassificationReport:
-    mu: float
-    r: float
-    window: tuple[float, float]
     alpha_thresholds: list[float]
     beta_thresholds: list[float]
     intervals: list[IntervalInfo]
@@ -343,7 +340,6 @@ def find_thresholds(params: SystemParams,
             else:
                 missing.append((f"{curve}/{comp}", asym))
     report = ClassificationReport(
-        mu=params.mu, r=params.r, window=window,
         alpha_thresholds=sorted(found["alpha"]),
         beta_thresholds=sorted(found["beta"]), intervals=[], missing=missing)
 

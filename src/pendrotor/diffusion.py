@@ -105,8 +105,6 @@ class ScatterLeg:
     dst: ScatteringState
     level: float          # L* at src
     residual: float       # |L*(dst) - L*(src)|
-    tau_star: float
-    branch_k: int
 
 
 @dataclass(frozen=True)
@@ -120,8 +118,6 @@ class InnerLeg:
 @dataclass
 class PseudoOrbit:
     legs: list
-    I_start: float
-    I_end: float
     params: SystemParams            # canonical frame (a1, a2 > 0)
     frame_phi_shift: float
     frame_s_shift: float
@@ -149,11 +145,8 @@ class VerificationReport:
     level_budget: float
     max_reintegration_residual: float
     reintegration_budget: float
-    max_endpoint_mismatch: float
     window_violations: int
     monotone_violations: int
-    max_resonant_f_drift: float
-    f_drift_budget: float
     resonant_brackets: list[TransversalityReport] = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
 
@@ -232,7 +225,7 @@ def build_pseudo_orbit(I_start: float, I_end: float,
         The destination's solve comes last in the result, so that the next
         step, which starts there, need not repeat it.
         """
-        status, tau, kb, margin_t, _, _, L0, dth_L, dI_L = res
+        status, _, _, margin_t, _, _, L0, dth_L, dI_L = res
         if (status != TAU_OK or margin_t < scattering.TOL_DEGEN
                 or dth_L <= 0.0):
             return None
@@ -244,7 +237,7 @@ def build_pseudo_orbit(I_start: float, I_end: float,
         L1 = res1[6]
         if abs(L1 - L0) > level_cap:
             return None
-        return I_new, th_new, L0, abs(L1 - L0), tau, kb, res1
+        return I_new, th_new, L0, abs(L1 - L0), res1
 
     I = I_start
     lo, hi = window(I)
@@ -268,11 +261,11 @@ def build_pseudo_orbit(I_start: float, I_end: float,
                                  else lstar(I, th, ODD, canon))
             if nxt is None:
                 break  # reroute around tangency / high-curvature spots
-            I_new, th_new, L0, resid, tau, kb, res = nxt
+            I_new, th_new, L0, resid, res = nxt
             nxt = None
             legs.append(ScatterLeg(
                 src=ScatteringState(I, th), dst=ScatteringState(I_new, th_new),
-                level=L0, residual=resid, tau_star=tau, branch_k=kb))
+                level=L0, residual=resid))
             I, th = I_new, th_new
         if I >= I_end:
             break
@@ -308,8 +301,8 @@ def build_pseudo_orbit(I_start: float, I_end: float,
         legs.append(InnerLeg(src=src, dst=dst, duration=t, n_periods=n + 1))
         I, th = Icur, phicur % TWO_PI
 
-    return PseudoOrbit(legs=legs, I_start=I_start, I_end=I_end, params=canon,
-                       frame_phi_shift=phi_shift, frame_s_shift=s_shift)
+    return PseudoOrbit(legs=legs, params=canon, frame_phi_shift=phi_shift,
+                       frame_s_shift=s_shift)
 
 
 # ----------------------------------------------------------------------
@@ -332,11 +325,8 @@ def verify_pseudo_orbit(orbit: PseudoOrbit) -> VerificationReport:
     failures: list[str] = []
     max_level = 0.0
     max_reint = 0.0
-    max_mismatch = 0.0
     window_violations = 0
     monotone_violations = 0
-    max_f_drift = 0.0
-    f_budget = 0.0
     brackets: list[TransversalityReport] = []
     prev_dst = None
     dst_res = None  # the _lstar_raw solve at prev_dst, when a jump leg made it
@@ -367,7 +357,6 @@ def verify_pseudo_orbit(orbit: PseudoOrbit) -> VerificationReport:
             mism = max(abs(I_re - leg.dst.I),
                        abs((th_re - leg.dst.theta + math.pi) % TWO_PI
                            - math.pi))
-            max_mismatch = max(max_mismatch, mism)
             if mism > 1e-10:
                 failures.append(f"leg {idx}: step mismatch {mism:.3e}")
             thp = _theta_plus_safe(leg.src.I, p)
@@ -411,9 +400,6 @@ def verify_pseudo_orbit(orbit: PseudoOrbit) -> VerificationReport:
                           abs(leg.dst.I - 1.0 / p.r))
                 budget = (F_LEVEL_COEFF * leg.n_periods
                           * (eps * eps + eps * amp * amp))
-                f_budget = max(f_budget, budget)
-                if drift > max_f_drift:
-                    max_f_drift = drift
                 if drift > budget:
                     failures.append(
                         f"leg {idx}: resonance invariant drift {drift:.3e} "
@@ -425,8 +411,6 @@ def verify_pseudo_orbit(orbit: PseudoOrbit) -> VerificationReport:
         max_level_residual=max_level, level_budget=level_budget,
         max_reintegration_residual=max_reint,
         reintegration_budget=REINT_BUDGET,
-        max_endpoint_mismatch=max_mismatch,
         window_violations=window_violations,
         monotone_violations=monotone_violations,
-        max_resonant_f_drift=max_f_drift, f_drift_budget=f_budget,
         resonant_brackets=brackets, failures=failures)

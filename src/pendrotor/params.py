@@ -27,7 +27,9 @@ from .errors import ConfigError
 class SystemParams:
     """Reduced parameters of the forced pendulum-rotor system.
 
-    a1, a2         harmonic amplitudes (mu = a1/a2)
+    a1, a2         harmonic amplitudes (mu = a1/a2); 4*|a1| and 4*|a2|,
+                   the peaks of the amplitude profiles A1(I), A2(I), must
+                   be finite
     eps            perturbation size (already rescaled by k1^2 if the
                    parameters came from a general harmonic pair)
     r              frequency ratio of the second harmonic, in (0, 1]
@@ -48,6 +50,11 @@ class SystemParams:
         for name in ("a1", "a2", "eps", "r"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got "
+                                  f"{getattr(self, name)}")
+        for name in ("a1", "a2"):
+            if not math.isfinite(4.0 * getattr(self, name)):
+                raise ConfigError(f"4*|{name}|, the peak of its amplitude "
+                                  f"profile, must be finite, got {name} = "
                                   f"{getattr(self, name)}")
         if self.eps < 0:
             raise ConfigError("eps must be >= 0")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .crests import CrestBranch, CrestKind, classify
+from .crests import CrestKind, classify
 from .errors import (ConfigError, OnDiscontinuity, QuadratureNotConverged,
                      SingularCrest, TangencyDegenerate, UnreachableBranch)
 from .params import SystemParams
@@ -104,12 +104,11 @@ class TauSolution:
     I: float
     theta: float
     tau_star: float
-    branch_hit: CrestBranch
+    band: int  # the kernel's ridge band: the unwrapped branch k hit
     phi_star: float
     sigma_star: float
     margin: float
     degenerate: bool
-    criterion: TauCriterion
 
 
 @dataclass(frozen=True)
@@ -265,10 +264,9 @@ def solve_tau_star(I: float, theta: float, criterion: TauCriterion,
     _, tau, kband, margin, phis, sigs = _lstar_raw(I, theta, criterion,
                                                    params)[:6]
     return TauSolution(
-        I=I, theta=theta % TWO_PI, tau_star=tau,
-        branch_hit=CrestBranch(k=kband, kind=classify(I, params), I=I),
+        I=I, theta=theta % TWO_PI, tau_star=tau, band=kband,
         phi_star=phis, sigma_star=sigs, margin=margin,
-        degenerate=margin < TOL_DEGEN, criterion=criterion)
+        degenerate=margin < TOL_DEGEN)
 
 
 def reduced_poincare(I: float, theta: float, criterion: TauCriterion,
@@ -326,18 +324,16 @@ def scattering_step(state: ScatteringState, criterion: TauCriterion,
 
 
 def extended_map_domain(I: float, theta: float, params: SystemParams,
-                        branch_k: int | None = None) -> bool:
+                        branch_k: int) -> bool:
     """Whether the horizontally-parameterized branch map extends to (I, theta).
 
     In the horizontal regime the branch-k map exists for every theta.  In
     the vertical regime the branch-k contact must still lie inside the
     sigma-strip of width pi around k*pi, i.e. carry |mu alpha(I) sin(phi*)|
     < 1, which is exactly where the vertical ridge behaves as a horizontal
-    graph piece.  Defaults to the atlas branch of theta.
+    graph piece.
     """
     th = theta % TWO_PI
-    if branch_k is None:
-        _, branch_k = ATLAS.region_of(th)
     try:
         sol = solve_tau_star(I, th, branch(branch_k), params)
     except (UnreachableBranch, SingularCrest):
@@ -363,7 +359,7 @@ def piecewise_global_map(state: ScatteringState, params: SystemParams
                                   f"line {d}")
     name, k = ATLAS.region_of(th)
     sol_min = solve_tau_star(state.I, th, MINABS, params)
-    use = branch(k) if sol_min.branch_hit.k == k else MINABS
+    use = branch(k) if sol_min.band == k else MINABS
     new_state = scattering_step(ScatteringState(state.I, th), use, params)
     return new_state, name
 

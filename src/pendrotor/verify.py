@@ -13,6 +13,7 @@ import numpy as np
 
 from . import _kernels as K
 from .crests import find_thresholds
+from .diffusion import _canonical_frame
 from .errors import ConfigError, PendrotorError
 from .oracles import brute_tau_scan
 from .params import SystemParams
@@ -57,7 +58,7 @@ def _require_r_one(params: SystemParams) -> None:
             f"derived for r = 1, got r = {params.r}")
 
 
-def melnikov_check(params: SystemParams, n: int = 100, seed: int = 0,
+def melnikov_check(params: SystemParams, n: int, seed: int = 0,
                    corrupt: str | None = None) -> CheckResult:
     """Closed-form splitting potential against the trapezoid-rule quadrature.
 
@@ -94,7 +95,7 @@ def _sample_criterion(rng) -> TauCriterion:
     return branch(int(i) - 3)  # branches 0, 1, 2
 
 
-def tau_oracle_check(params: SystemParams, n: int = 200,
+def tau_oracle_check(params: SystemParams, n: int,
                      seed: int = 0) -> CheckResult:
     """Production tau* solver against the uniform fine-grid ray scan.
 
@@ -170,11 +171,13 @@ def drift_sign_check(params: SystemParams, n_I: int = 41,
     Sampled over I in [-2, 2], farther than 0.02 from the resonant actions
     {0, 1} and the crest-regime switches, where theta_plus changes its
     closed form; a solve that fails there, theta_plus's included, fails
-    the check, as does a window with no point.  The closed forms hold at
-    r = 1 only; other r raise
-    :class:`ConfigError`.
+    the check, as does a window with no point.  Negative amplitudes are
+    checked in the canonical frame (a1, a2 > 0) of the drift construction,
+    whose conjugating angle shift carries the window.  The closed forms
+    hold at r = 1 only; other r raise :class:`ConfigError`.
     """
     _require_r_one(params)
+    params = _canonical_frame(params)[0]
     report = find_thresholds(params)
     switches = list(report.alpha_thresholds) + [0.0, 1.0]
     Is = np.linspace(-2.0, 2.0, n_I)

@@ -302,6 +302,18 @@ class TestTauFieldCmd:
         assert len(bands) >= 2
 
 
+    def test_marching_rows_at_the_pole(self, tmp_path):
+        # I = 1/r holds sigma fixed along every ray: down finds no contact
+        out = tmp_path / "tau.csv"
+        assert main(["tau-field", "--mu", "0.75", "--criterion", "down",
+                     "--grid-n", "3", "--I-min", "0", "--I-max", "2",
+                     "--theta-n", "2", "--out", str(out)]) == 0
+        _, rows = _read_rows(out)
+        pole = [r for r in rows if float(r["I"]) == 1.0]
+        assert len(pole) == 2
+        assert all(r["status"] == "2" for r in pole)
+
+
 class TestInnerPortraitCmd:
     def test_sections_conserve_fnr_off_resonance(self, tmp_path):
         out = tmp_path / "inner.csv"
@@ -525,6 +537,10 @@ class TestBadNumericInput:
          "--tol-override", "tol_quad=1e-3"],
         # the criterion has one spelling, branch=k
         ["portrait", "--mu", "0.5", "--criterion", "branch:1"],
+        # an amplitude whose profile peak 4|a| overflows
+        ["portrait", "--mu", "1e308"],
+        ["portrait", "--a1", "1e308", "--a2", "1e-10"],
+        ["diffuse", "--a1", "1e308", "--a2", "1", "--eps", "0.01"],
     ])
     def test_exits_2_with_message(self, argv, capsys):
         # a small grid where the subcommand takes one, in case a check
@@ -535,6 +551,11 @@ class TestBadNumericInput:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "Traceback" not in err
+
+    def test_largest_finite_amplitude_peak_runs(self, tmp_path):
+        # 4 * 4e307 is finite, so the profile peak does not overflow
+        assert main(["portrait", "--mu", "4e307", "--grid-n", "3",
+                     "--out", str(tmp_path / "p.csv")]) == 0
 
     @pytest.mark.parametrize("argv", [
         ["thresholds", "--mu", "0.5", "--out"],

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import pendrotor as pr
-from pendrotor import _kernels as K
+from pendrotor import _kernels as K, diffusion, scattering
 from pendrotor.diffusion import ARC_TOL, REINT_BUDGET, InnerLeg, ScatterLeg
 
 TWO_PI = 2.0 * math.pi
@@ -136,6 +136,61 @@ class TestBuildVerify:
             if min(abs(tr.theta), abs(tr.theta - math.pi),
                    abs(tr.theta - TWO_PI)) > 0.05:
                 assert abs(tr.bracket) > 0.0
+
+
+def _nudge_last_src(orbit):
+    """The last jump leg starts 1e-12 off its predecessor's endpoint."""
+    leg = orbit.legs[-1]
+    src = pr.ScatteringState(leg.src.I, leg.src.theta + 1e-12)
+    orbit.legs[-1] = replace(leg, src=src)
+
+
+def _flatten_last_dst(orbit):
+    """The last jump leg ends at its source's action."""
+    leg = orbit.legs[-1]
+    orbit.legs[-1] = replace(
+        leg, dst=pr.ScatteringState(leg.src.I, leg.dst.theta))
+
+
+def _failing_inner_flow(*args, **kwargs):
+    raise pr.StepFailure("step size collapsed")
+
+
+class TestVerifierFailures:
+    """Each failure branch of verify_pseudo_orbit, reached by one tamper
+    of a verified orbit or one tightened bound."""
+
+    @pytest.fixture(scope="class")
+    def orbit(self, p075):
+        orbit = pr.build_pseudo_orbit(-0.2, 0.2, p075)
+        assert pr.verify_pseudo_orbit(orbit).ok
+        assert isinstance(orbit.legs[-1], ScatterLeg)
+        return orbit
+
+    @pytest.mark.parametrize("tamper, patch, message", [
+        (_nudge_last_src, None, "endpoint chain broken"),
+        # every contact reads as near-tangent
+        (None, (scattering, "TOL_DEGEN", math.inf),
+         "re-solve failed: tau* transversality margin"),
+        # rho = 2*pi leaves no window
+        (None, (diffusion, "DELTA", math.pi), "outside (6.283185"),
+        (_flatten_last_dst, None, "action did not increase"),
+        (None, (diffusion, "inner_flow", _failing_inner_flow),
+         "verification re-integration failed"),
+        (None, (diffusion, "F_LEVEL_COEFF", 0.0),
+         "resonance invariant drift"),
+    ], ids=["chain", "re-solve", "window", "monotone", "re-integration",
+            "resonance-drift"])
+    def test_branch_fails_with_its_message(self, orbit, tamper, patch,
+                                           message, monkeypatch):
+        orbit = replace(orbit, legs=list(orbit.legs))
+        if tamper is not None:
+            tamper(orbit)
+        if patch is not None:
+            monkeypatch.setattr(*patch)
+        rep = pr.verify_pseudo_orbit(orbit)
+        assert rep.ok is False
+        assert any(message in f for f in rep.failures), rep.failures[:3]
 
 
 class TestSolveReuse:

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import sys
@@ -258,6 +259,28 @@ class TestSignatures:
         assert len(found) > 50
         assert {name: p for name, p in found.items() if p} == {}
         assert not {"Tolerances", "DEFAULT_TOL"} & set(dir(pr))
+
+    def test_record_fields(self):
+        # a field that nothing reads costs work on every call; a new one
+        # must name its reader here
+        names = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+                 for cls in (pr.TauSolution, pr.ClassificationReport,
+                             pr.ScatterLeg, pr.PseudoOrbit,
+                             pr.VerificationReport)}
+        assert names == {
+            "TauSolution": ["I", "theta", "tau_star", "band", "phi_star",
+                            "sigma_star", "margin", "degenerate"],
+            "ClassificationReport": ["alpha_thresholds", "beta_thresholds",
+                                     "intervals", "labels", "missing"],
+            "ScatterLeg": ["src", "dst", "level", "residual"],
+            "PseudoOrbit": ["legs", "params", "frame_phi_shift",
+                            "frame_s_shift"],
+            "VerificationReport": [
+                "ok", "n_scatter", "n_inner", "max_level_residual",
+                "level_budget", "max_reintegration_residual",
+                "reintegration_budget", "window_violations",
+                "monotone_violations", "resonant_brackets", "failures"],
+        }
 
     def test_tolerance_constants(self):
         assert (K.TOL_CLS, K.TIE_TOL, scattering.TOL_DEGEN,

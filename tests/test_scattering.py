@@ -127,7 +127,20 @@ class TestTauStar:
         for I in np.linspace(-2.5, 2.5, 21):
             sol = pr.solve_tau_star(I, math.pi, pr.branch(1), p075)
             assert abs(sol.tau_star) < 1e-12
-            assert sol.branch_hit.k == 1
+            assert sol.band == 1
+
+    def test_marching_at_the_pole_is_unreachable(self, p075):
+        # at I = 1/r the rays keep sigma constant: no down/up march can
+        # cross an even ridge, while minabs and a fixed branch still solve
+        for th in (0.5, 4.0):
+            for crit in (pr.DOWN, pr.UP):
+                res = scattering.lstar(1.0, th, crit, p075)
+                assert res[0] == K.TAU_UNREACHABLE
+                assert all(math.isnan(v) for v in (res[1], *res[4:]))
+            for crit in (pr.MINABS, pr.branch(1)):
+                res = scattering.lstar(1.0, th, crit, p075)
+                assert res[0] == K.TAU_OK
+                assert all(math.isfinite(v) for v in res[1:])
 
     def test_down_up_reflection(self, p075):
         # the (pi,pi)-reflection sends the first even crossing below the
@@ -164,8 +177,8 @@ class TestTauStar:
                 continue
             a = pr.solve_tau_star(I, th, pr.DOWN, p075)
             b = pr.solve_tau_star(I, th, pr.UP, p075)
-            assert a.branch_hit.k == 0
-            assert b.branch_hit.k == 2
+            assert a.band == 0
+            assert b.band == 2
             a0 = pr.solve_tau_star(I, th, pr.branch(0), p075)
             b2 = pr.solve_tau_star(I, th, pr.branch(2), p075)
             assert a.tau_star == pytest.approx(a0.tau_star, abs=1e-12)

@@ -43,6 +43,26 @@ class TestCheckResultTypes:
         assert res.n > 0 and res.passed is True
 
 
+class TestNegativeAmplitudes:
+    """The drift-window check runs in the drift construction's canonical
+    frame, so a sign flip of either amplitude leaves its report unchanged."""
+
+    @pytest.mark.parametrize("a1,a2", [(-0.75, 1.0), (0.75, -1.0),
+                                       (-0.75, -1.0)])
+    def test_drift_check_matches_positive_frame(self, p075, a1, a2):
+        p = pr.SystemParams(a1=a1, a2=a2, eps=0.01)
+        assert (drift_sign_check(p).as_dict()
+                == drift_sign_check(p075).as_dict())
+
+    @pytest.mark.parametrize("amps", [["--mu", "-0.75"],
+                                      ["--a1", "0.75", "--a2", "-1"]])
+    def test_verify_passes(self, amps, tmp_path):
+        out = tmp_path / "verify.json"
+        assert main(["verify", *amps, "--eps", "0.01", "--n-melnikov", "6",
+                     "--n-tau", "5", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["ok"] is True
+
+
 class TestRequiresROne:
     """The reflection and drift-window checks are derived for r = 1."""
 
