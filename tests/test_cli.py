@@ -301,7 +301,6 @@ class TestTauFieldCmd:
         assert bands <= {0, 1, 2}
         assert len(bands) >= 2
 
-
     def test_marching_rows_at_the_pole(self, tmp_path):
         # I = 1/r holds sigma fixed along every ray: down finds no contact
         out = tmp_path / "tau.csv"
