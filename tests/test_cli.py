@@ -445,6 +445,20 @@ class TestDiffuseCmd:
         assert time.perf_counter() - t0 <= 10.0
         assert "new maximum of I" in capsys.readouterr().err
 
+    def test_empty_start_window_exits_3(self, capsys):
+        rc = main(["diffuse", "--a1", "100", "--a2", "1", "--eps", "0.01",
+                   "--I-start", "0.02", "--I-end", "0.5"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(
+            "solver error: drift window (rho, theta_plus) too small at "
+            "I = 0.02")
+
+    def test_r_not_one_exits_2(self, capsys):
+        rc = main(["diffuse", "--mu", "0.75", "--r", "0.5", "--eps", "0.01"])
+        assert rc == 2
+        assert ("pseudo-orbit windows are implemented for r = 1"
+                in capsys.readouterr().err)
+
     def test_eps_zero_exits_2(self):
         assert main(["diffuse", "--a1", "0.75", "--a2", "1.0",
                      "--eps", "0"]) == 2

@@ -269,3 +269,59 @@ class TestArcSections:
         rows = pr.stroboscopic_sections(pr.InnerState(0.3, 0.0, 0.0), 0,
                                         p075, tol_ode=ARC_TOL)
         assert rows.shape == (0, 3)
+
+
+class TestBuilderBranches:
+    """Branches of build_pseudo_orbit that the orbits above never reach."""
+
+    def test_empty_windows_during_an_arc_are_skipped(self, monkeypatch):
+        # at mu = 100 the window is empty on some sections of the arc from
+        # I = 0.1; those sections are passed over, not raised
+        p = pr.SystemParams(a1=100.0, a2=1.0, eps=0.01)
+        margin = max(diffusion.MARGIN_COEFF * p.eps ** 2,
+                     diffusion.MARGIN_FLOOR)
+        rho = math.pi + diffusion.DELTA
+        seen = []
+        theta_plus_safe = diffusion._theta_plus_safe
+
+        def spy(I, params):
+            thp = theta_plus_safe(I, params)
+            seen.append(thp)
+            return thp
+
+        monkeypatch.setattr(diffusion, "_theta_plus_safe", spy)
+        monkeypatch.setattr(diffusion, "T_MAX_FACTOR", 5.0)
+        with pytest.raises(pr.StuckAtResonance,
+                           match=r"no stroboscopic return into the window "
+                                 r"within 79 periods from I = 0\.100000"):
+            pr.build_pseudo_orbit(0.1, 1.0, p)
+        assert sum(thp - rho <= 2.5 * margin for thp in seen) == 6
+
+    @pytest.mark.parametrize("k, thp, n_legs", [
+        (0, 1.5 * math.pi, 91), (1, 4.434548558880394, 13),
+        (2, 1.5 * math.pi, 37)])
+    def test_start_on_a_singular_threshold(self, p075, k, thp, n_legs):
+        # theta_plus falls back to its neighbours, and the start's solve is
+        # singular, so the orbit opens with an inner arc
+        I0 = pr.find_thresholds(p075).alpha_thresholds[k]
+        assert pr.classify(I0, p075) is pr.CrestKind.SINGULAR
+        assert diffusion._theta_plus_safe(I0, p075) == thp
+        orbit = pr.build_pseudo_orbit(I0, I0 + 0.3, p075)
+        assert len(orbit.legs) == n_legs
+        assert isinstance(orbit.legs[0], InnerLeg)
+        assert pr.verify_pseudo_orbit(orbit).ok
+
+    def test_leg_budget(self, p075, monkeypatch):
+        monkeypatch.setattr(diffusion, "MAX_LEGS", 10)
+        with pytest.raises(pr.StuckAtResonance,
+                           match="leg budget 10 exhausted"):
+            pr.build_pseudo_orbit(-1.0, 1.0, p075)
+
+    def test_every_probe_rejected(self, p075, monkeypatch):
+        # every contact reads as near-tangent, so no section yields a jump
+        monkeypatch.setattr(scattering, "TOL_DEGEN", math.inf)
+        monkeypatch.setattr(diffusion, "T_MAX_FACTOR", 5.0)
+        with pytest.raises(pr.StuckAtResonance,
+                           match=r"no stroboscopic return into the window "
+                                 r"within 79 periods from I = -1\.000000"):
+            pr.build_pseudo_orbit(-1.0, 1.0, p075)
