@@ -192,8 +192,9 @@ def build_pseudo_orbit(I_start: float, I_end: float,
     theta in (pi, theta_plus(I)) when both amplitudes are positive;
     negative amplitudes are handled by a conjugating angle shift (see
     ``PseudoOrbit.frame_phi_shift`` / ``frame_s_shift``).  Inner legs
-    integrate whole forcing periods and accept the first stroboscopic
-    section landing inside the window.
+    integrate whole forcing periods and end on the first stroboscopic
+    section from which a jump leg starts.  At most ``MAX_LEGS`` legs are
+    built.
     """
     params.require_nontrivial()
     if params.r != 1.0:
@@ -216,15 +217,20 @@ def build_pseudo_orbit(I_start: float, I_end: float,
         return rho + margin, thp - margin
 
     def probe_step(I: float, th: float, res):
-        """Next jump from (I, th), whose L* solve is ``res``, or None if it
-        breaks a construction rule.
+        """The next jump from (I, th) and the L* solve at its destination,
+        or None if (I, th) is outside the window or the jump breaks a
+        construction rule.  ``res`` is the L* solve at (I, th), or None to
+        make it here.
 
         Rules: transversal contact, positive drift, and per-leg level
         residual inside the budget (the drift curvature grows near the
         tangency wedge; the construction stays in low-residual corridors).
-        The destination's solve comes last in the result, so that the next
-        step, which starts there, need not repeat it.
         """
+        lo, hi = window(I)
+        if not (lo < th < hi):
+            return None
+        if res is None:
+            res = lstar(I, th, ODD, canon)
         status, _, _, margin_t, _, _, L0, dth_L, dI_L = res
         if (status != TAU_OK or margin_t < scattering.TOL_DEGEN
                 or dth_L <= 0.0):
@@ -237,38 +243,28 @@ def build_pseudo_orbit(I_start: float, I_end: float,
         L1 = res1[6]
         if abs(L1 - L0) > level_cap:
             return None
-        return I_new, th_new, L0, abs(L1 - L0), res1
+        return ScatterLeg(src=ScatteringState(I, th),
+                          dst=ScatteringState(I_new, th_new),
+                          level=L0, residual=abs(L1 - L0)), res1
 
     I = I_start
     lo, hi = window(I)
     th = 0.5 * (lo + hi)
     legs: list = []
     best_I, stall_arcs = I, 0  # arcs since one last started at a new max
-    nxt = None  # the step from (I, th), when the inner arc already probed it
+    step = probe_step(I, th, None)  # the next jump leg, while one is in hand
 
     while I < I_end:
         if len(legs) >= MAX_LEGS:
             raise StuckAtResonance(
                 f"leg budget {MAX_LEGS} exhausted at I = {I:.6f}")
-        # --- jump run: follow one level of L* while inside the window
-        res = None  # the L* solve at (I, th), when a step already made it
-        while I < I_end:
-            lo, hi = window(I)
-            if not (lo < th < hi):
-                break
-            if nxt is None:
-                nxt = probe_step(I, th, res if res is not None
-                                 else lstar(I, th, ODD, canon))
-            if nxt is None:
-                break  # reroute around tangency / high-curvature spots
-            I_new, th_new, L0, resid, res = nxt
-            nxt = None
-            legs.append(ScatterLeg(
-                src=ScatteringState(I, th), dst=ScatteringState(I_new, th_new),
-                level=L0, residual=resid))
-            I, th = I_new, th_new
-        if I >= I_end:
-            break
+        if step is not None:
+            # jump: follow one level of L* while inside the window
+            leg, res = step
+            legs.append(leg)
+            I, th = leg.dst.I, leg.dst.theta
+            step = probe_step(I, th, res) if I < I_end else None
+            continue
         # one rule catches stalls and cycles alike: an arc must start at a
         # new maximum of I at least once every MAX_STALL_ARCS arcs
         if I > best_I:
@@ -279,20 +275,16 @@ def build_pseudo_orbit(I_start: float, I_end: float,
                 raise StuckAtResonance(
                     f"{stall_arcs} consecutive inner arcs started without a "
                     f"new maximum of I ({best_I:.6f}) near I = {I:.6f}")
-        # --- inner arc: integrate whole periods until a section re-enters
+        # inner arc: integrate whole periods until a section yields a jump
         src = InnerState(I=I, phi=th, s=0.0)
         arc = itertools.islice(sections(src, canon, ARC_TOL), n_max_periods)
         for n, (t, Icur, phicur) in enumerate(arc):
-            th_n = phicur % TWO_PI
             try:
-                lo, hi = window(Icur)
+                step = probe_step(Icur, phicur % TWO_PI, None)
             except WindowEmpty:
                 continue
-            if lo < th_n < hi:
-                nxt = probe_step(Icur, th_n,
-                                 lstar(Icur, th_n, ODD, canon))
-                if nxt is not None:
-                    break
+            if step is not None:
+                break
         else:
             raise StuckAtResonance(
                 f"no stroboscopic return into the window within "

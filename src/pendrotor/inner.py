@@ -130,16 +130,15 @@ def stroboscopic_sections(state: InnerState, n_periods: int,
                        dtype=np.dtype((float, 3)), count=n_periods)
 
 
-def _share(states: Sequence[InnerState], n_periods: int, params: SystemParams,
-           tol_ode: float) -> list[np.ndarray | StepFailure]:
+def _share(states: Sequence[InnerState], n_periods: int,
+           params: SystemParams) -> list[np.ndarray | StepFailure]:
     """:func:`stroboscopic_sections` of each state in turn, up to the first
     that raises :class:`StepFailure`; that error takes its orbit's place
     and ends the list."""
     out = []
     for state in states:
         try:
-            out.append(stroboscopic_sections(state, n_periods, params,
-                                             tol_ode))
+            out.append(stroboscopic_sections(state, n_periods, params))
         except StepFailure as exc:
             out.append(exc)
             break
@@ -147,11 +146,9 @@ def _share(states: Sequence[InnerState], n_periods: int, params: SystemParams,
 
 
 def orbit_sections(states: Sequence[InnerState], n_periods: int,
-                   params: SystemParams,
-                   tol_ode: float = TOL_ODE
-                   ) -> list[np.ndarray | StepFailure]:
-    """:func:`stroboscopic_sections` of every state, in order, spread over
-    the usable cores.
+                   params: SystemParams) -> list[np.ndarray | StepFailure]:
+    """:func:`stroboscopic_sections` of every state, in order, at
+    ``TOL_ODE``, spread over the usable cores.
 
     With n = min(usable cores, orbits), orbit i goes to share i mod n
     (striding balances the load, as step counts vary smoothly with I).
@@ -163,16 +160,16 @@ def orbit_sections(states: Sequence[InnerState], n_periods: int,
     """
     n = min(len(os.sched_getaffinity(0)), len(states))
     if n <= 1:
-        return _share(states, n_periods, params, tol_ode)
+        return _share(states, n_periods, params)
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(n - 1,
                                mp_context=multiprocessing.get_context("fork"))
     try:
-        futures = [pool.submit(_share, states[k::n], n_periods, params,
-                               tol_ode) for k in range(1, n)]
-        shares = [_share(states[::n], n_periods, params, tol_ode)]
+        futures = [pool.submit(_share, states[k::n], n_periods, params)
+                   for k in range(1, n)]
+        shares = [_share(states[::n], n_periods, params)]
         shares += [f.result() for f in futures]
     finally:
         pool.shutdown(cancel_futures=True)

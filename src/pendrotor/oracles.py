@@ -109,6 +109,8 @@ def brute_tau_scan(I: float, theta: float, criterion: TauCriterion,
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"brute scan needs a finite step h > 0, got {h}")
     th = theta % TWO_PI
+    if th == TWO_PI:  # a tiny negative theta rounds up to 2*pi
+        th = 0.0
     c = K.crest_coef(I, params.a1, params.a2, params.r)
     ac = abs(c)
     if abs(ac - 1.0) < K.TOL_CLS:

@@ -212,18 +212,25 @@ def melnikov_quadrature(I: float, phi: float, s: float,
 # tau* and the reduced function
 # ----------------------------------------------------------------------
 
+def _mod_two_pi(theta: float) -> float:
+    """theta reduced into [0, 2*pi); ``%`` alone rounds a tiny negative
+    theta up to 2*pi itself."""
+    th = theta % TWO_PI
+    return 0.0 if th == TWO_PI else th
+
+
 def lstar(I: float, theta: float, criterion: TauCriterion,
           params: SystemParams) -> tuple:
     """The selected contact and L* there, as the kernel returns them:
     (status, tau*, band, margin, phi*, sigma*, L*, dL*/dtheta, dL*/dI).
 
-    theta is reduced mod 2*pi before solving.  A status other than
+    theta is reduced into [0, 2*pi) before solving.  A status other than
     ``TAU_OK`` is returned, not raised; the values after it are then NaN.
     """
     if not (math.isfinite(I) and math.isfinite(theta)):
         raise ConfigError(f"(I, theta) must be finite, got ({I}, {theta})")
-    return K.lstar_kernel(I, theta % TWO_PI, params.r, params.a1, params.a2,
-                          criterion.code, criterion.k)
+    return K.lstar_kernel(I, _mod_two_pi(theta), params.r, params.a1,
+                          params.a2, criterion.code, criterion.k)
 
 
 def sweep(I_vals, th_vals, criterion: TauCriterion,
@@ -235,7 +242,8 @@ def sweep(I_vals, th_vals, criterion: TauCriterion,
     """
     if not (np.isfinite(I_vals).all() and np.isfinite(th_vals).all()):
         raise ConfigError("sweep grid values must be finite")
-    return K.sweep_kernel(I_vals, np.mod(th_vals, TWO_PI), params.r,
+    th = np.mod(th_vals, TWO_PI)
+    return K.sweep_kernel(I_vals, np.where(th == TWO_PI, 0.0, th), params.r,
                           params.a1, params.a2, criterion.code, criterion.k)
 
 
@@ -257,14 +265,14 @@ def solve_tau_star(I: float, theta: float, criterion: TauCriterion,
                    params: SystemParams) -> TauSolution:
     """Contact time tau* of the connection line with the selected ridge.
 
-    theta is reduced mod 2*pi before solving.  Near-tangent contacts (ridge
-    transversality below ``TOL_DEGEN``) are returned with
+    theta is reduced into [0, 2*pi) before solving.  Near-tangent contacts
+    (ridge transversality below ``TOL_DEGEN``) are returned with
     ``degenerate=True``; map evaluations refuse them.
     """
     _, tau, kband, margin, phis, sigs = _lstar_raw(I, theta, criterion,
                                                    params)[:6]
     return TauSolution(
-        I=I, theta=theta % TWO_PI, tau_star=tau, band=kband,
+        I=I, theta=_mod_two_pi(theta), tau_star=tau, band=kband,
         phi_star=phis, sigma_star=sigs, margin=margin,
         degenerate=margin < TOL_DEGEN)
 
@@ -346,22 +354,19 @@ def piecewise_global_map(state: ScatteringState, params: SystemParams
                          ) -> tuple[ScatteringState, str]:
     """Minimal-|tau*| global jump map plus its atlas region label.
 
-    The map loses smoothness on theta = pi/2 and 3*pi/2 where the nearest
-    ridge branch changes; those lines raise :class:`OnDiscontinuity`.  In
-    the interior of each region the selected contact coincides with the
-    region's extended branch map (checked; the branch solve is reused for
-    the step so agreement is by construction).
+    The step is one :func:`scattering_step` with ``MINABS``.  The map loses
+    smoothness on theta = pi/2 and 3*pi/2 where the nearest ridge branch
+    changes; those lines raise :class:`OnDiscontinuity`.  Where the MINABS
+    contact lies on the region's branch k, the step equals the branch-k
+    step.
     """
     th = state.theta % TWO_PI
     for d in ATLAS.discontinuities:
         if abs(th - d) < TOL_DISC:
             raise OnDiscontinuity(f"theta = {th} lies on the discontinuity "
                                   f"line {d}")
-    name, k = ATLAS.region_of(th)
-    sol_min = solve_tau_star(state.I, th, MINABS, params)
-    use = branch(k) if sol_min.band == k else MINABS
-    new_state = scattering_step(ScatteringState(state.I, th), use, params)
-    return new_state, name
+    name, _ = ATLAS.region_of(th)
+    return scattering_step(ScatteringState(state.I, th), MINABS, params), name
 
 
 def theta_plus(I: float, params: SystemParams) -> float:

@@ -286,8 +286,7 @@ class TestSignatures:
         assert (K.TOL_CLS, K.TIE_TOL, scattering.TOL_DEGEN,
                 scattering.TOL_QUAD, crests.TOL_ROOT, inner.TOL_ODE) == (
             1e-9, 1e-9, 1e-6, 1e-10, 1e-12, 1e-10)
-        for f in (inner.inner_flow, inner.stroboscopic_sections,
-                  inner.orbit_sections):
+        for f in (inner.inner_flow, inner.stroboscopic_sections):
             assert (inspect.signature(f).parameters["tol_ode"].default
                     == inner.TOL_ODE)
 

@@ -872,6 +872,37 @@ class TestPiecewiseMap:
             with pytest.raises(pr.OnDiscontinuity):
                 pr.piecewise_global_map(pr.ScatteringState(0.3, th), p075)
 
+    @pytest.mark.parametrize("r", [1.0, 0.5])
+    def test_is_the_minabs_step(self, r):
+        # off the discontinuity lines the map is the MINABS step, and where
+        # that contact lies on the region's branch it is the branch step too
+        p = pr.SystemParams(a1=0.75, a2=1.0, eps=0.01, r=r)
+        n_branch = 0
+        for I in np.linspace(-2.0, 2.0, 21):
+            for th in np.linspace(0.05, TWO_PI - 0.05, 25):
+                if min(abs(th - d) for d in pr.ATLAS.discontinuities) < 0.05:
+                    continue
+                st = pr.ScatteringState(float(I), float(th))
+                try:
+                    direct = pr.scattering_step(st, pr.MINABS, p)
+                except pr.PendrotorError as exc:
+                    with pytest.raises(type(exc)):
+                        pr.piecewise_global_map(st, p)
+                    continue
+                assert pr.piecewise_global_map(st, p)[0] == direct
+                k = pr.ATLAS.region_of(th)[1]
+                if pr.solve_tau_star(I, th, pr.MINABS, p).band == k:
+                    n_branch += 1
+                    assert pr.scattering_step(st, pr.branch(k), p) == direct
+        assert n_branch > 100
+
+    def test_eps_zero_is_the_identity(self):
+        # no solve is made, so a singular crest does not raise
+        p = pr.SystemParams(a1=0.75, a2=1.0, eps=0.0)
+        I0 = pr.find_thresholds(p).alpha_thresholds[0]
+        st = pr.ScatteringState(I0, 4.0 + TWO_PI)
+        assert pr.piecewise_global_map(st, p) == (st.normalized(), "II")
+
     def test_drift_sign_split(self, p075):
         # action decreases on theta in (0, pi) and increases on (pi, 2pi)
         for I in (-0.6, 0.3, 1.4):
@@ -888,6 +919,31 @@ class TestPiecewiseMap:
                     assert new.I < I
                 else:
                     assert new.I > I
+
+
+class TestThetaReduction:
+    """A tiny negative theta solves as theta = 0, not as theta = 2*pi."""
+
+    CRITERIA = [pr.DOWN, pr.UP, pr.MINABS, pr.branch(0), pr.branch(1)]
+
+    @pytest.mark.parametrize("crit", CRITERIA, ids=str)
+    def test_lstar_and_solve(self, p075, crit):
+        assert (repr(pr.lstar(0.5, -1e-17, crit, p075))
+                == repr(pr.lstar(0.5, 0.0, crit, p075)))
+        assert (pr.solve_tau_star(0.5, -1e-17, crit, p075)
+                == pr.solve_tau_star(0.5, 0.0, crit, p075))
+
+    @pytest.mark.parametrize("crit", CRITERIA, ids=str)
+    def test_sweep(self, p075, crit):
+        I = np.array([0.5])
+        for a, b in zip(pr.sweep(I, np.array([-1e-17]), crit, p075),
+                        pr.sweep(I, np.array([0.0]), crit, p075)):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("crit", CRITERIA, ids=str)
+    def test_oracle(self, p075, crit):
+        assert (brute_tau_scan(0.5, -1e-17, crit, p075)
+                == brute_tau_scan(0.5, 0.0, crit, p075))
 
 
 class TestAtlas:
