@@ -363,7 +363,7 @@ def cmd_inner_portrait(args) -> int:
         for n in range(rows.shape[0]):
             t, I, phi = rows[n]
             st = InnerState(I=I, phi=phi, s=t)
-            em.row([i, n + 1, t, I, phi % TWO_PI,
+            em.row([i, n + 1, t, I, scattering._mod_two_pi(phi),
                     region_of(I, params).value, torus_value(st, params)])
     em.close()
     return EXIT_OK

@@ -27,8 +27,8 @@ from .inner import (InnerState, TorusRegion, inner_flow, region_of, sections,
                     torus_value)
 from .params import SystemParams
 from .scattering import (ODD, TAU_OK, ScatteringState, TauCriterion,
-                         _grad_of, _lstar_raw, grad_reduced_poincare, lstar,
-                         theta_plus)
+                         _grad_of, _jump, _lstar_raw, _mod_two_pi,
+                         grad_reduced_poincare, lstar, theta_plus)
 
 TWO_PI = 2.0 * math.pi
 
@@ -79,7 +79,7 @@ def _transversality(I: float, theta: float, dI_L: float, dth_L: float,
                     params: SystemParams) -> TransversalityReport:
     """{F_region, L*} at (I, theta) and its verdict, from the gradient
     (dL*/dI, dL*/dtheta) already in hand."""
-    th = theta % TWO_PI
+    th = _mod_two_pi(theta)
     region = region_of(I, params)
     if region is TorusRegion.RES0:
         F_I = I
@@ -235,17 +235,16 @@ def build_pseudo_orbit(I_start: float, I_end: float,
         if (status != TAU_OK or margin_t < scattering.TOL_DEGEN
                 or dth_L <= 0.0):
             return None
-        I_new = I + eps * dth_L
-        th_new = (th - eps * dI_L) % TWO_PI
-        res1 = lstar(I_new, th_new, ODD, canon)
+        src = ScatteringState(I, th)
+        dst = _jump(src, dI_L, dth_L, eps)
+        res1 = lstar(dst.I, dst.theta, ODD, canon)
         if res1[0] != TAU_OK:
             return None
         L1 = res1[6]
         if abs(L1 - L0) > level_cap:
             return None
-        return ScatterLeg(src=ScatteringState(I, th),
-                          dst=ScatteringState(I_new, th_new),
-                          level=L0, residual=abs(L1 - L0)), res1
+        return ScatterLeg(src=src, dst=dst, level=L0,
+                          residual=abs(L1 - L0)), res1
 
     I = I_start
     lo, hi = window(I)
@@ -279,8 +278,9 @@ def build_pseudo_orbit(I_start: float, I_end: float,
         src = InnerState(I=I, phi=th, s=0.0)
         arc = itertools.islice(sections(src, canon, ARC_TOL), n_max_periods)
         for n, (t, Icur, phicur) in enumerate(arc):
+            thcur = _mod_two_pi(phicur)
             try:
-                step = probe_step(Icur, phicur % TWO_PI, None)
+                step = probe_step(Icur, thcur, None)
             except WindowEmpty:
                 continue
             if step is not None:
@@ -291,7 +291,7 @@ def build_pseudo_orbit(I_start: float, I_end: float,
                 f"{n_max_periods} periods from I = {I:.6f}")
         dst = InnerState(I=Icur, phi=phicur, s=t)
         legs.append(InnerLeg(src=src, dst=dst, duration=t, n_periods=n + 1))
-        I, th = Icur, phicur % TWO_PI
+        I, th = Icur, thcur
 
     return PseudoOrbit(legs=legs, params=canon, frame_phi_shift=phi_shift,
                        frame_s_shift=s_shift)

@@ -42,6 +42,13 @@ TOL_DEGEN = 1e-6
 TOL_QUAD = 1e-10
 
 
+def _mod_two_pi(theta: float) -> float:
+    """theta reduced into [0, 2*pi), the package's one angle reduction;
+    ``%`` alone rounds a tiny negative theta up to 2*pi itself."""
+    th = theta % TWO_PI
+    return 0.0 if th == TWO_PI else th
+
+
 # ----------------------------------------------------------------------
 # criteria and result types
 # ----------------------------------------------------------------------
@@ -117,7 +124,7 @@ class ScatteringState:
     theta: float
 
     def normalized(self) -> "ScatteringState":
-        return ScatteringState(self.I, self.theta % TWO_PI)
+        return ScatteringState(self.I, _mod_two_pi(self.theta))
 
 
 class PiecewiseMapAtlas:
@@ -131,7 +138,7 @@ class PiecewiseMapAtlas:
     discontinuities = (math.pi / 2.0, 3.0 * math.pi / 2.0)
 
     def region_of(self, theta: float) -> tuple[str, int]:
-        th = theta % TWO_PI
+        th = _mod_two_pi(theta)
         for lo, hi, name, k in self.regions:
             if lo <= th < hi:
                 return name, k
@@ -212,13 +219,6 @@ def melnikov_quadrature(I: float, phi: float, s: float,
 # tau* and the reduced function
 # ----------------------------------------------------------------------
 
-def _mod_two_pi(theta: float) -> float:
-    """theta reduced into [0, 2*pi); ``%`` alone rounds a tiny negative
-    theta up to 2*pi itself."""
-    th = theta % TWO_PI
-    return 0.0 if th == TWO_PI else th
-
-
 def lstar(I: float, theta: float, criterion: TauCriterion,
           params: SystemParams) -> tuple:
     """The selected contact and L* there, as the kernel returns them:
@@ -242,9 +242,9 @@ def sweep(I_vals, th_vals, criterion: TauCriterion,
     """
     if not (np.isfinite(I_vals).all() and np.isfinite(th_vals).all()):
         raise ConfigError("sweep grid values must be finite")
-    th = np.mod(th_vals, TWO_PI)
-    return K.sweep_kernel(I_vals, np.where(th == TWO_PI, 0.0, th), params.r,
-                          params.a1, params.a2, criterion.code, criterion.k)
+    th = np.array([_mod_two_pi(t) for t in th_vals], dtype=float)
+    return K.sweep_kernel(I_vals, th, params.r, params.a1, params.a2,
+                          criterion.code, criterion.k)
 
 
 def _lstar_raw(I: float, theta: float, criterion: TauCriterion,
@@ -257,7 +257,7 @@ def _lstar_raw(I: float, theta: float, criterion: TauCriterion,
     if res[0] == K.TAU_UNREACHABLE:
         raise UnreachableBranch(
             f"criterion {criterion} finds no ridge crossing within the tau "
-            f"window at (I, theta) = ({I}, {theta % TWO_PI})")
+            f"window at (I, theta) = ({I}, {_mod_two_pi(theta)})")
     return res
 
 
@@ -322,13 +322,22 @@ def scattering_step(state: ScatteringState, criterion: TauCriterion,
 
     The discarded remainder is O(eps^2) per application, so iterates follow
     level curves of L* up to that order.  eps = 0 returns the state
-    unchanged.
+    unchanged, theta reduced.
     """
+    I, theta = state.I, state.theta
+    if not (math.isfinite(I) and math.isfinite(theta)):
+        raise ConfigError(f"(I, theta) must be finite, got ({I}, {theta})")
     if params.eps == 0.0:
         return state.normalized()
-    dI, dth = grad_reduced_poincare(state.I, state.theta, criterion, params)
-    return ScatteringState(I=state.I + params.eps * dth,
-                           theta=(state.theta - params.eps * dI) % TWO_PI)
+    dI, dth = grad_reduced_poincare(I, theta, criterion, params)
+    return _jump(state, dI, dth, params.eps)
+
+
+def _jump(state: ScatteringState, dI: float, dth: float, eps: float):
+    """(I + eps dL*/dtheta, theta - eps dL*/dI) from the gradient
+    (dL*/dI, dL*/dtheta) at ``state``: the first-order jump."""
+    return ScatteringState(I=state.I + eps * dth,
+                           theta=_mod_two_pi(state.theta - eps * dI))
 
 
 def extended_map_domain(I: float, theta: float, params: SystemParams,
@@ -341,9 +350,8 @@ def extended_map_domain(I: float, theta: float, params: SystemParams,
     < 1, which is exactly where the vertical ridge behaves as a horizontal
     graph piece.
     """
-    th = theta % TWO_PI
     try:
-        sol = solve_tau_star(I, th, branch(branch_k), params)
+        sol = solve_tau_star(I, theta, branch(branch_k), params)
     except (UnreachableBranch, SingularCrest):
         return False
     dev = abs(sol.sigma_star - branch_k * math.pi)
@@ -360,7 +368,7 @@ def piecewise_global_map(state: ScatteringState, params: SystemParams
     contact lies on the region's branch k, the step equals the branch-k
     step.
     """
-    th = state.theta % TWO_PI
+    th = _mod_two_pi(state.theta)
     for d in ATLAS.discontinuities:
         if abs(th - d) < TOL_DISC:
             raise OnDiscontinuity(f"theta = {th} lies on the discontinuity "

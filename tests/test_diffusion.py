@@ -67,6 +67,16 @@ class TestBuildVerify:
         assert rep.monotone_violations == 0
         assert rep.window_violations == 0
 
+    def test_jump_legs_are_the_scattering_map(self, p075):
+        # the builder's jump reuses its own solve but is scattering_step's
+        # formula, bit for bit
+        orbit = pr.build_pseudo_orbit(-0.2, 0.2, p075)
+        legs = [leg for leg in orbit.legs if isinstance(leg, ScatterLeg)]
+        assert legs
+        for leg in legs:
+            assert leg.dst == pr.scattering_step(leg.src, scattering.ODD,
+                                                 orbit.params)
+
     def test_scatter_legs_increase_action(self, p075):
         orbit = pr.build_pseudo_orbit(0.25, 0.45, p075)
         for leg in orbit.legs:

@@ -794,6 +794,16 @@ class TestScatteringStep:
         st = pr.ScatteringState(0.4, 2.0)
         assert pr.scattering_step(st, pr.branch(1), p) == st
 
+    @pytest.mark.parametrize("I, theta", [(0.5, math.nan), (math.inf, 1.0)])
+    def test_zero_eps_refuses_nonfinite_state(self, I, theta):
+        # the eps = 0 shortcut makes no solve, so it checks the state itself
+        p = pr.SystemParams(a1=0.75, a2=1.0, eps=0.0)
+        st = pr.ScatteringState(I, theta)
+        with pytest.raises(pr.ConfigError, match="must be finite"):
+            pr.scattering_step(st, pr.MINABS, p)
+        with pytest.raises(pr.ConfigError, match="must be finite"):
+            pr.piecewise_global_map(st, p)
+
     def test_level_curve_order(self, p075):
         # |L* o S - L*| should scale like eps^2 (checked tightly in the
         # acceptance suite; here a single halving)
@@ -944,6 +954,23 @@ class TestThetaReduction:
     def test_oracle(self, p075, crit):
         assert (brute_tau_scan(0.5, -1e-17, crit, p075)
                 == brute_tau_scan(0.5, 0.0, crit, p075))
+
+    def test_normalized(self):
+        assert pr.ScatteringState(0.5, -1e-17).normalized().theta == 0.0
+
+    def test_step_at_zero_eps(self):
+        p = pr.SystemParams(a1=0.75, a2=1.0, eps=0.0)
+        st = pr.scattering_step(pr.ScatteringState(0.5, -1e-17), pr.MINABS, p)
+        assert st.theta == 0.0
+
+    def test_transversality(self, p075):
+        rep = pr.transversality(0.1, -1e-17, pr.branch(1), p075)
+        assert rep.theta == 0.0
+
+    def test_atlas_region_is_the_map_label(self, p075):
+        st = pr.ScatteringState(0.5, -1e-17)
+        assert pr.ATLAS.region_of(st.theta) == ("I", 0)
+        assert pr.piecewise_global_map(st, p075)[1] == "I"
 
 
 class TestAtlas:
