@@ -138,11 +138,11 @@ class PiecewiseMapAtlas:
     discontinuities = (math.pi / 2.0, 3.0 * math.pi / 2.0)
 
     def region_of(self, theta: float) -> tuple[str, int]:
+        if not math.isfinite(theta):
+            raise ConfigError(f"theta must be finite, got {theta}")
         th = _mod_two_pi(theta)
-        for lo, hi, name, k in self.regions:
-            if lo <= th < hi:
-                return name, k
-        return "III", 2
+        return next((name, k) for lo, hi, name, k in self.regions
+                    if lo <= th < hi)
 
 
 ATLAS = PiecewiseMapAtlas()

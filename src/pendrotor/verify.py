@@ -7,6 +7,7 @@ into a machine-readable report used by ``pendrotor verify``.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -62,10 +63,12 @@ def melnikov_check(params: SystemParams, n: int, seed: int = 0,
                    corrupt: str | None = None) -> CheckResult:
     """Closed-form splitting potential against the trapezoid-rule quadrature.
 
-    ``corrupt='a2-sign'`` flips the sign of the second amplitude in the
-    closed form only, a constructed fault that the check must flag.
+    Draws (I, phi, s) from Python's ``random.Random(seed)``: I uniform on
+    [-3, 3], phi and s uniform on [0, 2*pi).  ``corrupt='a2-sign'`` flips
+    the sign of the second amplitude in the closed form only, a constructed
+    fault that the check must flag.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst = 0.0
     closed_params = params
     if corrupt == "a2-sign":
@@ -84,25 +87,27 @@ def melnikov_check(params: SystemParams, n: int, seed: int = 0,
                        worst, MELNIKOV_TOL, n)
 
 
-def _sample_criterion(rng) -> TauCriterion:
-    i = rng.integers(0, 6)
+def _sample_criterion(rng: random.Random) -> TauCriterion:
+    i = rng.randrange(6)
     if i == 0:
         return DOWN
     if i == 1:
         return UP
     if i == 2:
         return MINABS
-    return branch(int(i) - 3)  # branches 0, 1, 2
+    return branch(i - 3)  # branches 0, 1, 2
 
 
 def tau_oracle_check(params: SystemParams, n: int,
                      seed: int = 0) -> CheckResult:
     """Production tau* solver against the uniform fine-grid ray scan.
 
-    Draws samples until n of them solve cleanly (margin >= 1e-3), and fails
-    with the count it reached after MAX_DRAWS_PER_SAMPLE * n draws.
+    Draws (I, theta, criterion) from Python's ``random.Random(seed)``: I
+    uniform on [-3, 3], theta uniform on [0, 2*pi), the six criteria equally
+    likely.  Draws samples until n of them solve cleanly (margin >= 1e-3),
+    and fails with the count it reached after MAX_DRAWS_PER_SAMPLE * n draws.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst = 0.0
     used = 0
     for _ in range(MAX_DRAWS_PER_SAMPLE * n):

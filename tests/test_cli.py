@@ -480,6 +480,14 @@ class TestVerifyCmd:
             "melnikov_closed_vs_quadrature", "tau_star_vs_ray_scan",
             "down_up_reflection_symmetry", "positive_drift_window"}
 
+    def test_seed_gives_the_same_bytes(self, tmp_path):
+        argv = ("verify --mu 0.75 --eps 0.01 --n-melnikov 6 --n-tau 5 "
+                "--seed 5 --out {}")
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            assert main(argv.format(out).split()) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_injected_sign_flip_fails(self, tmp_path):
         out = tmp_path / "verify.json"
         rc = main(["verify", "--mu", "0.75", "--eps", "0.01",
@@ -636,20 +644,25 @@ class TestBadNumericInput:
 _STARTUP_SCRIPT = """
 import json, sys
 from pendrotor.cli import main
-def scipy_mods():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def loaded(pkg):
+    return sorted(m for m in sys.modules if m == pkg or m.startswith(pkg + "."))
 out, runs = sys.argv[1], json.loads(sys.argv[2])
-codes = [main(argv.format(out=out).split()) for argv in runs]
-before = scipy_mods()
+codes, rand = [], []
+for argv in runs:
+    codes.append(main(argv.format(out=out).split()))
+    rand.append(loaded("numpy.random"))
+before = loaded("scipy")
 rc = main(f"verify --mu 0.75 --n-melnikov 1 --n-tau 2 --out {out}/v.json"
           .split())
+rand.append(loaded("numpy.random"))
 print(json.dumps({"codes": codes, "scipy_before": before, "verify": rc,
-                  "scipy_after": scipy_mods()}))
+                  "scipy_after": loaded("scipy"), "numpy_random": rand}))
 """
 
 
 class TestStartup:
     def test_no_subcommand_loads_scipy(self, tmp_path):
+        # nor numpy.random: verify draws its samples from the stdlib random
         runs = [
             "thresholds --mu 0.5 --out {out}/t.csv",
             "crests --mu 0.5 --grid-n 2 --out {out}/c.csv",
@@ -672,6 +685,7 @@ class TestStartup:
         assert got["scipy_before"] == []
         assert got["verify"] == 0
         assert got["scipy_after"] == []
+        assert got["numpy_random"] == [[]] * (len(runs) + 1)
 
     def test_import_loads_no_multiprocessing(self):
         # only an inner-portrait run with more than one share imports it

@@ -988,6 +988,17 @@ class TestAtlas:
         assert pr.ATLAS.region_of(math.pi) == ("II", 1)
         assert pr.ATLAS.region_of(5.0) == ("III", 2)
         assert pr.ATLAS.region_of(5.0 + TWO_PI) == ("III", 2)
+        # the edges: each region is closed below and open above
+        assert pr.ATLAS.region_of(0.0) == ("I", 0)
+        assert pr.ATLAS.region_of(-0.0) == ("I", 0)
+        assert pr.ATLAS.region_of(math.pi / 2) == ("II", 1)
+        assert pr.ATLAS.region_of(3 * math.pi / 2) == ("III", 2)
+        assert pr.ATLAS.region_of(math.nextafter(TWO_PI, 0.0)) == ("III", 2)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_region_refuses_nonfinite_theta(self, theta):
+        with pytest.raises(pr.ConfigError, match="theta must be finite"):
+            pr.ATLAS.region_of(theta)
 
     def test_atlas_takes_no_arguments(self):
         # piecewise_global_map and portrait read the module's ATLAS, so a

@@ -124,6 +124,19 @@ class TestTauOracleDrawCap:
         assert capped.n == 150 and capped.passed
 
 
+class TestSampledChecks:
+    """The two sampled checks pass, and the injected fault fails, at every
+    seed of a range, not only at the CLI's default seed."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_seed(self, p075, seed):
+        assert verify.melnikov_check(p075, n=60, seed=seed).passed
+        tau = verify.tau_oracle_check(p075, n=150, seed=seed)
+        assert tau.passed and tau.n == 150
+        bad = verify.melnikov_check(p075, n=60, seed=seed, corrupt="a2-sign")
+        assert not bad.passed
+
+
 class TestEmptyChecksFail:
     """A check that compared nothing fails, with a note and a finite worst."""
 
