@@ -21,7 +21,7 @@ import numpy as np
 
 from .crests import classify, crest_phi, crest_residual, crest_sigma, find_thresholds
 from .diffusion import ScatterLeg, build_pseudo_orbit, verify_pseudo_orbit
-from .errors import ConfigError, OutOfDomain, PendrotorError, StepFailure
+from .errors import ConfigError, OutOfDomain, PendrotorError
 from .inner import InnerState, orbit_sections, region_of, torus_value
 from .model import amplitude_A1, amplitude_A2
 from .params import SystemParams
@@ -209,7 +209,7 @@ def _header(params: SystemParams, extra: dict | None = None) -> dict:
 
 
 def _config_args(path: str) -> list[str]:
-    """The KEY=VAL pairs of a --config file as argv entries."""
+    """The KEY=VAL pairs of a --config file as ``--key=val`` argv entries."""
     injected: list[str] = []
     try:
         fh = open(path)
@@ -221,8 +221,8 @@ def _config_args(path: str) -> list[str]:
             if not line or line.startswith("#"):
                 continue
             key, _, val = line.partition("=")
-            injected.extend([f"--{key.strip().replace('_', '-')}",
-                             val.strip()])
+            # one --key=val token: argparse takes a separate "-1e3" for a flag
+            injected.append(f"--{key.strip().replace('_', '-')}={val.strip()}")
     return injected
 
 
@@ -350,22 +350,19 @@ def cmd_inner_portrait(args) -> int:
     params = _setup(args)
     starts = [InnerState(I=float(I0), phi=0.0, s=0.0)
               for I0 in np.linspace(args.I_min, args.I_max, args.grid_n)]
-    orbits = orbit_sections(starts, args.periods, params)
     em = Emitter(args.out, args.format, "inner_portrait",
                  _header(params, {"periods": args.periods}),
                  ["orbit", "n", "t", "I", "phi_mod", "region", "torus_value"])
-    for i, rows in enumerate(orbits):
-        if isinstance(rows, StepFailure):
-            # the error, held in ``orbits``, keeps this frame and the file
-            # unflushed until a garbage collection: close it first
-            em.close()
-            raise rows
-        for n in range(rows.shape[0]):
-            t, I, phi = rows[n]
-            st = InnerState(I=I, phi=phi, s=t)
-            em.row([i, n + 1, t, I, scattering._mod_two_pi(phi),
-                    region_of(I, params).value, torus_value(st, params)])
-    em.close()
+    try:
+        for i, rows in enumerate(orbit_sections(starts, args.periods,
+                                                params)):
+            for n in range(rows.shape[0]):
+                t, I, phi = rows[n]
+                st = InnerState(I=I, phi=phi, s=t)
+                em.row([i, n + 1, t, I, scattering._mod_two_pi(phi),
+                        region_of(I, params).value, torus_value(st, params)])
+    finally:
+        em.close()
     return EXIT_OK
 
 

@@ -130,53 +130,42 @@ def stroboscopic_sections(state: InnerState, n_periods: int,
                        dtype=np.dtype((float, 3)), count=n_periods)
 
 
-def _share(states: Sequence[InnerState], n_periods: int,
-           params: SystemParams) -> list[np.ndarray | StepFailure]:
-    """:func:`stroboscopic_sections` of each state in turn, up to the first
-    that raises :class:`StepFailure`; that error takes its orbit's place
-    and ends the list."""
-    out = []
-    for state in states:
-        try:
-            out.append(stroboscopic_sections(state, n_periods, params))
-        except StepFailure as exc:
-            out.append(exc)
-            break
-    return out
+def _orbit(state: InnerState, n_periods: int,
+           params: SystemParams) -> np.ndarray:
+    """:func:`stroboscopic_sections` as a worker's task: the pool pickles a
+    task by its module and name, which a function put in place of
+    ``stroboscopic_sections`` (a tracer's wrapper) no longer matches."""
+    return stroboscopic_sections(state, n_periods, params)
 
 
 def orbit_sections(states: Sequence[InnerState], n_periods: int,
-                   params: SystemParams) -> list[np.ndarray | StepFailure]:
+                   params: SystemParams) -> Iterator[np.ndarray]:
     """:func:`stroboscopic_sections` of every state, in order, at
     ``TOL_ODE``, spread over the usable cores.
 
-    With n = min(usable cores, orbits), orbit i goes to share i mod n
-    (striding balances the load, as step counts vary smoothly with I).
-    Share 0 runs in this process and the others in forked workers, which
-    have all exited on return.  Each orbit is integrated as in a serial
-    loop, so the arrays do not depend on n.  The list ends at the first
-    orbit whose integration failed, with its :class:`StepFailure` in place
-    of its array.
+    With n = min(usable cores, orbits), orbit i runs in this process when
+    i mod n = 0 and in one of n - 1 forked workers otherwise (striding
+    balances the load, as step counts vary smoothly with I).  Each orbit
+    is integrated as in a serial loop, so the arrays do not depend on n.
+    The first :class:`StepFailure` propagates after the orbits before it;
+    the workers have exited once the iterator is exhausted, raises or is
+    closed.
     """
     n = min(len(os.sched_getaffinity(0)), len(states))
     if n <= 1:
-        return _share(states, n_periods, params)
+        for state in states:
+            yield stroboscopic_sections(state, n_periods, params)
+        return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(n - 1,
                                mp_context=multiprocessing.get_context("fork"))
     try:
-        futures = [pool.submit(_share, states[k::n], n_periods, params)
-                   for k in range(1, n)]
-        shares = [_share(states[::n], n_periods, params)]
-        shares += [f.result() for f in futures]
+        futures = [pool.submit(_orbit, state, n_periods, params)
+                   if i % n else None for i, state in enumerate(states)]
+        for state, future in zip(states, futures):
+            yield (future.result() if future
+                   else stroboscopic_sections(state, n_periods, params))
     finally:
         pool.shutdown(cancel_futures=True)
-    merged = []
-    for i in range(len(states)):
-        # a share ends early only at a failure, which ends this loop first
-        merged.append(shares[i % n][i // n])
-        if isinstance(merged[-1], StepFailure):
-            break
-    return merged

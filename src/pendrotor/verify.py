@@ -30,6 +30,9 @@ MAX_DRAWS_PER_SAMPLE = 20
 #: tau_oracle_check (tau* against the ray scan)
 MELNIKOV_TOL = 1e-8
 TAU_TOL = 1e-6
+#: transversality margin of a clean tau* contact: tau_oracle_check skips
+#: draws below it and lemma_symmetry_check masks grid points below it
+CLEAN_MARGIN = 1e-3
 
 
 @dataclass
@@ -104,8 +107,9 @@ def tau_oracle_check(params: SystemParams, n: int,
 
     Draws (I, theta, criterion) from Python's ``random.Random(seed)``: I
     uniform on [-3, 3], theta uniform on [0, 2*pi), the six criteria equally
-    likely.  Draws samples until n of them solve cleanly (margin >= 1e-3),
-    and fails with the count it reached after MAX_DRAWS_PER_SAMPLE * n draws.
+    likely.  Draws samples until n of them solve cleanly (margin >=
+    CLEAN_MARGIN), and fails with the count it reached after
+    MAX_DRAWS_PER_SAMPLE * n draws.
     """
     rng = random.Random(seed)
     worst = 0.0
@@ -125,7 +129,7 @@ def tau_oracle_check(params: SystemParams, n: int,
             sol = solve_tau_star(I, theta, crit, params)
         except PendrotorError:
             continue
-        if sol.degenerate or sol.margin < 1e-3:
+        if sol.margin < CLEAN_MARGIN:
             continue
         ref = brute_tau_scan(I, theta, crit, params, h=1e-5)
         worst = max(worst, abs(sol.tau_star - ref))
@@ -146,7 +150,7 @@ def lemma_symmetry_check(params: SystemParams, n_I: int = 60,
     At r = 1 the reflection through (pi, pi) exchanges the even ridge
     branches 0 and 2 and reverses the ray parameter, so the two down/up
     reduced functions are exact mirror images wherever both contacts are
-    clean; points with a transversality margin below 1e-3
+    clean; points with a transversality margin below CLEAN_MARGIN
     (tangency-affected) or with failed solves are masked, and the check
     fails when every point is.  Other r raise :class:`ConfigError`.
     """
@@ -160,7 +164,8 @@ def lemma_symmetry_check(params: SystemParams, n_I: int = 60,
     ths = np.linspace(1e-3, TWO_PI - 1e-3, n_th)
     st0, _, _, m0, _, d0, _ = sweep(Is, ths, branch(0), params)
     st2, _, _, m2, _, d2, _ = sweep(Is, TWO_PI - ths, branch(2), params)
-    clean = (st0 == TAU_OK) & (st2 == TAU_OK) & (m0 >= 1e-3) & (m2 >= 1e-3)
+    clean = ((st0 == TAU_OK) & (st2 == TAU_OK) & (m0 >= CLEAN_MARGIN)
+             & (m2 >= CLEAN_MARGIN))
     gaps = np.abs(d0 + d2)[clean]
     worst = gaps.max(initial=0.0)
     used = gaps.size

@@ -725,6 +725,19 @@ class TestConfigFile:
         _, rows = _read_rows(out)
         assert len(rows) == 9
 
+    @pytest.mark.parametrize("text,key,value", [
+        ("mu = 0.5\nI_min = -1e3\n", "I_min", -1e3),
+        ("a2 = 1\na1 = -2e-1\n", "a1", -0.2)])
+    def test_negative_exponent_value(self, tmp_path, text, key, value):
+        # argparse takes "-1e3" standing alone for a flag, not a value
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "t.csv"
+        assert main(["thresholds", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        header, _ = _read_rows(out)
+        assert float(header[key]) == value
+
 
 _PARAM_FLAGS = ["--a1", "--a2", "--mu", "--r", "--k1", "--k2", "--l1", "--l2",
                 "--eps", "--out", "--config"]

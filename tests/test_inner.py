@@ -1,6 +1,10 @@
 import inspect
 import itertools
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from scipy.integrate import solve_ivp
 import pendrotor as pr
 from pendrotor._ode import H_START
 from pendrotor.inner import (RESONANCE_HALF_WIDTH, TOL_ODE, InnerState,
-                             inner_flow, region_of,
+                             inner_flow, orbit_sections, region_of,
                              resonance_half_width_pendulum, sections,
                              stroboscopic_sections, torus_value)
 
@@ -242,3 +246,79 @@ class TestSections:
             p075.r, tol, tol)
         assert (h_next, nsteps) == (H_START, 1)
 
+
+
+#: spreads four orbits over two reported cores with stroboscopic_sections
+#: replaced by a closure, as a tracer replaces it
+_WRAPPED_SCRIPT = """
+import os
+import numpy as np
+from pendrotor import inner
+from pendrotor.params import SystemParams
+os.sched_getaffinity = lambda pid: {0, 1}
+plain, calls = inner.stroboscopic_sections, []
+def wrap(fn):
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+    return wrapper
+inner.stroboscopic_sections = wrap(plain)
+p = SystemParams(a1=0.75, a2=1.0, eps=0.01)
+states = [inner.InnerState(I, 0.0, 0.0) for I in (-1.0, -0.5, 0.5, 1.0)]
+got = list(inner.orbit_sections(states, 3, p))
+assert [a[0] for a in calls] == states[::2], calls
+assert all(np.array_equal(g, plain(s, 3, p)) for g, s in zip(got, states))
+"""
+
+
+class TestOrbitSections:
+    """One ordered iterator of arrays over every usable core."""
+
+    STATES = [InnerState(float(I), 0.0, 0.0) for I in np.linspace(-2, 2, 5)]
+
+    @staticmethod
+    def _report_cores(monkeypatch, cores):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cores)))
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_failure_ends_after_earlier_orbits(self, cores, p075,
+                                               monkeypatch):
+        # with 2 cores orbit 3 runs in a worker, which inherits the patch
+        # through fork
+        from pendrotor import _ode, inner
+        serial = [stroboscopic_sections(st, 3, p075) for st in self.STATES]
+        I_fail = self.STATES[3].I
+
+        def failing(I, phi, s0, t0, *rest):
+            if t0 == 0.0 and I == I_fail:
+                return I, phi, _ode.H_START, 0, _ode.ODE_STEPFAIL
+            return _ode.integrate_inner(I, phi, s0, t0, *rest)
+
+        monkeypatch.setattr(inner, "integrate_inner", failing)
+        self._report_cores(monkeypatch, cores)
+        it = orbit_sections(self.STATES, 3, p075)
+        for k in range(3):
+            assert np.array_equal(next(it), serial[k])
+        with pytest.raises(pr.StepFailure):
+            next(it)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_close_stops_workers(self, cores, p075, monkeypatch):
+        self._report_cores(monkeypatch, cores)
+        it = orbit_sections(self.STATES, 3, p075)
+        assert np.array_equal(next(it),
+                              stroboscopic_sections(self.STATES[0], 3, p075))
+        it.close()
+        assert multiprocessing.active_children() == []
+
+    def test_replaced_sections_still_spread(self):
+        # a worker's task pickles by name; run apart, as a task that does
+        # not pickle can hang the pool's shutdown
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(pr.__file__)))
+        proc = subprocess.run([sys.executable, "-c", _WRAPPED_SCRIPT],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
