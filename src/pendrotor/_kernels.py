@@ -263,36 +263,43 @@ def _crit_tau(j, u1, u2, period):
     return (u1 if j % 2 == 0 else u2) + (j // 2) * period
 
 
-def _fold(root, d, phi0, sig0, rphi, rsig, c, ac, tie_tol, found, best_t,
-          best_key, best_marg):
-    """Merge a crossing into the running best: smallest key d*tau wins; within
-    tie_tol of the best key the larger transversality margin wins, except
-    that of two crossings on opposite sides of tau = 0 whose margins agree to
-    MARGIN_TIE_RTOL (mirror crossings) the one with tau >= 0 wins."""
+def _fold(root, d, phi0, sig0, rphi, rsig, c, ac, best):
+    """Merge a crossing into the running best (tau, key, margin), key inf for
+    none yet: smallest key d*tau wins; within TIE_TOL of the best key the
+    larger transversality margin wins, except that of two crossings on
+    opposite sides of tau = 0 whose margins agree to MARGIN_TIE_RTOL (mirror
+    crossings) the one with tau >= 0 wins."""
+    best_t, best_key, best_marg = best
     key = d * root
     marg = abs(_gn_prime(root, phi0, sig0, rphi, rsig, c, ac))
-    if not found or key < best_key - tie_tol:
-        return True, root, key, marg
-    if key < best_key + tie_tol:
+    if key < best_key - TIE_TOL:
+        return root, key, marg
+    if key < best_key + TIE_TOL:
         mirror = ((root >= 0.0) != (best_t >= 0.0)
                   and abs(marg - best_marg) <= MARGIN_TIE_RTOL * max(marg, best_marg))
         if root >= 0.0 if mirror else marg > best_marg:
-            return True, root, best_key, marg
-    return found, best_t, best_key, best_marg
+            return root, best_key, marg
+    return best
 
 
-def _walk_band(lo, hi, d, m, w0, lw, phi0, sig0, rphi, rsig, c, ac,
-               horizontal, psi0, rpsi, q, tie_tol, found, best_t, best_key,
-               best_marg):
-    """Fold the crossings of branch m with tau in [lo, hi] into the running best.
+def _walk_band(lo, hi, d, m, w0, lw, phi0, sig0, rphi, rsig, c, horizontal,
+               best):
+    """Fold the crossings of branch m with tau in [lo, hi] into the running
+    best (tau, key, margin) and return it.
 
     The interval lies on one side of tau = 0 and is walked away from it
     (d = +1 from lo, d = -1 from hi), so the key d*tau = |tau| grows along
     the walk.  Breakpoints are the critical points of h_b, between which it
     is monotone: a sign check at each breakpoint brackets every crossing
     exactly, and the walk stops once no later crossing can beat or tie the
-    best.  Returns the updated (found, tau, key, margin).
+    best.
     """
+    ac = abs(c)
+    # oscillating angle psi of h_b (module docstring)
+    if horizontal:
+        psi0, rpsi, q = phi0, rphi, c
+    else:
+        psi0, rpsi, q = sig0, rsig, 1.0 / c
     par = 1.0 if (m % 2) == 0 else -1.0
     # critical tau of h_b (module docstring): u1 + j*period, u2 + j*period;
     # period = 0 means h_b is monotone on [lo, hi]
@@ -340,11 +347,9 @@ def _walk_band(lo, hi, d, m, w0, lw, phi0, sig0, rphi, rsig, c, ac,
         t = lo if d > 0.0 else hi
     f = _hb(t, m, par, w0, lw, phi0, sig0, rphi, rsig, c, horizontal)[0]
     if f == 0.0:
-        found, best_t, best_key, best_marg = _fold(
-            t, d, phi0, sig0, rphi, rsig, c, ac, tie_tol, found, best_t,
-            best_key, best_marg)
+        best = _fold(t, d, phi0, sig0, rphi, rsig, c, ac, best)
     while d * (e - t) > 0.0:
-        if found and d * t > best_key + tie_tol:
+        if d * t > best[1] + TIE_TOL:
             break
         if period > 0.0:
             j += 1 if d > 0.0 else -1
@@ -359,12 +364,10 @@ def _walk_band(lo, hi, d, m, w0, lw, phi0, sig0, rphi, rsig, c, ac,
             root = _newton_hb(t, tn, f, fn, m, par, w0, lw, phi0, sig0, rphi,
                               rsig, c, horizontal)
         if root == root:
-            found, best_t, best_key, best_marg = _fold(
-                root, d, phi0, sig0, rphi, rsig, c, ac, tie_tol, found,
-                best_t, best_key, best_marg)
+            best = _fold(root, d, phi0, sig0, rphi, rsig, c, ac, best)
         t = tn
         f = fn
-    return found, best_t, best_key, best_marg
+    return best
 
 
 def tau_star_kernel(I, theta, r, c, crit, kreq):
@@ -386,19 +389,11 @@ def tau_star_kernel(I, theta, r, c, crit, kreq):
     sig0 = r * theta
     rphi = -I
     rsig = -(r * I - 1.0)
-    # band coordinate w and oscillating angle psi: h_b = (w - m*pi) + par*asin(q sin psi)
+    # band coordinate w of h_b = (w - m*pi) + par*asin(q sin psi)
     if horizontal:
-        w0 = sig0
-        lw = rsig
-        psi0 = phi0
-        rpsi = rphi
-        q = c
+        w0, lw = sig0, rsig
     else:
-        w0 = phi0
-        lw = rphi
-        psi0 = sig0
-        rpsi = rsig
-        q = 1.0 / c
+        w0, lw = phi0, rphi
     fmin = min(abs(rphi), abs(rsig))
     if fmin < 1e-12:
         fmin = 1e-12
@@ -407,10 +402,8 @@ def tau_star_kernel(I, theta, r, c, crit, kreq):
     if abs(lw) < 1e-300:
         return TAU_UNREACHABLE, math.nan, 0, 0.0, math.nan, math.nan
 
-    found = False
-    best_t = math.inf
-    best_key = math.inf
-    best_marg = 0.0
+    # running best (tau, key, margin); key inf: no crossing yet
+    best = (math.inf, math.inf, 0.0)
 
     # march strips outward from the launch point: on the side of decreasing/
     # increasing sigma (down/up, even family only), or on both sides (minabs
@@ -435,21 +428,18 @@ def tau_star_kernel(I, theta, r, c, crit, kreq):
                 if tb > 0.0:
                     tb = 0.0
             entry = ta if dtau > 0.0 else -tb
-            if entry > tau_max:
-                break
-            if found and entry > best_key + TIE_TOL:
+            if entry > tau_max or entry > best[1] + TIE_TOL:
                 break
             if dtau > 0.0 and tb > tau_max:
                 tb = tau_max
             if dtau < 0.0 and ta < -tau_max:
                 ta = -tau_max
             if tb >= ta and (not marching or (m % 2) == 0):
-                found, best_t, best_key, best_marg = _walk_band(
-                    ta, tb, dtau, m, w0, lw, phi0, sig0, rphi, rsig, c, ac,
-                    horizontal, psi0, rpsi, q, TIE_TOL, found, best_t,
-                    best_key, best_marg)
+                best = _walk_band(ta, tb, dtau, m, w0, lw, phi0, sig0, rphi,
+                                  rsig, c, horizontal, best)
             m += step_m
-    if not found:
+    best_t, best_key, best_marg = best
+    if best_key == math.inf:
         return TAU_UNREACHABLE, math.nan, 0, 0.0, math.nan, math.nan
     # recover the band index of the winner
     if horizontal:

@@ -6,7 +6,8 @@ JSON-lines (first record carries a schema_version field).  Floats are
 written with 17 significant digits and rows in a fixed order, so identical
 configurations produce byte-identical files.
 
-Exit codes: 0 ok, 2 config error, 3 solver error, 4 verification failure.
+Exit codes: 0 ok, 1 output closed by its reader, 2 config error, 3 solver
+error, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from functools import partial
 
@@ -55,8 +57,6 @@ class Emitter:
     def __init__(self, path: str | None, fmt: str, kind: str,
                  header: dict, columns: list[str]):
         self.fmt = fmt
-        self.kind = kind
-        self.header = header
         self.columns = columns
         self._fh = open(path, "w") if path else sys.stdout
         self._owned = path is not None
@@ -396,7 +396,7 @@ def cmd_diffuse(args) -> int:
         "reintegration_budget": report.reintegration_budget,
         "failures": report.failures[:20],
     }
-    out = json.dumps(rep, indent=2, default=_fmt)
+    out = json.dumps(rep, indent=2)
     if args.report:
         with open(args.report, "w") as fh:
             fh.write(out + "\n")
@@ -474,7 +474,15 @@ def main(argv: list[str] | None = None) -> int:
             # file values go right after the subcommand, so real flags win
             args = parser.parse_args(argv[:1] + _config_args(args.config)
                                      + argv[1:])
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # the reader closed the output; with stdout on devnull the flush at
+        # exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"output closed: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

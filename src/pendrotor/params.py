@@ -84,6 +84,11 @@ class SystemParams:
             raise ConfigError("harmonics are dependent: k1*l2 - k2*l1 = 0")
         if k1 == 0 or k2 == 0:
             raise ConfigError("reduced form needs k1*k2 != 0 (r in (0,1])")
+        for name, k in (("k1", k1), ("k2", k2)):
+            try:
+                float(k)  # eps is rescaled by k1^2 in floats
+            except OverflowError:
+                raise ConfigError(f"{name} is too large for a float") from None
         if abs(k2) > abs(k1):
             a1, a2 = a2, a1
             k1, k2, l1, l2 = k2, k1, l2, l1

@@ -73,6 +73,11 @@ class TauCriterion:
     def __post_init__(self):
         if self.kind not in ("down", "up", "minabs", "branch"):
             raise ConfigError(f"unknown criterion kind {self.kind!r}")
+        try:
+            float(self.k)  # the solver takes k*pi
+        except OverflowError:
+            raise ConfigError("criterion branch k is too large for a "
+                              "float") from None
 
     @property
     def code(self) -> int:

@@ -18,7 +18,7 @@ from .diffusion import _canonical_frame
 from .errors import ConfigError, PendrotorError
 from .oracles import brute_tau_scan
 from .params import SystemParams
-from .scattering import (MINABS, DOWN, ODD, TAU_OK, UP, TauCriterion, branch,
+from .scattering import (MINABS, DOWN, ODD, TAU_OK, UP, branch,
                          melnikov_closed, melnikov_quadrature, solve_tau_star,
                          sweep, theta_plus)
 
@@ -90,17 +90,6 @@ def melnikov_check(params: SystemParams, n: int, seed: int = 0,
                        worst, MELNIKOV_TOL, n)
 
 
-def _sample_criterion(rng: random.Random) -> TauCriterion:
-    i = rng.randrange(6)
-    if i == 0:
-        return DOWN
-    if i == 1:
-        return UP
-    if i == 2:
-        return MINABS
-    return branch(i - 3)  # branches 0, 1, 2
-
-
 def tau_oracle_check(params: SystemParams, n: int,
                      seed: int = 0) -> CheckResult:
     """Production tau* solver against the uniform fine-grid ray scan.
@@ -112,6 +101,7 @@ def tau_oracle_check(params: SystemParams, n: int,
     MAX_DRAWS_PER_SAMPLE * n draws.
     """
     rng = random.Random(seed)
+    criteria = (DOWN, UP, MINABS, branch(0), branch(1), branch(2))
     worst = 0.0
     used = 0
     for _ in range(MAX_DRAWS_PER_SAMPLE * n):
@@ -124,7 +114,7 @@ def tau_oracle_check(params: SystemParams, n: int,
         if abs(c - 1.0) < 1e-3:
             continue
         theta = rng.uniform(0.0, TWO_PI)
-        crit = _sample_criterion(rng)
+        crit = criteria[rng.randrange(6)]
         try:
             sol = solve_tau_star(I, theta, crit, params)
         except PendrotorError:

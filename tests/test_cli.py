@@ -562,6 +562,12 @@ class TestBadNumericInput:
         ["portrait", "--mu", "1e308"],
         ["portrait", "--a1", "1e308", "--a2", "1e-10"],
         ["diffuse", "--a1", "1e308", "--a2", "1", "--eps", "0.01"],
+        # an integer too large for a float
+        ["portrait", "--mu", "0.5", "--criterion", f"branch={10 ** 309}"],
+        ["thresholds", "--a1", "0.5", "--a2", "1", "--k1", str(10 ** 400),
+         "--k2", "1", "--l1", "0", "--l2", "-1"],
+        ["thresholds", "--a1", "0.5", "--a2", "1", "--k1", "2",
+         "--k2", str(10 ** 400), "--l1", "0", "--l2", "-1"],
     ])
     def test_exits_2_with_message(self, argv, capsys):
         # a small grid where the subcommand takes one, in case a check
@@ -636,6 +642,37 @@ class TestBadNumericInput:
             timeout=60)
         assert proc.returncode == 2
         assert proc.stderr.startswith("config error:")
+
+    def test_largest_float_branch_runs(self, tmp_path):
+        # 10**308 converts to a float; its strip lies out of reach
+        out = tmp_path / "p.csv"
+        assert main(["portrait", "--mu", "0.5", "--grid-n", "2", "--criterion",
+                     f"branch={10 ** 308}", "--out", str(out)]) == 0
+        assert {row["status"] for row in _read_rows(out)[1]} == {"2"}
+
+    @pytest.mark.parametrize("argv", [
+        # rows written while it runs
+        ["portrait", "--mu", "0.75", "--grid-n", "40"],
+        # output small enough to wait in the buffer until the end
+        ["thresholds", "--mu", "0.5"],
+    ])
+    def test_closed_output_exits_1_without_traceback(self, argv):
+        # the read end is closed before the child starts, so every write to
+        # its stdout fails with EPIPE
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(pr.__file__)))
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "pendrotor", *argv],
+                                  stdout=w, stderr=subprocess.PIPE, text=True,
+                                  env=env, timeout=60)
+        finally:
+            os.close(w)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("output closed:")
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
 
 
 #: one fresh interpreter runs a tiny form of every subcommand but verify,

@@ -260,6 +260,15 @@ class TestSignatures:
         assert {name: p for name, p in found.items() if p} == {}
         assert not {"Tolerances", "DEFAULT_TOL"} & set(dir(pr))
 
+    def test_no_kernel_takes_a_tolerance(self):
+        # the tau* walk reads TOL_CLS and TIE_TOL itself; none is relayed
+        found = {name: sorted(self.TOL_NAMES
+                              & set(inspect.signature(f).parameters))
+                 for name, f in vars(K).items()
+                 if inspect.isfunction(f) and f.__module__ == K.__name__}
+        assert {"_fold", "_walk_band", "tau_star_kernel"} <= set(found)
+        assert {name: p for name, p in found.items() if p} == {}
+
     def test_record_fields(self):
         # a field that nothing reads costs work on every call; a new one
         # must name its reader here

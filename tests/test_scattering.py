@@ -564,25 +564,25 @@ class TestMirrorTie:
 
     def test_fold_order_does_not_matter(self):
         # a mirror pair on the ray of r = 1, theta = pi/2, I = -1.1, c = 0.6
-        args = (math.pi / 2, math.pi / 2, 1.1, 2.1, 0.6, 0.6, 1e-9)
+        args = (math.pi / 2, math.pi / 2, 1.1, 2.1, 0.6, 0.6)
         t = 0.8
         m = abs(K._gn_prime(t, *args[:6]))
         assert m == pytest.approx(abs(K._gn_prime(-t, *args[:6])), rel=1e-15)
-        first = K._fold(t, 1.0, *args, False, math.inf, math.inf, 0.0)
-        assert K._fold(-t, -1.0, *args, *first) == first
-        first = K._fold(-t, -1.0, *args, False, math.inf, math.inf, 0.0)
-        assert K._fold(t, 1.0, *args, *first)[1] == t
+        first = K._fold(t, 1.0, *args, (math.inf, math.inf, 0.0))
+        assert K._fold(-t, -1.0, *args, first) == first
+        first = K._fold(-t, -1.0, *args, (math.inf, math.inf, 0.0))
+        assert K._fold(t, 1.0, *args, first)[0] == t
 
     def test_larger_margin_wins_outside_the_mirror_band(self):
-        args = (math.pi / 2, 0.3, 1.1, 2.1, 0.6, 0.6, 1e-9)
+        args = (math.pi / 2, 0.3, 1.1, 2.1, 0.6, 0.6)
         m_plus = abs(K._gn_prime(0.8, *args[:6]))
         m_minus = abs(K._gn_prime(-0.8, *args[:6]))
         assert abs(m_plus - m_minus) > 1e-3
         want = 0.8 if m_plus > m_minus else -0.8
         for t in (0.8, -0.8):
-            first = K._fold(t, math.copysign(1.0, t), *args, False, math.inf,
-                            math.inf, 0.0)
-            assert K._fold(-t, -math.copysign(1.0, t), *args, *first)[1] == want
+            first = K._fold(t, math.copysign(1.0, t), *args,
+                            (math.inf, math.inf, 0.0))
+            assert K._fold(-t, -math.copysign(1.0, t), *args, first)[0] == want
 
 
 def _bisect_hb(ta, tb, args):
