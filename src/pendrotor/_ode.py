@@ -159,74 +159,78 @@ def integrate_inner(y0, y1, s0, t0, t1, h, eps, a1, a2, r, rtol, atol):
         if direction * (t + h - t1) > 0.0:
             h = t1 - t
         st = s0 + t
-        u2 = y0 + h * (_A2_1 * p1)
-        v = y1 + h * (_A2_1 * y0)
-        p2 = ea1 * sin(v) + ra2 * sin(r * v - (st + _C2 * h))
-        u3 = y0 + h * (_A3_1 * p1 + _A3_2 * p2)
-        v = y1 + h * (_A3_1 * y0 + _A3_2 * u2)
-        p3 = ea1 * sin(v) + ra2 * sin(r * v - (st + _C3 * h))
-        u4 = y0 + h * (_A4_1 * p1 + _A4_3 * p3)
-        v = y1 + h * (_A4_1 * y0 + _A4_3 * u3)
-        p4 = ea1 * sin(v) + ra2 * sin(r * v - (st + _C4 * h))
-        u5 = y0 + h * (_A5_1 * p1 + _A5_3 * p3 + _A5_4 * p4)
-        v = y1 + h * (_A5_1 * y0 + _A5_3 * u3 + _A5_4 * u4)
-        p5 = ea1 * sin(v) + ra2 * sin(r * v - (st + _C5 * h))
-        u6 = y0 + h * (_A6_1 * p1 + _A6_4 * p4 + _A6_5 * p5)
-        v = y1 + h * (_A6_1 * y0 + _A6_4 * u4 + _A6_5 * u5)
-        p6 = ea1 * sin(v) + ra2 * sin(r * v - (st + _C6 * h))
-        u7 = y0 + h * (_A7_1 * p1 + _A7_4 * p4 + _A7_5 * p5 + _A7_6 * p6)
-        v = y1 + h * (_A7_1 * y0 + _A7_4 * u4 + _A7_5 * u5 + _A7_6 * u6)
-        p7 = ea1 * sin(v) + ra2 * sin(r * v - (st + _C7 * h))
-        u8 = y0 + h * (_A8_1 * p1 + _A8_4 * p4 + _A8_5 * p5 + _A8_6 * p6
-                       + _A8_7 * p7)
-        v = y1 + h * (_A8_1 * y0 + _A8_4 * u4 + _A8_5 * u5 + _A8_6 * u6
-                      + _A8_7 * u7)
-        p8 = ea1 * sin(v) + ra2 * sin(r * v - (st + _C8 * h))
-        u9 = y0 + h * (_A9_1 * p1 + _A9_4 * p4 + _A9_5 * p5 + _A9_6 * p6
-                       + _A9_7 * p7 + _A9_8 * p8)
-        v = y1 + h * (_A9_1 * y0 + _A9_4 * u4 + _A9_5 * u5 + _A9_6 * u6
-                      + _A9_7 * u7 + _A9_8 * u8)
-        p9 = ea1 * sin(v) + ra2 * sin(r * v - (st + _C9 * h))
-        u10 = y0 + h * (_A10_1 * p1 + _A10_4 * p4 + _A10_5 * p5 + _A10_6 * p6
-                        + _A10_7 * p7 + _A10_8 * p8 + _A10_9 * p9)
-        v = y1 + h * (_A10_1 * y0 + _A10_4 * u4 + _A10_5 * u5 + _A10_6 * u6
-                      + _A10_7 * u7 + _A10_8 * u8 + _A10_9 * u9)
-        p10 = ea1 * sin(v) + ra2 * sin(r * v - (st + _C10 * h))
-        u11 = y0 + h * (_A11_1 * p1 + _A11_4 * p4 + _A11_5 * p5 + _A11_6 * p6
-                        + _A11_7 * p7 + _A11_8 * p8 + _A11_9 * p9
-                        + _A11_10 * p10)
-        v = y1 + h * (_A11_1 * y0 + _A11_4 * u4 + _A11_5 * u5 + _A11_6 * u6
-                      + _A11_7 * u7 + _A11_8 * u8 + _A11_9 * u9
-                      + _A11_10 * u10)
-        p11 = ea1 * sin(v) + ra2 * sin(r * v - (st + _C11 * h))
-        u12 = y0 + h * (_A12_1 * p1 + _A12_4 * p4 + _A12_5 * p5 + _A12_6 * p6
-                        + _A12_7 * p7 + _A12_8 * p8 + _A12_9 * p9
-                        + _A12_10 * p10 + _A12_11 * p11)
-        v = y1 + h * (_A12_1 * y0 + _A12_4 * u4 + _A12_5 * u5 + _A12_6 * u6
-                      + _A12_7 * u7 + _A12_8 * u8 + _A12_9 * u9
-                      + _A12_10 * u10 + _A12_11 * u11)
-        p12 = ea1 * sin(v) + ra2 * sin(r * v - (st + h))
-        # 8th-order solution
-        b0 = (_B1 * p1 + _B6 * p6 + _B7 * p7 + _B8 * p8 + _B9 * p9
-              + _B10 * p10 + _B11 * p11 + _B12 * p12)
-        b1 = (_B1 * y0 + _B6 * u6 + _B7 * u7 + _B8 * u8 + _B9 * u9
-              + _B10 * u10 + _B11 * u11 + _B12 * u12)
-        z0 = y0 + h * b0
-        z1 = y1 + h * b1
-        # combined 5th/3rd-order error estimate, scaled per component
-        sc = atol + rtol * max(abs(y0), abs(z0))
-        e = (_E1 * p1 + _E6 * p6 + _E7 * p7 + _E8 * p8 + _E9 * p9
-             + _E10 * p10 + _E11 * p11 + _E12 * p12) / sc
-        n5 = e * e
-        e = (b0 - _BHH1 * p1 - _BHH9 * p9 - _BHH12 * p12) / sc
-        n3 = e * e
-        sc = atol + rtol * max(abs(y1), abs(z1))
-        e = (_E1 * y0 + _E6 * u6 + _E7 * u7 + _E8 * u8 + _E9 * u9
-             + _E10 * u10 + _E11 * u11 + _E12 * u12) / sc
-        n5 += e * e
-        e = (b1 - _BHH1 * y0 - _BHH9 * u9 - _BHH12 * u12) / sc
-        n3 += e * e
-        err = 0.0 if n5 == 0.0 else abs(h) * n5 / math.sqrt(2.0 * (n5 + 0.01 * n3))
+        try:
+            u2 = y0 + h * (_A2_1 * p1)
+            v = y1 + h * (_A2_1 * y0)
+            p2 = ea1 * sin(v) + ra2 * sin(r * v - (st + _C2 * h))
+            u3 = y0 + h * (_A3_1 * p1 + _A3_2 * p2)
+            v = y1 + h * (_A3_1 * y0 + _A3_2 * u2)
+            p3 = ea1 * sin(v) + ra2 * sin(r * v - (st + _C3 * h))
+            u4 = y0 + h * (_A4_1 * p1 + _A4_3 * p3)
+            v = y1 + h * (_A4_1 * y0 + _A4_3 * u3)
+            p4 = ea1 * sin(v) + ra2 * sin(r * v - (st + _C4 * h))
+            u5 = y0 + h * (_A5_1 * p1 + _A5_3 * p3 + _A5_4 * p4)
+            v = y1 + h * (_A5_1 * y0 + _A5_3 * u3 + _A5_4 * u4)
+            p5 = ea1 * sin(v) + ra2 * sin(r * v - (st + _C5 * h))
+            u6 = y0 + h * (_A6_1 * p1 + _A6_4 * p4 + _A6_5 * p5)
+            v = y1 + h * (_A6_1 * y0 + _A6_4 * u4 + _A6_5 * u5)
+            p6 = ea1 * sin(v) + ra2 * sin(r * v - (st + _C6 * h))
+            u7 = y0 + h * (_A7_1 * p1 + _A7_4 * p4 + _A7_5 * p5 + _A7_6 * p6)
+            v = y1 + h * (_A7_1 * y0 + _A7_4 * u4 + _A7_5 * u5 + _A7_6 * u6)
+            p7 = ea1 * sin(v) + ra2 * sin(r * v - (st + _C7 * h))
+            u8 = y0 + h * (_A8_1 * p1 + _A8_4 * p4 + _A8_5 * p5 + _A8_6 * p6
+                           + _A8_7 * p7)
+            v = y1 + h * (_A8_1 * y0 + _A8_4 * u4 + _A8_5 * u5 + _A8_6 * u6
+                          + _A8_7 * u7)
+            p8 = ea1 * sin(v) + ra2 * sin(r * v - (st + _C8 * h))
+            u9 = y0 + h * (_A9_1 * p1 + _A9_4 * p4 + _A9_5 * p5 + _A9_6 * p6
+                           + _A9_7 * p7 + _A9_8 * p8)
+            v = y1 + h * (_A9_1 * y0 + _A9_4 * u4 + _A9_5 * u5 + _A9_6 * u6
+                          + _A9_7 * u7 + _A9_8 * u8)
+            p9 = ea1 * sin(v) + ra2 * sin(r * v - (st + _C9 * h))
+            u10 = y0 + h * (_A10_1 * p1 + _A10_4 * p4 + _A10_5 * p5 + _A10_6 * p6
+                            + _A10_7 * p7 + _A10_8 * p8 + _A10_9 * p9)
+            v = y1 + h * (_A10_1 * y0 + _A10_4 * u4 + _A10_5 * u5 + _A10_6 * u6
+                          + _A10_7 * u7 + _A10_8 * u8 + _A10_9 * u9)
+            p10 = ea1 * sin(v) + ra2 * sin(r * v - (st + _C10 * h))
+            u11 = y0 + h * (_A11_1 * p1 + _A11_4 * p4 + _A11_5 * p5 + _A11_6 * p6
+                            + _A11_7 * p7 + _A11_8 * p8 + _A11_9 * p9
+                            + _A11_10 * p10)
+            v = y1 + h * (_A11_1 * y0 + _A11_4 * u4 + _A11_5 * u5 + _A11_6 * u6
+                          + _A11_7 * u7 + _A11_8 * u8 + _A11_9 * u9
+                          + _A11_10 * u10)
+            p11 = ea1 * sin(v) + ra2 * sin(r * v - (st + _C11 * h))
+            u12 = y0 + h * (_A12_1 * p1 + _A12_4 * p4 + _A12_5 * p5 + _A12_6 * p6
+                            + _A12_7 * p7 + _A12_8 * p8 + _A12_9 * p9
+                            + _A12_10 * p10 + _A12_11 * p11)
+            v = y1 + h * (_A12_1 * y0 + _A12_4 * u4 + _A12_5 * u5 + _A12_6 * u6
+                          + _A12_7 * u7 + _A12_8 * u8 + _A12_9 * u9
+                          + _A12_10 * u10 + _A12_11 * u11)
+            p12 = ea1 * sin(v) + ra2 * sin(r * v - (st + h))
+            # 8th-order solution
+            b0 = (_B1 * p1 + _B6 * p6 + _B7 * p7 + _B8 * p8 + _B9 * p9
+                  + _B10 * p10 + _B11 * p11 + _B12 * p12)
+            b1 = (_B1 * y0 + _B6 * u6 + _B7 * u7 + _B8 * u8 + _B9 * u9
+                  + _B10 * u10 + _B11 * u11 + _B12 * u12)
+            z0 = y0 + h * b0
+            z1 = y1 + h * b1
+            # combined 5th/3rd-order error estimate, scaled per component
+            sc = atol + rtol * max(abs(y0), abs(z0))
+            e = (_E1 * p1 + _E6 * p6 + _E7 * p7 + _E8 * p8 + _E9 * p9
+                 + _E10 * p10 + _E11 * p11 + _E12 * p12) / sc
+            n5 = e * e
+            e = (b0 - _BHH1 * p1 - _BHH9 * p9 - _BHH12 * p12) / sc
+            n3 = e * e
+            sc = atol + rtol * max(abs(y1), abs(z1))
+            e = (_E1 * y0 + _E6 * u6 + _E7 * u7 + _E8 * u8 + _E9 * u9
+                 + _E10 * u10 + _E11 * u11 + _E12 * u12) / sc
+            n5 += e * e
+            e = (b1 - _BHH1 * y0 - _BHH9 * u9 - _BHH12 * u12) / sc
+            n3 += e * e
+            err = 0.0 if n5 == 0.0 else abs(h) * n5 / math.sqrt(2.0 * (n5 + 0.01 * n3))
+        except ValueError:
+            # math.sin of an overflowed stage: reject the step
+            err = math.inf
         if err <= 1.0:
             t = t + h
             y0, y1 = z0, z1

@@ -188,6 +188,10 @@ def _setup(args) -> SystemParams:
     """
     if hasattr(args, "I_min") and args.I_min >= args.I_max:
         raise ConfigError("--I-min must be below --I-max")
+    # np.linspace over a window wider than a float starts at nan
+    if hasattr(args, "grid_n") and not math.isfinite(args.I_max - args.I_min):
+        raise ConfigError("the window --I-min to --I-max is wider than a "
+                          "float can hold; narrow it to grid it")
     params = _params_from(args)
     for flag in ("out", "report"):
         path = getattr(args, flag, None)

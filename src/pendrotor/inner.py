@@ -22,13 +22,15 @@ import enum
 import itertools
 import math
 import os
+import pickle
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
 from ._ode import H_START, ODE_OK, integrate_inner
-from .errors import StepFailure
+from .errors import PendrotorError, StepFailure
 from .params import SystemParams
 
 TWO_PI = 2.0 * math.pi
@@ -130,42 +132,77 @@ def stroboscopic_sections(state: InnerState, n_periods: int,
                        dtype=np.dtype((float, 3)), count=n_periods)
 
 
-def _orbit(state: InnerState, n_periods: int,
-           params: SystemParams) -> np.ndarray:
-    """:func:`stroboscopic_sections` as a worker's task: the pool pickles a
-    task by its module and name, which a function put in place of
-    ``stroboscopic_sections`` (a tracer's wrapper) no longer matches."""
-    return stroboscopic_sections(state, n_periods, params)
-
-
 def orbit_sections(states: Sequence[InnerState], n_periods: int,
                    params: SystemParams) -> Iterator[np.ndarray]:
     """:func:`stroboscopic_sections` of every state, in order, at
     ``TOL_ODE``, spread over the usable cores.
 
     With n = min(usable cores, orbits), orbit i runs in this process when
-    i mod n = 0 and in one of n - 1 forked workers otherwise (striding
-    balances the load, as step counts vary smoothly with I).  Each orbit
-    is integrated as in a serial loop, so the arrays do not depend on n.
-    The first :class:`StepFailure` propagates after the orbits before it;
-    the workers have exited once the iterator is exhausted, raises or is
-    closed.
+    i mod n = 0 and otherwise in child i mod n of n - 1 forked children
+    (striding balances the load, as step counts vary smoothly with I);
+    each child pickles its arrays into a pipe of its own.  Each orbit is
+    integrated as in a serial loop, so the arrays do not depend on n.
+    The first orbit that raises, here or in a child, raises here after
+    the orbits before it, and so does one whose child ended without
+    sending it.  The children have exited and been reaped once the
+    iterator is exhausted, raises or is closed.
     """
     n = min(len(os.sched_getaffinity(0)), len(states))
     if n <= 1:
         for state in states:
             yield stroboscopic_sections(state, n_periods, params)
         return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(n - 1,
-                               mp_context=multiprocessing.get_context("fork"))
+    readers, pids = [], []
     try:
-        futures = [pool.submit(_orbit, state, n_periods, params)
-                   if i % n else None for i, state in enumerate(states)]
-        for state, future in zip(states, futures):
-            yield (future.result() if future
-                   else stroboscopic_sections(state, n_periods, params))
+        for w in range(1, n):
+            r, wfd = os.pipe()
+            readers.append(open(r, "rb"))
+            with open(wfd, "wb") as out:
+                pid = os.fork()
+                if pid == 0:
+                    _child(out, readers, states[w::n], n_periods, params)
+            pids.append(pid)
+        for i, state in enumerate(states):
+            if i % n == 0:
+                yield stroboscopic_sections(state, n_periods, params)
+                continue
+            try:
+                rows = pickle.load(readers[i % n - 1])
+            except EOFError:
+                raise PendrotorError(f"orbit {i}: its child process ended "
+                                     f"without sending it") from None
+            if isinstance(rows, BaseException):
+                raise rows
+            yield rows
     finally:
-        pool.shutdown(cancel_futures=True)
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _child(out, readers, states: Sequence[InnerState], n_periods: int,
+           params: SystemParams) -> NoReturn:
+    """A forked child of :func:`orbit_sections`: pickle each orbit's array,
+    or the exception that ended it, into ``out``.
+
+    It first closes the read ends it inherited, so that only the parent
+    holds each one and its closing stops every writer.  It ends only
+    through ``os._exit``, so no exit handler runs and no buffer inherited
+    from the parent is flushed twice.
+    """
+    try:
+        for reader in readers:
+            reader.close()
+        for state in states:
+            try:
+                rows = stroboscopic_sections(state, n_periods, params)
+            except Exception as exc:
+                # pickled whole first: one that cannot pickle writes nothing
+                out.write(pickle.dumps(exc))
+                break
+            pickle.dump(rows, out)
+            out.flush()
+        out.flush()
+    finally:
+        os._exit(0)

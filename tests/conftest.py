@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 
@@ -25,3 +26,9 @@ def alpha_direct(I: float, r: float = 1.0) -> float:
 
 def beta_direct(I: float, r: float = 1.0) -> float:
     return I * alpha_direct(I, r) / (r * I - 1.0)
+
+
+def assert_no_child_left():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -2,7 +2,6 @@ import argparse
 import functools
 import json
 import math
-import multiprocessing
 import os
 import re
 import shlex
@@ -16,9 +15,14 @@ import pytest
 
 import pendrotor as pr
 from pendrotor import cli, verify
+from conftest import assert_no_child_left
 from pendrotor.cli import DTH_ZERO_RTOL, main
 
 TWO_PI = 2.0 * math.pi
+
+
+#: an action window whose width I_max - I_min overflows a float
+_HUGE_WINDOW = ["--I-min=-1e308", "--I-max=1e308"]
 
 
 def _read_rows(path):
@@ -331,7 +335,7 @@ class TestInnerPortraitCmd:
 
 #: runs each argv of a JSON list in turn through ``python -m pendrotor``,
 #: all to one stdout, with os.sched_getaffinity reporting ``cores`` cores;
-#: ends by writing to stderr whether multiprocessing was imported
+#: ends by writing to stderr which process-pool modules were imported
 _CORES_SCRIPT = """
 import json, os, runpy, sys
 cores, runs = int(sys.argv[1]), json.loads(sys.argv[2])
@@ -342,7 +346,9 @@ for argv in runs:
         runpy.run_module("pendrotor", run_name="__main__")
     except SystemExit as exc:
         assert exc.code == 0, exc.code
-sys.stderr.write(json.dumps("multiprocessing" in sys.modules))
+sys.stderr.write(json.dumps([m for m in ("multiprocessing",
+                                         "concurrent.futures")
+                              if m in sys.modules]))
 """
 
 
@@ -374,7 +380,7 @@ class TestInnerPortraitCores:
             for grid_n, fmt in configs:
                 out = tmp_path / f"{cores}-{grid_n}.{fmt}"
                 assert main(_inner_argv(grid_n, fmt, "--out", str(out))) == 0
-                assert multiprocessing.active_children() == []
+                assert_no_child_left()
                 files[cores, grid_n, fmt] = out.read_bytes()
             # a pipe, not capsys, which would hide a duplicate
             proc = subprocess.run(
@@ -383,7 +389,7 @@ class TestInnerPortraitCores:
                 capture_output=True, env=env, timeout=120)
             assert proc.returncode == 0, proc.stderr
             stdout[cores] = proc.stdout
-            assert json.loads(proc.stderr) is (cores > 1)
+            assert json.loads(proc.stderr) == []
         serial = b"".join(files[1, g, f] for g, f in configs)
         assert serial.count(b"# periods = 3") == 2
         for cores in (2, 3):
@@ -395,7 +401,7 @@ class TestInnerPortraitCores:
     @pytest.mark.parametrize("fail_at", [2, 3])
     def test_step_failure_matches_serial(self, fail_at, tmp_path,
                                          monkeypatch, capsys):
-        # with 2 cores orbit 2 runs in this process and orbit 3 in a worker,
+        # with 2 cores orbit 2 runs in this process and orbit 3 in a child,
         # which inherits the patch through fork
         from pendrotor import _ode, inner
         I_fail = float(np.linspace(-2.0, 2.0, 5)[fail_at])
@@ -411,7 +417,7 @@ class TestInnerPortraitCores:
             _report_cores(monkeypatch, cores)
             out = tmp_path / f"{cores}.csv"
             rc = main(_inner_argv(5, "csv", "--out", str(out)))
-            assert multiprocessing.active_children() == []
+            assert_no_child_left()
             got[cores] = rc, capsys.readouterr().err, out.read_text()
         assert got[2] == got[1]
         rc, err, _ = got[1]
@@ -568,6 +574,12 @@ class TestBadNumericInput:
          "--k2", "1", "--l1", "0", "--l2", "-1"],
         ["thresholds", "--a1", "0.5", "--a2", "1", "--k1", "2",
          "--k2", str(10 ** 400), "--l1", "0", "--l2", "-1"],
+        # a window wider than a float: np.linspace over it starts at nan
+        ["inner-portrait", "--mu", "0.75", "--eps", "0", "--periods", "2",
+         *_HUGE_WINDOW],
+        ["inner-portrait", "--mu", "0.75", "--eps", "0.01", "--periods", "2",
+         *_HUGE_WINDOW],
+        ["crests", "--mu", "0.75", *_HUGE_WINDOW],
     ])
     def test_exits_2_with_message(self, argv, capsys):
         # a small grid where the subcommand takes one, in case a check
@@ -577,6 +589,20 @@ class TestBadNumericInput:
         assert main(argv + grid) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:")
+        assert "Traceback" not in err
+
+    def test_huge_window_without_a_grid_runs(self, tmp_path):
+        # thresholds clips its components to the window and grids nothing
+        assert main(["thresholds", "--mu", "0.75", *_HUGE_WINDOW,
+                     "--out", str(tmp_path / "t.csv")]) == 0
+
+    def test_overflowing_eps_exits_3(self, tmp_path, capsys):
+        # the integrator's stages overflow to inf, and math.sin(inf) raises
+        assert main(["inner-portrait", "--mu", "0.75", "--eps", "1e307",
+                     "--periods", "2", "--grid-n", "2",
+                     "--out", str(tmp_path / "x.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error:")
         assert "Traceback" not in err
 
     def test_largest_finite_amplitude_peak_runs(self, tmp_path):
@@ -725,7 +751,6 @@ class TestStartup:
         assert got["numpy_random"] == [[]] * (len(runs) + 1)
 
     def test_import_loads_no_multiprocessing(self):
-        # only an inner-portrait run with more than one share imports it
         env = dict(os.environ,
                    PYTHONPATH=os.path.dirname(os.path.dirname(pr.__file__)))
         proc = subprocess.run(

@@ -1,7 +1,6 @@
 import inspect
 import itertools
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,6 +10,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import pendrotor as pr
+from conftest import assert_no_child_left
 from pendrotor._ode import H_START
 from pendrotor.inner import (RESONANCE_HALF_WIDTH, TOL_ODE, InnerState,
                              inner_flow, orbit_sections, region_of,
@@ -97,6 +97,14 @@ class TestFlow:
         *_, status = integrate_inner(0.3, 0.1, 0.0, t0, t0 + 100.0, H_START,
                                      p075.eps, p075.a1, p075.a2, p075.r,
                                      1e-13, 1e-16)
+        assert status == ODE_STEPFAIL
+
+    def test_overflowing_stages_reject_the_step(self):
+        # at eps = 1e307 a stage's phi overflows to inf and math.sin(inf)
+        # raises; each such step is rejected until the step size collapses
+        from pendrotor._ode import ODE_STEPFAIL, integrate_inner
+        *_, status = integrate_inner(-2.0, 0.0, 0.0, 0.0, TWO_PI, H_START,
+                                     1e307, 0.75, 1.0, 1.0, TOL_ODE, TOL_ODE)
         assert status == ODE_STEPFAIL
 
 
@@ -302,20 +310,61 @@ class TestOrbitSections:
             assert np.array_equal(next(it), serial[k])
         with pytest.raises(pr.StepFailure):
             next(it)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
-    @pytest.mark.parametrize("cores", [1, 2])
+    def test_child_error_propagates_in_order(self, p075, monkeypatch):
+        # with 2 cores orbit 3 runs in a child; an error that is no
+        # StepFailure comes back through its pipe too
+        from pendrotor import _ode, inner
+        serial = [stroboscopic_sections(st, 3, p075) for st in self.STATES]
+        I_fail = self.STATES[3].I
+
+        def failing(I, phi, s0, t0, *rest):
+            if t0 == 0.0 and I == I_fail:
+                raise RuntimeError("orbit 3")
+            return _ode.integrate_inner(I, phi, s0, t0, *rest)
+
+        monkeypatch.setattr(inner, "integrate_inner", failing)
+        self._report_cores(monkeypatch, 2)
+        it = orbit_sections(self.STATES, 3, p075)
+        for k in range(3):
+            assert np.array_equal(next(it), serial[k])
+        with pytest.raises(RuntimeError, match="orbit 3"):
+            next(it)
+        assert_no_child_left()
+
+    def test_child_ended_without_result(self, p075, monkeypatch):
+        # a child that exits before sending its orbit must not hang the
+        # parent or end the output short
+        from pendrotor import inner
+        I_gone = self.STATES[3].I
+        plain = inner.stroboscopic_sections
+
+        def exiting(state, *rest):
+            if state.I == I_gone:
+                os._exit(0)
+            return plain(state, *rest)
+
+        monkeypatch.setattr(inner, "stroboscopic_sections", exiting)
+        self._report_cores(monkeypatch, 2)
+        it = orbit_sections(self.STATES, 3, p075)
+        for _ in range(3):
+            next(it)
+        with pytest.raises(pr.PendrotorError, match="orbit 3"):
+            next(it)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
     def test_close_stops_workers(self, cores, p075, monkeypatch):
+        # with 3 cores the second child inherits the first one's read end
         self._report_cores(monkeypatch, cores)
         it = orbit_sections(self.STATES, 3, p075)
         assert np.array_equal(next(it),
                               stroboscopic_sections(self.STATES[0], 3, p075))
         it.close()
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_replaced_sections_still_spread(self):
-        # a worker's task pickles by name; run apart, as a task that does
-        # not pickle can hang the pool's shutdown
         env = dict(os.environ,
                    PYTHONPATH=os.path.dirname(os.path.dirname(pr.__file__)))
         proc = subprocess.run([sys.executable, "-c", _WRAPPED_SCRIPT],
