@@ -450,6 +450,35 @@ def tau_star_kernel(I, theta, r, c, crit, kreq):
             sig0 + rsig * best_t)
 
 
+def lstar_row(I, r, a1, a2):
+    """The part of lstar_kernel that depends on I alone:
+    (c, rI - 1, A1, A2, A1', A2')."""
+    I = float(I)
+    r = float(r)
+    a1 = float(a1)
+    a2 = float(a2)
+    return (crest_coef(I, a1, a2, r), r * I - 1.0, amp1(I, a1),
+            amp2(I, a2, r), amp1_prime(I, a1), amp2_prime(I, a2, r))
+
+
+def lstar_point(I, theta, r, row, crit, kreq):
+    """lstar_kernel at (I, theta), given lstar_row(I, r, a1, a2) and float
+    I and r."""
+    c, d, A1, A2, A1p, A2p = row
+    status, tau, kb, margin, phis, sigs = tau_star_kernel(
+        I, theta, r, c, crit, kreq)
+    if status != TAU_OK:
+        return status, tau, kb, margin, phis, sigs, math.nan, math.nan, math.nan
+    L = A1 * math.cos(phis) + A2 * math.cos(sigs)
+    # two equivalent gradient forms; pick the well-conditioned denominator
+    if abs(d) >= abs(I):
+        dth = A1 * math.sin(phis) / d
+    else:
+        dth = -A2 * math.sin(sigs) / I
+    dI = A1p * math.cos(phis) + A2p * math.cos(sigs) - tau * dth
+    return status, tau, kb, margin, phis, sigs, L, dth, dI
+
+
 def lstar_kernel(I, theta, r, a1, a2, crit, kreq):
     """Reduced splitting value and gradient at the selected crossing.
 
@@ -457,25 +486,7 @@ def lstar_kernel(I, theta, r, a1, a2, crit, kreq):
     """
     I = float(I)
     r = float(r)
-    a1 = float(a1)
-    a2 = float(a2)
-    c = crest_coef(I, a1, a2, r)
-    status, tau, kb, margin, phis, sigs = tau_star_kernel(
-        I, theta, r, c, crit, kreq)
-    if status != TAU_OK:
-        return status, tau, kb, margin, phis, sigs, math.nan, math.nan, math.nan
-    d = r * I - 1.0
-    A1 = amp1(I, a1)
-    A2 = amp2(I, a2, r)
-    L = A1 * math.cos(phis) + A2 * math.cos(sigs)
-    # two equivalent gradient forms; pick the well-conditioned denominator
-    if abs(d) >= abs(I):
-        dth = A1 * math.sin(phis) / d
-    else:
-        dth = -A2 * math.sin(sigs) / I
-    dI = (amp1_prime(I, a1) * math.cos(phis)
-          + amp2_prime(I, a2, r) * math.cos(sigs) - tau * dth)
-    return status, tau, kb, margin, phis, sigs, L, dth, dI
+    return lstar_point(I, theta, r, lstar_row(I, r, a1, a2), crit, kreq)
 
 
 def sweep_kernel(Ivals, thvals, r, a1, a2, crit, kreq):
@@ -489,15 +500,15 @@ def sweep_kernel(Ivals, thvals, r, a1, a2, crit, kreq):
     status = np.empty((nI, nth), dtype=np.int64)
     band = np.empty((nI, nth), dtype=np.int64)
     tau, margin, lstar, dth, dI = np.empty((5, nI, nth))
-    for i in range(nI):
-        for j in range(nth):
-            st, t, kb, mg, ph, sg, L, g1, g2 = lstar_kernel(
-                Ivals[i], thvals[j], r, a1, a2, crit, kreq)
-            status[i, j] = st
-            tau[i, j] = t
-            band[i, j] = kb
-            margin[i, j] = mg
-            lstar[i, j] = L
-            dth[i, j] = g1
-            dI[i, j] = g2
+    r = float(r)
+    ths = thvals.tolist()
+    for i, I in enumerate(Ivals.tolist()):
+        I = float(I)
+        row = lstar_row(I, r, a1, a2)
+        # row views of the outputs
+        st_i, tau_i, band_i, mg_i, L_i, g1_i, g2_i = (
+            status[i], tau[i], band[i], margin[i], lstar[i], dth[i], dI[i])
+        for j, th in enumerate(ths):
+            (st_i[j], tau_i[j], band_i[j], mg_i[j], _, _, L_i[j], g1_i[j],
+             g2_i[j]) = lstar_point(I, th, r, row, crit, kreq)
     return status, tau, band, margin, lstar, dth, dI

@@ -130,6 +130,25 @@ _E10 = 0.3341791187130174790297318841
 _E11 = 0.8192320648511571246570742613e-1
 _E12 = -0.2235530786388629525884427845e-1
 
+# the whole tableau, in one tuple that integrate_inner unpacks into locals
+_TABLEAU = (
+    _C2, _C3, _C4, _C5, _C6, _C7, _C8, _C9, _C10, _C11,
+    _A2_1,
+    _A3_1, _A3_2,
+    _A4_1, _A4_3,
+    _A5_1, _A5_3, _A5_4,
+    _A6_1, _A6_4, _A6_5,
+    _A7_1, _A7_4, _A7_5, _A7_6,
+    _A8_1, _A8_4, _A8_5, _A8_6, _A8_7,
+    _A9_1, _A9_4, _A9_5, _A9_6, _A9_7, _A9_8,
+    _A10_1, _A10_4, _A10_5, _A10_6, _A10_7, _A10_8, _A10_9,
+    _A11_1, _A11_4, _A11_5, _A11_6, _A11_7, _A11_8, _A11_9, _A11_10,
+    _A12_1, _A12_4, _A12_5, _A12_6, _A12_7, _A12_8, _A12_9, _A12_10, _A12_11,
+    _B1, _B6, _B7, _B8, _B9, _B10, _B11, _B12,
+    _BHH1, _BHH9, _BHH12,
+    _E1, _E6, _E7, _E8, _E9, _E10, _E11, _E12,
+)
+
 
 def integrate_inner(y0, y1, s0, t0, t1, h, eps, a1, a2, r, rtol, atol):
     """Advance (I, phi) from t0 to t1, trying a first step of size h > 0.
@@ -145,7 +164,23 @@ def integrate_inner(y0, y1, s0, t0, t1, h, eps, a1, a2, r, rtol, atol):
     if eps == 0.0:
         # integrable limit: I constant, phi advances linearly
         return y0, y1 + y0 * (t1 - t0), h, 0, ODE_OK
-    sin = math.sin
+    # locals from here on: the step makes no global or builtin lookup
+    sin, sqrt, inf = math.sin, math.sqrt, math.inf
+    (_C2, _C3, _C4, _C5, _C6, _C7, _C8, _C9, _C10, _C11,
+     _A2_1,
+     _A3_1, _A3_2,
+     _A4_1, _A4_3,
+     _A5_1, _A5_3, _A5_4,
+     _A6_1, _A6_4, _A6_5,
+     _A7_1, _A7_4, _A7_5, _A7_6,
+     _A8_1, _A8_4, _A8_5, _A8_6, _A8_7,
+     _A9_1, _A9_4, _A9_5, _A9_6, _A9_7, _A9_8,
+     _A10_1, _A10_4, _A10_5, _A10_6, _A10_7, _A10_8, _A10_9,
+     _A11_1, _A11_4, _A11_5, _A11_6, _A11_7, _A11_8, _A11_9, _A11_10,
+     _A12_1, _A12_4, _A12_5, _A12_6, _A12_7, _A12_8, _A12_9, _A12_10, _A12_11,
+     _B1, _B6, _B7, _B8, _B9, _B10, _B11, _B12,
+     _BHH1, _BHH9, _BHH12,
+     _E1, _E6, _E7, _E8, _E9, _E10, _E11, _E12) = _TABLEAU
     ea1 = eps * a1
     ra2 = r * eps * a2
     h = direction * h
@@ -215,31 +250,43 @@ def integrate_inner(y0, y1, s0, t0, t1, h, eps, a1, a2, r, rtol, atol):
             z0 = y0 + h * b0
             z1 = y1 + h * b1
             # combined 5th/3rd-order error estimate, scaled per component
-            sc = atol + rtol * max(abs(y0), abs(z0))
+            # max(abs(y), abs(z)), written out
+            ay = y0 if y0 > 0.0 else -y0
+            az = z0 if z0 > 0.0 else -z0
+            sc = atol + rtol * (az if az > ay else ay)
             e = (_E1 * p1 + _E6 * p6 + _E7 * p7 + _E8 * p8 + _E9 * p9
                  + _E10 * p10 + _E11 * p11 + _E12 * p12) / sc
             n5 = e * e
             e = (b0 - _BHH1 * p1 - _BHH9 * p9 - _BHH12 * p12) / sc
             n3 = e * e
-            sc = atol + rtol * max(abs(y1), abs(z1))
+            ay = y1 if y1 > 0.0 else -y1
+            az = z1 if z1 > 0.0 else -z1
+            sc = atol + rtol * (az if az > ay else ay)
             e = (_E1 * y0 + _E6 * u6 + _E7 * u7 + _E8 * u8 + _E9 * u9
                  + _E10 * u10 + _E11 * u11 + _E12 * u12) / sc
             n5 += e * e
             e = (b1 - _BHH1 * y0 - _BHH9 * u9 - _BHH12 * u12) / sc
             n3 += e * e
-            err = 0.0 if n5 == 0.0 else abs(h) * n5 / math.sqrt(2.0 * (n5 + 0.01 * n3))
+            ah = h if h > 0.0 else -h
+            err = 0.0 if n5 == 0.0 else ah * n5 / sqrt(2.0 * (n5 + 0.01 * n3))
         except ValueError:
             # math.sin of an overflowed stage: reject the step
-            err = math.inf
+            err = inf
         if err <= 1.0:
             t = t + h
             y0, y1 = z0, z1
             # FSAL: the derivative at the new point starts the next step
             p1 = ea1 * sin(y1) + ra2 * sin(r * y1 - (s0 + t))
             nsteps += 1
-            fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.125))
-            h = h * fac
+            # growth factor in [0.9, 5]: min(5.0, .) written out
+            fac = 5.0 if err == 0.0 else 0.9 * err ** -0.125
+            fac = fac if fac < 5.0 else 5.0
         else:
-            h = h * max(0.2, 0.9 * err ** -0.125)
-        if abs(h) < 1e-14 * max(1.0, abs(t)):
-            return y0, y1, abs(h), nsteps, ODE_STEPFAIL
+            # shrink factor max(0.2, .), written out
+            fac = 0.9 * err ** -0.125
+            fac = fac if fac > 0.2 else 0.2
+        h = h * fac
+        ah = h if h > 0.0 else -h
+        at = t if t > 0.0 else -t
+        if ah < 1e-14 * (at if at > 1.0 else 1.0):
+            return y0, y1, ah, nsteps, ODE_STEPFAIL

@@ -360,10 +360,9 @@ def cmd_inner_portrait(args) -> int:
     try:
         for i, rows in enumerate(orbit_sections(starts, args.periods,
                                                 params)):
-            for n in range(rows.shape[0]):
-                t, I, phi = rows[n]
+            for n, (t, I, phi) in enumerate(rows.tolist(), 1):
                 st = InnerState(I=I, phi=phi, s=t)
-                em.row([i, n + 1, t, I, scattering._mod_two_pi(phi),
+                em.row([i, n, t, I, scattering._mod_two_pi(phi),
                         region_of(I, params).value, torus_value(st, params)])
     finally:
         em.close()

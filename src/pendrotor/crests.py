@@ -232,7 +232,15 @@ def _bisect_level(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _crossings(curve, level: float, lo: float, hi: float,
+#: relative distance |curve| - level under which a scan point's array value
+#: is replaced by the scalar curve's.  np.sinh differs from math.sinh by a
+#: few ulps at most (2 in a 400,000-point comparison), which moves the array
+#: value of either curve by under 1e-15 relative; so every point outside
+#: this band has the scalar scan's sign
+_SCAN_BAND = 1e-12
+
+
+def _crossings(curve: str, level: float, lo: float, hi: float,
                r: float) -> list[float]:
     """Every solution of |curve(I, r)| = level in (lo, hi), ascending, by a
     4000-point scan plus bisection; none when lo >= hi.
@@ -240,28 +248,49 @@ def _crossings(curve, level: float, lo: float, hi: float,
     The first and last cells of the scan also get points at distances
     halving from half a cell down to 1e-9 * max(1, |end|) from their end,
     so that on a wide window the crossings near 0 and the pole, where the
-    components end, do not share one cell."""
+    components end, do not share one cell.  Points within 1e-12 of the pole
+    are skipped.  The scan is evaluated as one array by the curve's near
+    formula; points on its far branch, or within _SCAN_BAND of the level,
+    take the scalar curve, so every sign is the scalar curve's.  Each sign
+    change is bisected with the scalar curve."""
     if lo >= hi:
         return []
-    f = lambda x: abs(curve(x, r)) - level
+    fn = _CURVES[curve]
+    f = lambda x: abs(fn(x, r)) - level
     pts = np.linspace(lo, hi, 4000).tolist()
     for end, inward in ((lo, 1.0), (hi, -1.0)):
         d = 0.5 * (hi - lo) / 3999
         while d >= 1e-9 * max(1.0, abs(end)):
             pts.append(end + inward * d)
             d *= 0.5
+    # three sorted runs, which the sort merges in one pass; a repeated point
+    # changes no sign between neighbours, so repeats are left in
+    pts.sort()
+    x = np.array(pts)
+    # K.alpha_r_raw's near formula (and K.beta_r_raw's) with np.sinh, whose
+    # x/sinh(x) is within an ulp of h_ratio_fn's series below |x| = 1e-8;
+    # the component ends keep x != 0 at every point off the pole
+    d = r * x - 1.0
+    u = 0.5 * K.PI * d
+    v = 0.5 * K.PI * x
+    with np.errstate(all="ignore"):
+        vals = (x / d) * (v / np.sinh(v)) / (u / np.sinh(u))
+        if curve == "beta":
+            vals = x * vals / d
+        fx = np.abs(vals) - level
+    live = lambda j: abs(r * pts[j] - 1.0) >= 1e-12
+    redo = ((np.abs(u) >= K.SINH_FAR) | (np.abs(v) >= K.SINH_FAR)
+            | (np.abs(fx) <= _SCAN_BAND * level))
+    for j in np.flatnonzero(redo).tolist():
+        if live(j):
+            fx[j] = f(pts[j])
+    pos = fx > 0.0
     roots: list[float] = []
-    fprev = xprev = None
-    for x in sorted(set(pts)):
-        if abs(r * x - 1.0) < 1e-12:
-            fprev, xprev = None, None
-            continue
-        fx = f(x)
-        if fprev is not None and (fprev > 0.0) != (fx > 0.0):
-            rt = _bisect_level(f, xprev, x)
+    for j in np.flatnonzero(pos[1:] != pos[:-1]).tolist():
+        if live(j) and live(j + 1):
+            rt = _bisect_level(f, pts[j], pts[j + 1])
             if not roots or abs(rt - roots[-1]) > 1e-8:
                 roots.append(rt)
-        fprev, xprev = fx, x
     return roots
 
 
@@ -282,7 +311,7 @@ def solve_level_crossing(curve: str, component: str, params: SystemParams,
     if curve not in _CURVES or component not in comps:
         raise ConfigError(f"unknown curve {curve!r} or component {component!r}")
     lo, hi, asym = comps[component]
-    roots = _crossings(_CURVES[curve], level, lo, hi, params.r)
+    roots = _crossings(curve, level, lo, hi, params.r)
     if not roots:
         raise NoSolutionInWindow(
             f"|{curve}| never reaches 1/|mu| = {level:.6g} on component "
@@ -329,11 +358,11 @@ def find_thresholds(params: SystemParams,
     found = {curve: [] for curve in _CURVES}
     first: dict[str, dict[str, float]] = {curve: {} for curve in _CURVES}
     missing = []
-    for curve, fn in _CURVES.items():
+    for curve in _CURVES:
         for comp, lo, hi, asym in _components(window, params.r):
             if lo >= hi:
                 continue
-            roots = _crossings(fn, level, lo, hi, params.r)
+            roots = _crossings(curve, level, lo, hi, params.r)
             if roots:
                 first[curve][comp] = roots[0]
                 found[curve] += roots

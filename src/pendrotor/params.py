@@ -27,8 +27,9 @@ from .errors import ConfigError
 class SystemParams:
     """Reduced parameters of the forced pendulum-rotor system.
 
-    a1, a2         harmonic amplitudes (mu = a1/a2); 4*|a1| and 4*|a2|,
-                   the peaks of the amplitude profiles A1(I), A2(I), must
+    a1, a2         harmonic amplitudes (mu = a1/a2); 2*pi*|a1| and
+                   2*pi*|a2|, which scale the slopes A1'(I), A2'(I) of the
+                   amplitude profiles and exceed their peaks 4*|a|, must
                    be finite
     eps            perturbation size (already rescaled by k1^2 if the
                    parameters came from a general harmonic pair)
@@ -52,10 +53,11 @@ class SystemParams:
                 raise ConfigError(f"{name} must be finite, got "
                                   f"{getattr(self, name)}")
         for name in ("a1", "a2"):
-            if not math.isfinite(4.0 * getattr(self, name)):
-                raise ConfigError(f"4*|{name}|, the peak of its amplitude "
-                                  f"profile, must be finite, got {name} = "
-                                  f"{getattr(self, name)}")
+            # _kernels.amp1_prime forms 2*pi*a before scaling it by h'
+            if not math.isfinite(2.0 * math.pi * getattr(self, name)):
+                raise ConfigError(f"2*pi*|{name}|, the scale of its amplitude "
+                                  f"profile's slope, must be finite, got "
+                                  f"{name} = {getattr(self, name)}")
         if self.eps < 0:
             raise ConfigError("eps must be >= 0")
         if not (0.0 < self.r <= 1.0):

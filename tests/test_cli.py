@@ -605,10 +605,26 @@ class TestBadNumericInput:
         assert err.startswith("solver error:")
         assert "Traceback" not in err
 
-    def test_largest_finite_amplitude_peak_runs(self, tmp_path):
-        # 4 * 4e307 is finite, so the profile peak does not overflow
-        assert main(["portrait", "--mu", "4e307", "--grid-n", "3",
+    def test_largest_accepted_amplitude_runs(self, tmp_path):
+        # 2*pi * 2.86e307 is finite, so neither A1 nor A1' overflows
+        assert main(["portrait", "--mu", "2.86e307", "--grid-n", "3",
                      "--out", str(tmp_path / "p.csv")]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--mu", "4e307", "--eps", "0.01"],
+        ["diffuse", "--a1", "4e307", "--a2", "1", "--eps", "0.01",
+         "--I-start", "0.25", "--I-end", "0.35"],
+        ["inner-portrait", "--mu", "4e307", "--eps", "0.01", "--periods", "2",
+         "--grid-n", "2"],
+    ])
+    def test_overflowing_amplitude_slope_exits_2(self, argv, tmp_path,
+                                                 capsys):
+        # 4 * 4e307 is finite but 2*pi * 4e307 is not: dL*/dI read inf, and
+        # verify's trapezoid sums nan
+        assert main(argv + ["--out", str(tmp_path / "x.out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: 2*pi*|a1|")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["thresholds", "--mu", "0.5", "--out"],

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pendrotor as pr
+from pendrotor import _kernels as K
+from pendrotor import crests
 from conftest import alpha_direct, beta_direct
 
 TWO_PI = 2.0 * math.pi
@@ -297,6 +302,102 @@ class TestThresholds:
              3.5685658057042895], rel=0, abs=1e-12)
         assert sorted(name for name, _ in rep.missing) == [
             "alpha/pos", "beta/pos"]
+
+
+def _scalar_crossings(curve, level, lo, hi, r):
+    """The threshold scan as one loop over the scalar curve, point by point:
+    the reference that crests._crossings' array scan must match bit for
+    bit."""
+    if lo >= hi:
+        return []
+    fn = crests._CURVES[curve]
+    f = lambda x: abs(fn(x, r)) - level
+    pts = np.linspace(lo, hi, 4000).tolist()
+    for end, inward in ((lo, 1.0), (hi, -1.0)):
+        d = 0.5 * (hi - lo) / 3999
+        while d >= 1e-9 * max(1.0, abs(end)):
+            pts.append(end + inward * d)
+            d *= 0.5
+    roots = []
+    fprev = xprev = None
+    for x in sorted(set(pts)):
+        if abs(r * x - 1.0) < 1e-12:
+            fprev, xprev = None, None
+            continue
+        fx = f(x)
+        if fprev is not None and (fprev > 0.0) != (fx > 0.0):
+            rt = crests._bisect_level(f, xprev, x)
+            if not roots or abs(rt - roots[-1]) > 1e-8:
+                roots.append(rt)
+        fprev, xprev = fx, x
+    return roots
+
+
+def _on_grid_point(r):
+    """A scan point of the default window's 'mid' component, from the 1234th
+    on, at which np.sinh and math.sinh of pi*I/2 differ in their last bits
+    (the 1234th where a numpy build agrees with math.sinh throughout)."""
+    _, lo, hi, _ = crests._components(crests.DEFAULT_WINDOW, r)[1]
+    xs = np.linspace(lo, hi, 4000).tolist()[1234:]
+    for x in xs:
+        v = 0.5 * math.pi * x
+        if float(np.sinh(np.array([v]))[0]) != math.sinh(v):
+            return x
+    return xs[0]
+
+
+def _on_grid_mu(curve, r):
+    """A mu whose level 1/|mu| is the scalar curve's value at
+    _on_grid_point(r), which puts that point in the recheck band."""
+    return 1.0 / abs(crests._CURVES[curve](_on_grid_point(r), r))
+
+
+class TestArrayScan:
+    """crests._crossings evaluates its scan as an array, with the scalar
+    curve at far-branch points and near the level; its roots are the
+    scalar scan's."""
+
+    @pytest.mark.parametrize("r", [1.0, 0.5, 0.25])
+    @pytest.mark.parametrize("window", [(-5.0, 5.0), (-50.0, 50.0),
+                                        (0.1, 3.0), (-1e60, 1e60),
+                                        (-1e300, 1e300)])
+    def test_roots_equal_the_scalar_scan(self, r, window):
+        mus = [0.3, 0.75, 1.5, 4.81, _on_grid_mu("alpha", r),
+               _on_grid_mu("beta", r)]
+        for mu in mus:
+            level = 1.0 / mu
+            for _, lo, hi, _ in crests._components(window, r):
+                for curve in crests._CURVES:
+                    got = crests._crossings(curve, level, lo, hi, r)
+                    want = _scalar_crossings(curve, level, lo, hi, r)
+                    assert ([x.hex() for x in got]
+                            == [x.hex() for x in want]), (mu, curve, lo, hi)
+
+    def test_point_at_the_level_takes_the_scalar_curve(self, monkeypatch):
+        # the array value there may differ from the scalar one in its last
+        # bits; the scan re-evaluates it before it bisects anything
+        mu, x = _on_grid_mu("alpha", 1.0), _on_grid_point(1.0)
+        _, lo, hi, _ = crests._components(crests.DEFAULT_WINDOW, 1.0)[1]
+        seen = []
+        monkeypatch.setitem(crests._CURVES, "alpha", lambda I, r: (
+            seen.append(I), K.alpha_r_raw(I, r))[1])
+        crests._crossings("alpha", 1.0 / mu, lo, hi, 1.0)
+        assert seen[0] == x
+
+    def test_loads_no_numpy_ma(self):
+        # np.unique would import numpy.ma (about 0.9 MB of peak memory)
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(pr.__file__)))
+        code = ("import sys, pendrotor as pr\n"
+                "pr.find_thresholds(pr.SystemParams(a1=0.75, a2=1.0))\n"
+                "pr.find_thresholds(pr.SystemParams(a1=1.3, a2=1.0, r=0.5),"
+                " (-1e300, 1e300))\n"
+                "print('numpy.ma' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestTangency:

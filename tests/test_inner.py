@@ -135,6 +135,37 @@ class TestDOP853:
         # the FSAL stage carries no error weight
         assert ref.E3[12] == ref.E5[12] == 0.0
 
+    #: integrate_inner's (y0, y1, s0, t0, t1, h, eps, a1, a2, r, rtol,
+    #: atol) and the float.hex of its (I, phi, h_next) with (nsteps,
+    #: status): a forward, a backward and a step-rejecting run at r = 1,
+    #: 0.5 and 0.25, and the eps = 1e307 run whose every step is rejected
+    PINNED = [
+        ((0.4, 0.0, 0.0, 0.0, TWO_PI, H_START, 0.01, 0.75, 1.0, 1.0, 1e-10,
+          1e-10),
+         ("0x1.9e4cc9090ceb2p-2", "0x1.3dda66b4a6960p+1",
+          "0x1.2e9a947c5aadap+0"), (7, 0)),
+        ((-1.3, 2.5, 0.7, 3.0, -4.0, 0.37, 0.05, 1.0, 0.6, 0.5, 1e-10,
+          1e-10),
+         ("-0x1.4159c8051e43bp+0", "0x1.6bb7fd35e107ep+3",
+          "0x1.50ec4f023ef6dp-1"), (12, 0)),
+        ((1.1, 1.0, 0.0, 0.0, 40.0, H_START, 1.0, 2.0, 1.0, 0.25, 1e-12,
+          1e-12),
+         ("-0x1.11bcc54a00d14p-2", "0x1.659ea5584dd17p+2",
+          "0x1.162cb345d134fp-3"), (407, 0)),
+        ((0.5, 0.0, 0.0, 0.0, TWO_PI, H_START, 1e307, 0.75, 1.0, 1.0, 1e-10,
+          1e-10),
+         ("0x1.0000000000000p-1", "0x0.0p+0", "0x1.79ca10c92422bp-48"),
+         (0, 1)),
+    ]
+
+    @pytest.mark.parametrize("args,bits,counts", PINNED)
+    def test_bits_pinned(self, args, bits, counts):
+        # a rewrite of the stepper must keep every float operation in order
+        from pendrotor._ode import integrate_inner
+        I, phi, h, nsteps, status = integrate_inner(*args)
+        assert (I.hex(), phi.hex(), h.hex()) == bits
+        assert (nsteps, status) == counts
+
     def test_fifty_periods_against_tight_scipy(self, p075):
         # at 8th order each run ends within 2e-9 of a much tighter scipy
         # DOP853 in under 1,000 steps on average; a 5th-order pair needs

@@ -1129,6 +1129,32 @@ class TestSweepKernel:
             for got, want in zip(out, expected):
                 np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("r", [1.0, 0.5])
+    @pytest.mark.parametrize("crit,k", TestKernelScalarTypes.CASES
+                             + ((K.CRIT_BRANCH, 40),))
+    def test_special_rows_equal_lstar_kernel(self, r, crit, k):
+        # rows at +-250, where crest_coef takes _alpha_r_far; at a root of
+        # |c| = 1 (SINGULAR); at the pole I = 1/r, where sigma stays put
+        # along the ray (UNREACHABLE for down and up); and, for branch 40,
+        # UNREACHABLE rows: the NaNs of every output sit where lstar_kernel
+        # puts them
+        p = pr.SystemParams(a1=0.75, a2=1.0, eps=0.01, r=r)
+        singular = pr.solve_level_crossing("alpha", "mid", p)
+        Ivals = np.array([-250.0, -1.5, singular, 0.4, 1.0 / r, 250.0])
+        thvals = np.linspace(0.0, TWO_PI, 7, endpoint=False)
+        assert 0.5 * math.pi * 250.0 >= K.SINH_FAR
+        out = K.sweep_kernel(Ivals, thvals, r, p.a1, p.a2, crit, k)
+        expected = np.empty((7, 6, 7))
+        for i, I in enumerate(Ivals.tolist()):
+            for j, th in enumerate(thvals.tolist()):
+                res = K.lstar_kernel(I, th, r, p.a1, p.a2, crit, k)
+                expected[:, i, j] = [res[n] for n in (0, 1, 2, 3, 6, 7, 8)]
+        assert (out[0][2] == K.TAU_SINGULAR).all()
+        assert (K.TAU_UNREACHABLE in out[0]) == (
+            crit in (K.CRIT_DOWN, K.CRIT_UP) or k == 40)
+        for got, want in zip(out, expected):
+            np.testing.assert_array_equal(got, want)
+
 
 class TestLstar:
     """scattering.lstar: the per-point tau* entry, status returned."""
