@@ -182,9 +182,11 @@ def _setup(args) -> SystemParams:
     """Check what each flag's own type cannot: the window and the
     parameters; return the run's parameters.
 
-    Each output path is opened for appending and closed again, so that one
-    that cannot be written stops the run before any work (and no existing
-    file is truncated before its command writes it).
+    Each output path is probed, so that one that cannot be written stops
+    the run before any work: a new file is created and removed again, so
+    a run that fails before writing it leaves none behind, and an existing
+    one is opened for appending, so it is not truncated before its command
+    writes it.
     """
     if hasattr(args, "I_min") and args.I_min >= args.I_max:
         raise ConfigError("--I-min must be below --I-max")
@@ -197,7 +199,11 @@ def _setup(args) -> SystemParams:
         path = getattr(args, flag, None)
         if path is not None:
             try:
-                open(path, "a").close()
+                try:
+                    open(path, "x").close()
+                    os.remove(path)
+                except FileExistsError:
+                    open(path, "a").close()
             except OSError as exc:
                 raise ConfigError(f"cannot write --{flag} {path!r}: "
                                   f"{exc.strerror or exc}")

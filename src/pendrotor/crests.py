@@ -40,7 +40,6 @@ class CrestKind(enum.Enum):
 class CrestBranch:
     k: int
     kind: CrestKind
-    I: float
 
 
 @dataclass(frozen=True)
@@ -173,7 +172,7 @@ def tangency_points(I: float, params: SystemParams) -> list[TangencyPoint]:
             if abs(-par * dslope - slope) < 1e-9 * max(1.0, abs(slope)):
                 out.append(TangencyPoint(
                     I=I, angle=psi % (2.0 * math.pi),
-                    branch=CrestBranch(k=k, kind=kind, I=I)))
+                    branch=CrestBranch(k=k, kind=kind)))
     return out
 
 

@@ -121,21 +121,21 @@ def sections(state: InnerState, params: SystemParams,
 
 
 def stroboscopic_sections(state: InnerState, n_periods: int,
-                          params: SystemParams,
-                          tol_ode: float = TOL_ODE) -> np.ndarray:
-    """States at the next ``n_periods`` sections s = s0 + 2*pi*n.
+                          params: SystemParams) -> np.ndarray:
+    """States at the next ``n_periods`` sections s = s0 + 2*pi*n, at
+    ``TOL_ODE``.
 
     Returns an array of rows (t, I, phi); phi is unwrapped.
     """
-    return np.fromiter(itertools.islice(sections(state, params, tol_ode),
+    return np.fromiter(itertools.islice(sections(state, params, TOL_ODE),
                                         n_periods),
                        dtype=np.dtype((float, 3)), count=n_periods)
 
 
 def orbit_sections(states: Sequence[InnerState], n_periods: int,
                    params: SystemParams) -> Iterator[np.ndarray]:
-    """:func:`stroboscopic_sections` of every state, in order, at
-    ``TOL_ODE``, spread over the usable cores.
+    """:func:`stroboscopic_sections` of every state, in order, spread over
+    the usable cores.
 
     With n = min(usable cores, orbits), orbit i runs in this process when
     i mod n = 0 and otherwise in child i mod n of n - 1 forked children
@@ -148,10 +148,6 @@ def orbit_sections(states: Sequence[InnerState], n_periods: int,
     iterator is exhausted, raises or is closed.
     """
     n = min(len(os.sched_getaffinity(0)), len(states))
-    if n <= 1:
-        for state in states:
-            yield stroboscopic_sections(state, n_periods, params)
-        return
     readers, pids = [], []
     try:
         for w in range(1, n):

@@ -24,6 +24,8 @@ from .scattering import TauCriterion
 
 TWO_PI = 2.0 * math.pi
 
+# Grid step h of the ray scan, in tau.
+SCAN_STEP = 1e-5
 # An exclusion jump shorter than this many grid cells hands over to the
 # vectorised chunk (near a root, or along a grazing stretch).  Of 8...512,
 # 128 was the cheapest on near-grazing rays at h = 1e-5 (0.66 ms a query,
@@ -68,12 +70,13 @@ def _band_of(t, phi0, sig0, rphi, rsig, horizontal):
 
 
 def brute_tau_scan(I: float, theta: float, criterion: TauCriterion,
-                   params: SystemParams, h: float = 1e-5) -> float:
+                   params: SystemParams) -> float:
     """First criterion-matching ridge crossing found by uniform ray marching.
 
-    Scans the ray at step h, refines each detected sign change by bisection
-    inside its cell, classifies the crossing's unwrapped branch, and accepts
-    per the criterion semantics.  Raises like the production solver.
+    Scans the ray at step h = SCAN_STEP, refines each detected sign change
+    by bisection inside its cell, classifies the crossing's unwrapped
+    branch, and accepts per the criterion semantics.  Raises like the
+    production solver.
 
     Each direction is marched from grid index k (tau_k = d*h*k) in three
     ways, and all three give the result of the full scan:
@@ -106,8 +109,7 @@ def brute_tau_scan(I: float, theta: float, criterion: TauCriterion,
     two directions' crossings the smaller |tau| wins, and tau >= 0 on an
     exact tie, whichever direction reached its crossing first.
     """
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValueError(f"brute scan needs a finite step h > 0, got {h}")
+    h = SCAN_STEP
     th = theta % TWO_PI
     if th == TWO_PI:  # a tiny negative theta rounds up to 2*pi
         th = 0.0

@@ -33,6 +33,10 @@ TAU_TOL = 1e-6
 #: transversality margin of a clean tau* contact: tau_oracle_check skips
 #: draws below it and lemma_symmetry_check masks grid points below it
 CLEAN_MARGIN = 1e-3
+#: (actions, angles) of the grids of lemma_symmetry_check and of
+#: drift_sign_check
+SYMMETRY_GRID = (60, 60)
+DRIFT_GRID = (41, 25)
 
 
 @dataclass
@@ -62,7 +66,7 @@ def _require_r_one(params: SystemParams) -> None:
             f"derived for r = 1, got r = {params.r}")
 
 
-def melnikov_check(params: SystemParams, n: int, seed: int = 0,
+def melnikov_check(params: SystemParams, n: int, seed: int,
                    corrupt: str | None = None) -> CheckResult:
     """Closed-form splitting potential against the trapezoid-rule quadrature.
 
@@ -90,8 +94,7 @@ def melnikov_check(params: SystemParams, n: int, seed: int = 0,
                        worst, MELNIKOV_TOL, n)
 
 
-def tau_oracle_check(params: SystemParams, n: int,
-                     seed: int = 0) -> CheckResult:
+def tau_oracle_check(params: SystemParams, n: int, seed: int) -> CheckResult:
     """Production tau* solver against the uniform fine-grid ray scan.
 
     Draws (I, theta, criterion) from Python's ``random.Random(seed)``: I
@@ -121,7 +124,7 @@ def tau_oracle_check(params: SystemParams, n: int,
             continue
         if sol.margin < CLEAN_MARGIN:
             continue
-        ref = brute_tau_scan(I, theta, crit, params, h=1e-5)
+        ref = brute_tau_scan(I, theta, crit, params)
         worst = max(worst, abs(sol.tau_star - ref))
         used += 1
     if used < n:
@@ -132,10 +135,9 @@ def tau_oracle_check(params: SystemParams, n: int,
                        TAU_TOL, used)
 
 
-def lemma_symmetry_check(params: SystemParams, n_I: int = 60,
-                         n_th: int = 60) -> CheckResult:
-    """dL0*/dtheta(I, theta) = -dL2*/dtheta(I, 2pi - theta) on a masked grid
-    over I in [-2, 2], to within 1e-8.
+def lemma_symmetry_check(params: SystemParams) -> CheckResult:
+    """dL0*/dtheta(I, theta) = -dL2*/dtheta(I, 2pi - theta) on a masked
+    SYMMETRY_GRID over I in [-2, 2], to within 1e-8.
 
     At r = 1 the reflection through (pi, pi) exchanges the even ridge
     branches 0 and 2 and reverses the ray parameter, so the two down/up
@@ -145,6 +147,7 @@ def lemma_symmetry_check(params: SystemParams, n_I: int = 60,
     fails when every point is.  Other r raise :class:`ConfigError`.
     """
     _require_r_one(params)
+    n_I, n_th = SYMMETRY_GRID
     tol_cmp = 1e-8
     Is = np.array([I for I in np.linspace(-2.0, 2.0, n_I)
                    if min(abs(I), abs(params.r * I - 1.0)) >= 0.02
@@ -164,20 +167,21 @@ def lemma_symmetry_check(params: SystemParams, n_I: int = 60,
                        note="" if used else "no grid point solved cleanly")
 
 
-def drift_sign_check(params: SystemParams, n_I: int = 41,
-                     n_th: int = 25) -> CheckResult:
+def drift_sign_check(params: SystemParams) -> CheckResult:
     """Odd-branch map increases I throughout theta in (pi, theta_plus(I)).
 
-    Sampled over I in [-2, 2], farther than 0.02 from the resonant actions
-    {0, 1} and the crest-regime switches, where theta_plus changes its
-    closed form; a solve that fails there, theta_plus's included, fails
-    the check, as does a window with no point.  Negative amplitudes are
-    checked in the canonical frame (a1, a2 > 0) of the drift construction,
-    whose conjugating angle shift carries the window.  The closed forms
-    hold at r = 1 only; other r raise :class:`ConfigError`.
+    Sampled on DRIFT_GRID over I in [-2, 2], farther than 0.02 from the
+    resonant actions {0, 1} and the crest-regime switches, where
+    theta_plus changes its closed form; a solve that fails there,
+    theta_plus's included, fails the check, as does a window with no
+    point.  Negative amplitudes are checked in the canonical frame
+    (a1, a2 > 0) of the drift construction, whose conjugating angle shift
+    carries the window.  The closed forms hold at r = 1 only; other r
+    raise :class:`ConfigError`.
     """
     _require_r_one(params)
     params = _canonical_frame(params)[0]
+    n_I, n_th = DRIFT_GRID
     report = find_thresholds(params)
     switches = list(report.alpha_thresholds) + [0.0, 1.0]
     Is = np.linspace(-2.0, 2.0, n_I)
@@ -206,8 +210,7 @@ def drift_sign_check(params: SystemParams, n_I: int = 41,
                        note="worst = min dL*/dtheta over the window")
 
 
-def run_suite(params: SystemParams, n_melnikov: int = 60, n_tau: int = 150,
-              seed: int = 0,
+def run_suite(params: SystemParams, n_melnikov: int, n_tau: int, seed: int,
               corrupt: str | None = None) -> list[CheckResult]:
     """All four checks; raises :class:`ConfigError` before any of them runs
     when r != 1."""

@@ -364,7 +364,7 @@ def test_c11_tau_star_oracle(p075):
             continue
         if sol.degenerate or sol.margin < 1e-3:
             continue
-        ref = brute_tau_scan(I, th, crit, p075, h=1e-5)
+        ref = brute_tau_scan(I, th, crit, p075)
         diff = abs(sol.tau_star - ref)
         if diff > worst:
             worst = diff

@@ -644,6 +644,28 @@ class TestBadNumericInput:
         assert err.startswith("config error:")
         assert path in err
 
+    @pytest.mark.parametrize("argv", [
+        ["diffuse", "--a1", "0.75", "--a2", "1", "--eps", "0.01",
+         "--I-start", "1", "--I-end", "-1", "--out", "x.csv",
+         "--report", "r.json"],
+        ["portrait", "--mu", "0.5", "--criterion", "bogus", "--out", "p.csv"],
+        ["verify", "--mu", "0.75", "--r", "0.5", "--out", "v.json"],
+    ])
+    def test_failed_run_leaves_outputs_as_found(self, argv, tmp_path,
+                                                monkeypatch):
+        # the output probe removes a file it created and leaves an existing
+        # one's bytes alone
+        monkeypatch.chdir(tmp_path)
+        names = [argv[i + 1] for i, a in enumerate(argv)
+                 if a in ("--out", "--report")]
+        assert main(argv) == 2
+        assert os.listdir(tmp_path) == []
+        for name in names:
+            (tmp_path / name).write_bytes(b"kept\n")
+        assert main(argv) == 2
+        for name in names:
+            assert (tmp_path / name).read_bytes() == b"kept\n"
+
     @pytest.mark.parametrize("command", ["portrait", "tau-field"])
     def test_zero_potential_sweep_exits_2_before_solving(self, command,
                                                          monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import pendrotor as pr
-from pendrotor import _kernels as K, diffusion, scattering
+from pendrotor import _kernels as K, diffusion, inner, scattering
 from pendrotor.diffusion import ARC_TOL, REINT_BUDGET, InnerLeg, ScatterLeg
 
 TWO_PI = 2.0 * math.pi
@@ -270,14 +271,15 @@ class TestArcSections:
         arcs = [leg for leg in orbit.legs if isinstance(leg, InnerLeg)]
         assert arcs
         for leg in arcs:
-            rows = pr.stroboscopic_sections(leg.src, leg.n_periods,
-                                            orbit.params, tol_ode=ARC_TOL)
+            rows = list(itertools.islice(
+                inner.sections(leg.src, orbit.params, ARC_TOL),
+                leg.n_periods))
             t, I, phi = rows[-1]
             assert (t, I, phi) == (leg.duration, leg.dst.I, leg.dst.phi)
 
     def test_zero_periods(self, p075):
         rows = pr.stroboscopic_sections(pr.InnerState(0.3, 0.0, 0.0), 0,
-                                        p075, tol_ode=ARC_TOL)
+                                        p075)
         assert rows.shape == (0, 3)
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import pendrotor as pr
 from pendrotor import _kernels as K
-from pendrotor import crests, inner, model, scattering
+from pendrotor import crests, inner, model, oracles, scattering, verify
 from conftest import alpha_direct, beta_direct
 
 E_PI_HALF = math.exp(math.pi / 2.0)
@@ -275,13 +275,22 @@ class TestSignatures:
         names = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
                  for cls in (pr.TauSolution, pr.ClassificationReport,
                              pr.ScatterLeg, pr.PseudoOrbit,
-                             pr.VerificationReport)}
+                             pr.VerificationReport, pr.TangencyPoint,
+                             pr.CrestBranch, pr.IntervalInfo,
+                             pr.TransversalityReport, pr.InnerLeg,
+                             verify.CheckResult)}
         assert names == {
             "TauSolution": ["I", "theta", "tau_star", "band", "phi_star",
                             "sigma_star", "margin", "degenerate"],
             "ClassificationReport": ["alpha_thresholds", "beta_thresholds",
                                      "intervals", "labels", "missing"],
             "ScatterLeg": ["src", "dst", "level", "residual"],
+            "TangencyPoint": ["I", "angle", "branch"],
+            "CrestBranch": ["k", "kind"],
+            "IntervalInfo": ["lo", "hi", "kind", "tangency"],
+            "TransversalityReport": ["I", "theta", "bracket", "verdict"],
+            "InnerLeg": ["src", "dst", "duration", "n_periods"],
+            "CheckResult": ["name", "passed", "worst", "tol", "n", "note"],
             "PseudoOrbit": ["legs", "params", "frame_phi_shift",
                             "frame_s_shift"],
             "VerificationReport": [
@@ -295,9 +304,33 @@ class TestSignatures:
         assert (K.TOL_CLS, K.TIE_TOL, scattering.TOL_DEGEN,
                 scattering.TOL_QUAD, crests.TOL_ROOT, inner.TOL_ODE) == (
             1e-9, 1e-9, 1e-6, 1e-10, 1e-12, 1e-10)
-        for f in (inner.inner_flow, inner.stroboscopic_sections):
-            assert (inspect.signature(f).parameters["tol_ode"].default
-                    == inner.TOL_ODE)
+        assert (inspect.signature(inner.inner_flow).parameters["tol_ode"]
+                .default == inner.TOL_ODE)
+
+    def test_fixed_setting_constants(self):
+        assert (verify.SYMMETRY_GRID, verify.DRIFT_GRID,
+                oracles.SCAN_STEP) == ((60, 60), (41, 25), 1e-5)
+
+    def test_defaulted_parameters(self):
+        # a default that no caller overrides is a constant in disguise: the
+        # value belongs in a module constant, read in the function body
+        funcs = dict(self._public_callables())
+        for mod in (verify, oracles):
+            funcs.update((name, f) for name, f in vars(mod).items()
+                         if not name.startswith("_") and inspect.isfunction(f)
+                         and f.__module__ == mod.__name__)
+        found = {f"{name}.{p.name}": p.default
+                 for name, f in funcs.items() if not inspect.isclass(f)
+                 for p in inspect.signature(f).parameters.values()
+                 if p.default is not inspect.Parameter.empty}
+        assert found == {
+            "find_thresholds.window": (-5.0, 5.0),
+            "solve_level_crossing.window": (-5.0, 5.0),
+            "inner_flow.tol_ode": inner.TOL_ODE,
+            "separatrix.sign": 1,
+            "melnikov_check.corrupt": None,
+            "run_suite.corrupt": None,
+        }
 
     def test_parameters(self):
         names = {f: list(inspect.signature(f).parameters)

@@ -32,13 +32,15 @@ class TestCheckResultTypes:
         assert res.as_dict() == {"name": "x", "passed": True, "worst": 0.5,
                                  "tol": 1.0, "n": 3, "note": ""}
 
-    def test_lemma_symmetry_check_small_grid(self, p075):
-        res = lemma_symmetry_check(p075, n_I=5, n_th=5)
+    def test_lemma_symmetry_check_small_grid(self, p075, monkeypatch):
+        monkeypatch.setattr(verify, "SYMMETRY_GRID", (5, 5))
+        res = lemma_symmetry_check(p075)
         _assert_plain(res)
         assert res.n > 0 and res.passed is True
 
-    def test_drift_sign_check_small_grid(self, p075):
-        res = drift_sign_check(p075, n_I=5, n_th=5)
+    def test_drift_sign_check_small_grid(self, p075, monkeypatch):
+        monkeypatch.setattr(verify, "DRIFT_GRID", (5, 5))
+        res = drift_sign_check(p075)
         _assert_plain(res)
         assert res.n > 0 and res.passed is True
 
@@ -76,13 +78,14 @@ class TestRequiresROne:
         monkeypatch.setattr(verify, "melnikov_quadrature", counted)
         p = pr.SystemParams(a1=0.75, a2=1.0, eps=0.01, r=0.5)
         with pytest.raises(pr.ConfigError, match="r = 1"):
-            verify.run_suite(p, n_melnikov=4, n_tau=4)
+            verify.run_suite(p, n_melnikov=4, n_tau=4, seed=0)
         assert calls[0] == 0
 
-    def test_lemma_symmetry_check_refuses(self):
+    def test_lemma_symmetry_check_refuses(self, monkeypatch):
+        monkeypatch.setattr(verify, "SYMMETRY_GRID", (5, 5))
         p = pr.SystemParams(a1=0.75, a2=1.0, eps=0.01, r=0.5)
         with pytest.raises(pr.ConfigError, match="r = 1"):
-            lemma_symmetry_check(p, n_I=5, n_th=5)
+            lemma_symmetry_check(p)
 
     @pytest.mark.parametrize("params", [
         ["--mu", "0.75", "--r", "0.5"],
@@ -141,8 +144,10 @@ class TestEmptyChecksFail:
     """A check that compared nothing fails, with a note and a finite worst."""
 
     @pytest.mark.parametrize("check", [lemma_symmetry_check, drift_sign_check])
-    def test_empty_grid(self, check, p075):
-        res = check(p075, n_I=0)
+    def test_empty_grid(self, check, p075, monkeypatch):
+        for grid in ("SYMMETRY_GRID", "DRIFT_GRID"):
+            monkeypatch.setattr(verify, grid, (0, getattr(verify, grid)[1]))
+        res = check(p075)
         _assert_plain(res)
         assert res.n == 0 and res.passed is False and res.note
 
@@ -222,9 +227,11 @@ class TestGridChecksMatchPointwise:
 
     @pytest.mark.parametrize("mu", [0.3, 0.75, 2.0])
     @pytest.mark.parametrize("n_I,n_th", [(7, 9), (0, 9)])
-    def test_same_report(self, mu, n_I, n_th):
+    def test_same_report(self, mu, n_I, n_th, monkeypatch):
+        monkeypatch.setattr(verify, "SYMMETRY_GRID", (n_I, n_th))
+        monkeypatch.setattr(verify, "DRIFT_GRID", (n_I, n_th))
         p = pr.SystemParams(a1=mu, a2=1.0, eps=0.01)
-        assert (lemma_symmetry_check(p, n_I=n_I, n_th=n_th).as_dict()
+        assert (lemma_symmetry_check(p).as_dict()
                 == _lemma_pointwise(p, n_I, n_th).as_dict())
-        assert (drift_sign_check(p, n_I=n_I, n_th=n_th).as_dict()
+        assert (drift_sign_check(p).as_dict()
                 == _drift_pointwise(p, n_I, n_th).as_dict())
