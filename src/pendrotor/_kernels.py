@@ -223,12 +223,13 @@ def _newton_hb(ta, tb, fa, fb, m, par, w0, lw, phi0, sig0, rphi, rsig, c,
     bisection step.  Stops once the bracket [a, b] or the step is at most
     1e-15*(1 + |a| + |b|).
     """
+    hb = _hb
     # h_b < 0 at tn, > 0 at tp
     tn, tp = (ta, tb) if fa < 0.0 else (tb, ta)
     t = ta - fa * (tb - ta) / (fb - fa)
     last = before = tb - ta
     for _ in range(120):
-        f, df = _hb(t, m, par, w0, lw, phi0, sig0, rphi, rsig, c, horizontal)
+        f, df = hb(t, m, par, w0, lw, phi0, sig0, rphi, rsig, c, horizontal)
         if f == 0.0:
             return t
         if f < 0.0:
@@ -249,18 +250,6 @@ def _newton_hb(ta, tb, fa, fb, m, par, w0, lw, phi0, sig0, rphi, rsig, c,
         if abs(step) <= tol:
             return t
     return t
-
-
-def _strip(m, w0, lw, half):
-    """tau interval where |w0 + lw*tau - m*pi| <= half (lw != 0)."""
-    e1 = ((m * PI - half) - w0) / lw
-    e2 = ((m * PI + half) - w0) / lw
-    return min(e1, e2), max(e1, e2)
-
-
-def _crit_tau(j, u1, u2, period):
-    """j-th critical point of h_b along the ray; nondecreasing in j."""
-    return (u1 if j % 2 == 0 else u2) + (j // 2) * period
 
 
 def _fold(root, d, phi0, sig0, rphi, rsig, c, ac, best):
@@ -322,41 +311,58 @@ def _walk_band(lo, hi, d, m, w0, lw, phi0, sig0, rphi, rsig, c, horizontal,
             if period <= 1e-15 * (abs(lo) + abs(hi)):
                 # closer than the float spacing of tau: not separable
                 period = 0.0
-    # crossings need |w - m*pi| <= asin|q|; walk only the pieces meeting that
-    zlo, zhi = _strip(m, w0, lw, math.asin(abs(q)))
+    # crossings need |w - m*pi| <= asin|q|: the tau interval [zlo, zhi]
+    # where |w0 + lw*tau - m*pi| <= asin|q|; walk only the pieces meeting it
+    half = math.asin(abs(q))
+    e1 = ((m * PI - half) - w0) / lw
+    e2 = ((m * PI + half) - w0) / lw
+    zlo = e2 if e2 < e1 else e1
+    zhi = e2 if e2 > e1 else e1
     if d > 0.0:
-        s = max(lo, zlo)
-        e = min(hi, zhi)
+        s = zlo if zlo > lo else lo
+        e = zhi if zhi < hi else hi
     else:
-        s = min(hi, zhi)
-        e = max(lo, zlo)
+        s = zhi if zhi < hi else hi
+        e = zlo if zlo > lo else lo
+    hb = _hb
+    # the j-th critical tau is (u1 for even j, u2 for odd j) + (j // 2)*period,
+    # nondecreasing in j
     j = 0
     if period > 0.0:
         # start at the breakpoint on or before s in walk order
         j = 2 * int(math.floor((s - u1) / period))
         if d > 0.0:
             j -= 2
-            while _crit_tau(j + 1, u1, u2, period) <= s:
+            while (u2 if j % 2 == 0 else u1) + ((j + 1) // 2) * period <= s:
                 j += 1
         else:
             j += 4
-            while _crit_tau(j - 1, u1, u2, period) >= s:
+            while (u2 if j % 2 == 0 else u1) + ((j - 1) // 2) * period >= s:
                 j -= 1
-        t = min(max(_crit_tau(j, u1, u2, period), lo), hi)
+        t = (u1 if j % 2 == 0 else u2) + (j // 2) * period
+        if t < lo:
+            t = lo
+        if t > hi:
+            t = hi
     else:
         t = lo if d > 0.0 else hi
-    f = _hb(t, m, par, w0, lw, phi0, sig0, rphi, rsig, c, horizontal)[0]
+    dj = 1 if d > 0.0 else -1
+    f = hb(t, m, par, w0, lw, phi0, sig0, rphi, rsig, c, horizontal)[0]
     if f == 0.0:
         best = _fold(t, d, phi0, sig0, rphi, rsig, c, ac, best)
     while d * (e - t) > 0.0:
         if d * t > best[1] + TIE_TOL:
             break
         if period > 0.0:
-            j += 1 if d > 0.0 else -1
-            tn = min(max(_crit_tau(j, u1, u2, period), lo), hi)
+            j += dj
+            tn = (u1 if j % 2 == 0 else u2) + (j // 2) * period
+            if tn < lo:
+                tn = lo
+            if tn > hi:
+                tn = hi
         else:
             tn = hi if d > 0.0 else lo
-        fn = _hb(tn, m, par, w0, lw, phi0, sig0, rphi, rsig, c, horizontal)[0]
+        fn = hb(tn, m, par, w0, lw, phi0, sig0, rphi, rsig, c, horizontal)[0]
         root = math.nan
         if fn == 0.0:
             root = tn
@@ -394,10 +400,12 @@ def tau_star_kernel(I, theta, r, c, crit, kreq):
         w0, lw = sig0, rsig
     else:
         w0, lw = phi0, rphi
-    fmin = min(abs(rphi), abs(rsig))
+    fmin = abs(rphi)
+    if abs(rsig) < fmin:
+        fmin = abs(rsig)
     if fmin < 1e-12:
         fmin = 1e-12
-    tau_max = 8.0 * PI * max(1.0, 1.0 / fmin)
+    tau_max = 8.0 * PI * (1.0 / fmin if fmin < 1.0 else 1.0)
 
     if abs(lw) < 1e-300:
         return TAU_UNREACHABLE, math.nan, 0, 0.0, math.nan, math.nan
@@ -412,6 +420,7 @@ def tau_star_kernel(I, theta, r, c, crit, kreq):
     if marching and abs(rsig) < 1e-300:
         return TAU_UNREACHABLE, math.nan, 0, 0.0, math.nan, math.nan
     m0 = kreq if crit == CRIT_BRANCH else int(math.floor(w0 / PI + 0.5))
+    half = 0.5 * PI
     for side in range(1 if marching else 2):
         dtau = 1.0 if side == 0 else -1.0
         if marching:
@@ -420,7 +429,11 @@ def tau_star_kernel(I, theta, r, c, crit, kreq):
         step_m = 1 if lw * dtau > 0.0 else -1
         m = m0
         for _ in range(1 if crit == CRIT_BRANCH else 64):
-            ta, tb = _strip(m, w0, lw, 0.5 * PI)
+            # strip m: the tau interval [ta, tb] where |w - m*pi| <= pi/2
+            e1 = ((m * PI - half) - w0) / lw
+            e2 = ((m * PI + half) - w0) / lw
+            ta = e2 if e2 < e1 else e1
+            tb = e2 if e2 > e1 else e1
             if dtau > 0.0:
                 if ta < 0.0:
                     ta = 0.0
@@ -469,13 +482,15 @@ def lstar_point(I, theta, r, row, crit, kreq):
         I, theta, r, c, crit, kreq)
     if status != TAU_OK:
         return status, tau, kb, margin, phis, sigs, math.nan, math.nan, math.nan
-    L = A1 * math.cos(phis) + A2 * math.cos(sigs)
+    cp = math.cos(phis)
+    cs = math.cos(sigs)
+    L = A1 * cp + A2 * cs
     # two equivalent gradient forms; pick the well-conditioned denominator
     if abs(d) >= abs(I):
         dth = A1 * math.sin(phis) / d
     else:
         dth = -A2 * math.sin(sigs) / I
-    dI = A1p * math.cos(phis) + A2p * math.cos(sigs) - tau * dth
+    dI = A1p * cp + A2p * cs - tau * dth
     return status, tau, kb, margin, phis, sigs, L, dth, dI
 
 
@@ -502,13 +517,14 @@ def sweep_kernel(Ivals, thvals, r, a1, a2, crit, kreq):
     tau, margin, lstar, dth, dI = np.empty((5, nI, nth))
     r = float(r)
     ths = thvals.tolist()
+    if not ths:
+        # no angle: zip below would yield no columns
+        return status, tau, band, margin, lstar, dth, dI
     for i, I in enumerate(Ivals.tolist()):
         I = float(I)
         row = lstar_row(I, r, a1, a2)
-        # row views of the outputs
-        st_i, tau_i, band_i, mg_i, L_i, g1_i, g2_i = (
-            status[i], tau[i], band[i], margin[i], lstar[i], dth[i], dI[i])
-        for j, th in enumerate(ths):
-            (st_i[j], tau_i[j], band_i[j], mg_i[j], _, _, L_i[j], g1_i[j],
-             g2_i[j]) = lstar_point(I, th, r, row, crit, kreq)
+        # one row of every output at once, from the columns of the results
+        (status[i], tau[i], band[i], margin[i], _, _, lstar[i], dth[i],
+         dI[i]) = zip(*[lstar_point(I, th, r, row, crit, kreq)
+                        for th in ths])
     return status, tau, band, margin, lstar, dth, dI

@@ -21,16 +21,14 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import os
-import pickle
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import NoReturn
 
 import numpy as np
 
+from ._fork import fork_map
 from ._ode import H_START, ODE_OK, integrate_inner
-from .errors import PendrotorError, StepFailure
+from .errors import StepFailure
 from .params import SystemParams
 
 TWO_PI = 2.0 * math.pi
@@ -135,70 +133,10 @@ def stroboscopic_sections(state: InnerState, n_periods: int,
 def orbit_sections(states: Sequence[InnerState], n_periods: int,
                    params: SystemParams) -> Iterator[np.ndarray]:
     """:func:`stroboscopic_sections` of every state, in order, spread over
-    the usable cores.
-
-    With n = min(usable cores, orbits), orbit i runs in this process when
-    i mod n = 0 and otherwise in child i mod n of n - 1 forked children
-    (striding balances the load, as step counts vary smoothly with I);
-    each child pickles its arrays into a pipe of its own.  Each orbit is
-    integrated as in a serial loop, so the arrays do not depend on n.
-    The first orbit that raises, here or in a child, raises here after
-    the orbits before it, and so does one whose child ended without
-    sending it.  The children have exited and been reaped once the
-    iterator is exhausted, raises or is closed.
+    the usable cores by :func:`fork_map` (step counts vary smoothly with I,
+    so its striding balances the load).  Each orbit is integrated as in a
+    serial loop, so the arrays do not depend on the core count.
     """
-    n = min(len(os.sched_getaffinity(0)), len(states))
-    readers, pids = [], []
-    try:
-        for w in range(1, n):
-            r, wfd = os.pipe()
-            readers.append(open(r, "rb"))
-            with open(wfd, "wb") as out:
-                pid = os.fork()
-                if pid == 0:
-                    _child(out, readers, states[w::n], n_periods, params)
-            pids.append(pid)
-        for i, state in enumerate(states):
-            if i % n == 0:
-                yield stroboscopic_sections(state, n_periods, params)
-                continue
-            try:
-                rows = pickle.load(readers[i % n - 1])
-            except EOFError:
-                raise PendrotorError(f"orbit {i}: its child process ended "
-                                     f"without sending it") from None
-            if isinstance(rows, BaseException):
-                raise rows
-            yield rows
-    finally:
-        for reader in readers:
-            reader.close()
-        for pid in pids:
-            os.waitpid(pid, 0)
-
-
-def _child(out, readers, states: Sequence[InnerState], n_periods: int,
-           params: SystemParams) -> NoReturn:
-    """A forked child of :func:`orbit_sections`: pickle each orbit's array,
-    or the exception that ended it, into ``out``.
-
-    It first closes the read ends it inherited, so that only the parent
-    holds each one and its closing stops every writer.  It ends only
-    through ``os._exit``, so no exit handler runs and no buffer inherited
-    from the parent is flushed twice.
-    """
-    try:
-        for reader in readers:
-            reader.close()
-        for state in states:
-            try:
-                rows = stroboscopic_sections(state, n_periods, params)
-            except Exception as exc:
-                # pickled whole first: one that cannot pickle writes nothing
-                out.write(pickle.dumps(exc))
-                break
-            pickle.dump(rows, out)
-            out.flush()
-        out.flush()
-    finally:
-        os._exit(0)
+    return fork_map(lambda state: stroboscopic_sections(state, n_periods,
+                                                        params),
+                    states, "orbit")

@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _kernels as K
+from ._fork import fork_map
 from .crests import find_thresholds
 from .diffusion import _canonical_frame
 from .errors import ConfigError, PendrotorError
@@ -144,7 +145,9 @@ def lemma_symmetry_check(params: SystemParams) -> CheckResult:
     reduced functions are exact mirror images wherever both contacts are
     clean; points with a transversality margin below CLEAN_MARGIN
     (tangency-affected) or with failed solves are masked, and the check
-    fails when every point is.  Other r raise :class:`ConfigError`.
+    fails when every point is.  The branch-0 and branch-2 sweeps run side
+    by side on two usable cores (:func:`fork_map`).  Other r raise
+    :class:`ConfigError`, before any sweep.
     """
     _require_r_one(params)
     n_I, n_th = SYMMETRY_GRID
@@ -155,8 +158,16 @@ def lemma_symmetry_check(params: SystemParams) -> CheckResult:
                                             params.r)) - 1.0) >= 1e-6],
                   dtype=float)
     ths = np.linspace(1e-3, TWO_PI - 1e-3, n_th)
-    st0, _, _, m0, _, d0, _ = sweep(Is, ths, branch(0), params)
-    st2, _, _, m2, _, d2, _ = sweep(Is, TWO_PI - ths, branch(2), params)
+
+    def solve(job):
+        angles, crit = job
+        st, _, _, marg, _, dth, _ = sweep(Is, angles, crit, params)
+        return st, marg, dth
+
+    # the two sweeps are independent: with two usable cores the second
+    # runs in a forked child
+    (st0, m0, d0), (st2, m2, d2) = fork_map(
+        solve, [(ths, branch(0)), (TWO_PI - ths, branch(2))], "sweep")
     clean = ((st0 == TAU_OK) & (st2 == TAU_OK) & (m0 >= CLEAN_MARGIN)
              & (m2 >= CLEAN_MARGIN))
     gaps = np.abs(d0 + d2)[clean]

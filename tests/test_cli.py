@@ -426,6 +426,44 @@ class TestInnerPortraitCores:
         assert sorted({int(r["orbit"]) for r in rows}) == list(range(fail_at))
 
 
+def _verify_argv(mu, seed):
+    return ["verify", "--mu", mu, "--eps", "0.01", "--n-melnikov", "6",
+            "--n-tau", "5", "--seed", seed]
+
+
+class TestVerifyCores:
+    """verify's two reflection sweeps, side by side on two usable cores,
+    give the serial run's bytes."""
+
+    def test_bytes_independent_of_core_count(self, tmp_path, monkeypatch):
+        runs = [_verify_argv("0.75", "0"), _verify_argv("2", "7")]
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(pr.__file__)))
+        files, stdout = {}, {}
+        for cores in (1, 2, 3):
+            _report_cores(monkeypatch, cores)
+            for k, argv in enumerate(runs):
+                out = tmp_path / f"{cores}-{k}.json"
+                assert main(argv + ["--out", str(out)]) == 0
+                assert_no_child_left()
+                files[cores, k] = out.read_bytes()
+            # a pipe, not capsys, which would hide a duplicate
+            proc = subprocess.run(
+                [sys.executable, "-c", _CORES_SCRIPT, str(cores),
+                 json.dumps(runs)],
+                capture_output=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            stdout[cores] = proc.stdout
+            assert json.loads(proc.stderr) == []
+        serial = b"".join(files[1, k] for k in range(len(runs)))
+        assert serial.count(b'"down_up_reflection_symmetry"') == 2
+        for cores in (2, 3):
+            for k in range(len(runs)):
+                assert files[cores, k] == files[1, k]
+        for cores in (1, 2, 3):
+            assert stdout[cores] == serial
+
+
 class TestDiffuseCmd:
     def test_small_run(self, tmp_path):
         out = tmp_path / "orbit.jsonl"

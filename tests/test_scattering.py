@@ -1,5 +1,7 @@
 import functools
+import hashlib
 import math
+import os
 
 import mpmath
 import numpy as np
@@ -695,10 +697,11 @@ class TestNewtonFinish:
                                                else root_at)
             assert root == pytest.approx(want, abs=1e-12)
 
-    @pytest.mark.parametrize("crit", [pr.DOWN, pr.MINABS, pr.branch(1)])
-    def test_residual_evaluations_per_solve(self, monkeypatch, crit):
-        # counted the way the benchmark counts them: the module's _hb
-        # replaced by a counting wrapper
+    @staticmethod
+    def _counted_sweep(monkeypatch, crit):
+        """_hb evaluations of a 20 x 20 sweep, counted the way the
+        benchmark counts them: the module's _hb replaced by a counting
+        wrapper."""
         n = [0]
         hb = K._hb
 
@@ -712,7 +715,21 @@ class TestNewtonFinish:
                           np.linspace(0.0, TWO_PI, 20, endpoint=False),
                           crit, p)[0]
         assert (status == K.TAU_OK).sum() == 400
-        assert n[0] / 400 <= 15.0
+        return n[0]
+
+    @pytest.mark.parametrize("crit", [pr.DOWN, pr.MINABS, pr.branch(1)])
+    def test_residual_evaluations_per_solve(self, monkeypatch, crit):
+        assert self._counted_sweep(monkeypatch, crit) / 400 <= 15.0
+
+    @pytest.mark.parametrize("crit,evals", [
+        (pr.DOWN, 2634), (pr.UP, 2618), (pr.MINABS, 4609),
+        (pr.branch(0), 2674), (pr.branch(1), 2751), (pr.branch(2), 2718)])
+    def test_solver_path_is_pinned(self, monkeypatch, crit, evals):
+        # the exact count of that sweep: a kernel change that keeps every
+        # output bit may still not add or drop a residual evaluation.  One
+        # reported core, so that no count could go to a forked child
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert self._counted_sweep(monkeypatch, crit) == evals
 
 
 class TestReducedPoincare:
@@ -1145,6 +1162,92 @@ class TestSweepKernel:
             crit in (K.CRIT_DOWN, K.CRIT_UP) or k == 40)
         for got, want in zip(out, expected):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("nI,nth", [(3, 0), (0, 4), (0, 0)])
+    def test_empty_grid(self, p075, nI, nth):
+        # no action or no angle: seven empty outputs of the grid's shape
+        out = K.sweep_kernel(np.linspace(-1.0, 1.0, nI),
+                             np.linspace(0.0, 1.0, nth), p075.r, p075.a1,
+                             p075.a2, K.CRIT_MINABS, 0)
+        assert [(a.shape, a.dtype.kind) for a in out] == [
+            ((nI, nth), k) for k in "ififfff"]
+
+
+class TestKernelBits:
+    """sweep_kernel and lstar_kernel reproduce pinned bits: a speed-up of
+    the kernels must not move a single output bit."""
+
+    MUS = (0.3, 0.75, 1.5, 3.0)
+    #: a root of |mu*alpha_r(I)| = 1 near the pole 1/r, per (mu, r)
+    THRESHOLD = {
+        (0.3, 1.0): "0x1.9e5705f187592p-1", (0.3, 0.5): "0x1.999c8b08df270p+0",
+        (0.75, 1.0): "0x1.2d47ec971117cp-1", (0.75, 0.5): "0x1.c713a24c980b6p-1",
+        (1.5, 1.0): "0x1.81fdf924ea927p-2", (1.5, 0.5): "0x1.c59687d0aaee7p-2",
+        (3.0, 1.0): "0x1.adfba5e06a3f0p-3", (3.0, 0.5): "0x1.c7ed7d00ccd10p-3",
+    }
+    #: SHA-256 of the seven outputs' bytes over r in (1, 0.5) x MUS
+    SWEEP_DIGESTS = {
+        (K.CRIT_DOWN, 0):
+            "30e1cf7366a1058bd61209a7e85eeb8b1f48cacd3729a5c03a439777a2cea897",
+        (K.CRIT_UP, 0):
+            "c1ed0511c8cffa7e6daa1d6605d81baceca284bc6ca4f2d1721383085b2f5139",
+        (K.CRIT_MINABS, 0):
+            "3254fe1252228e1de5d87bb5377e80d4dc91d7e72c27b16656898e1431dea896",
+        (K.CRIT_BRANCH, -1):
+            "63897741a4f84b70c4f8124588f65288086656800abac85c5d0413954e0d8dd0",
+        (K.CRIT_BRANCH, 0):
+            "b96dbde25ff674a5d18d542913ea715469c6be87a8c24271daa329ecbde45e69",
+        (K.CRIT_BRANCH, 1):
+            "a529076f38927036ad429b06dd71b060a8ec26e0550fc09c1af80f34b33a53b2",
+        (K.CRIT_BRANCH, 2):
+            "6d489ba5eabece93afed2bc1000486af6df721b2ce41668f1bcd588912c4c447",
+        (K.CRIT_BRANCH, 40):
+            "09b5731212019343e0ee473830b1ab0210a5b2d707740ca1311cbc7f1846776b",
+    }
+    #: lstar_kernel(I, theta, r, 0.75, 1.0, crit, k) as float.hex
+    POINTS = {
+        (0.4, 2.0, 1.0, K.CRIT_MINABS, 0): (
+            0, "0x1.e6f42c71a2238p-1", 1, "0x1.07e0adf0d564dp-1",
+            "0x1.9e9bf71c792c2p+0", "0x1.490b06aaa51efp+1",
+            "-0x1.8699edd3c4af6p+1", "-0x1.2b84ec78d99cbp+2",
+            "0x1.91514d98c0ef2p+1"),
+        (-1.3, 4.0, 1.0, K.CRIT_DOWN, 0): (
+            0, "-0x1.293c60b10a9f5p+1", 0, "0x1.2b8cdf4d0c1ebp+0",
+            "0x1.f65fa2cdc8c38p-1", "-0x1.5748effb30dccp+0",
+            "0x1.13b110849a172p+0", "-0x1.2b35690b71651p-1",
+            "-0x1.8ad7eb5737b0cp-2"),
+        (0.6, 3.5, 0.5, K.CRIT_BRANCH, 1): (
+            0, "0x1.7c9684bf12d65p+0", 1, "0x1.01a8c98df5d50p+0",
+            "0x1.4dd2d82d13f2ep+1", "0x1.6534ae761364ap+1",
+            "-0x1.552b4c04e3904p+2", "-0x1.e3410b58d2e64p+0",
+            "0x1.83088e622ffc2p+1"),
+        (2.2, 0.3, 1.0, K.CRIT_UP, 0): (
+            0, "-0x1.50ccbf43c7382p+2", 2, "0x1.009f4438b99e4p+1",
+            "0x1.7c146bfdc18aap+3", "0x1.a75c18b7bbdd0p+2",
+            "0x1.5c5b70c006f25p+1", "-0x1.635b339d9c538p-2",
+            "-0x1.0c3424d692d54p+2"),
+    }
+
+    @pytest.mark.parametrize("crit,k", list(SWEEP_DIGESTS))
+    def test_sweep_digest(self, crit, k):
+        # the I grid holds +-250 (_alpha_r_far), the pole 1/r and a
+        # threshold of |c| = 1
+        ths = np.linspace(0.0, TWO_PI, 9, endpoint=False)
+        h = hashlib.sha256()
+        for r in (1.0, 0.5):
+            for mu in self.MUS:
+                Is = np.concatenate([
+                    [-250.0], np.linspace(-3.0, 3.0, 13),
+                    [1.0 / r, float.fromhex(self.THRESHOLD[mu, r]), 250.0]])
+                for out in K.sweep_kernel(Is, ths, r, mu, 1.0, crit, k):
+                    h.update(out.tobytes())
+        assert h.hexdigest() == self.SWEEP_DIGESTS[crit, k]
+
+    def test_lstar_kernel_bits(self):
+        for (I, th, r, crit, k), want in self.POINTS.items():
+            got = K.lstar_kernel(I, th, r, 0.75, 1.0, crit, k)
+            assert tuple(x.hex() if isinstance(x, float) else x
+                         for x in got) == want, (I, th, r, crit, k)
 
 
 class TestLstar:

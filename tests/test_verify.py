@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import pendrotor as pr
+from conftest import assert_no_child_left
 from pendrotor import _kernels as K, verify
 from pendrotor.cli import main
 from pendrotor.scattering import ODD, branch, lstar, theta_plus
@@ -235,3 +236,103 @@ class TestGridChecksMatchPointwise:
                 == _lemma_pointwise(p, n_I, n_th).as_dict())
         assert (drift_sign_check(p).as_dict()
                 == _drift_pointwise(p, n_I, n_th).as_dict())
+
+
+#: leaves a line unflushed in block-buffered stdout, then runs the
+#: reflection check on two reported cores
+_BUFFERED_SCRIPT = """
+import os, sys
+from pendrotor import verify
+from pendrotor.params import SystemParams
+os.sched_getaffinity = lambda pid: {0, 1}
+sys.stdout.write("written before the fork\\n")
+assert verify.lemma_symmetry_check(SystemParams(a1=0.75, a2=1.0)).passed
+"""
+
+
+class TestReflectionSweepCores:
+    """The reflection check's branch-0 and branch-2 sweeps, side by side on
+    two usable cores, give the serial report."""
+
+    @staticmethod
+    def _report_cores(monkeypatch, cores):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cores)))
+
+    @staticmethod
+    def _count_forks(monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        return forks
+
+    @pytest.mark.parametrize("mu", [0.3, 0.75, 2.0])
+    def test_report_independent_of_core_count(self, mu, monkeypatch):
+        # the kernel sweeps made in this process, as a tracer sees them:
+        # with two cores the branch-0 sweep stays here
+        sweeps = []
+        plain = K.sweep_kernel
+
+        def recorded(*args):
+            sweeps.append(args[-1])
+            return plain(*args)
+
+        monkeypatch.setattr(K, "sweep_kernel", recorded)
+        forks = self._count_forks(monkeypatch)
+        p = pr.SystemParams(a1=mu, a2=1.0, eps=0.01)
+        got = {}
+        for cores in (1, 2, 3):
+            self._report_cores(monkeypatch, cores)
+            del sweeps[:], forks[:]
+            got[cores] = lemma_symmetry_check(p).as_dict()
+            assert_no_child_left()
+            assert (sweeps, len(forks)) == (([0, 2], 0) if cores == 1
+                                            else ([0], 1))
+        assert got[1]["n"] > 0
+        assert got[2] == got[1] and got[3] == got[1]
+
+    def test_child_error_reaches_caller(self, p075, monkeypatch):
+        # the branch-2 sweep runs in the child, which inherits the patch
+        # through fork; its exception comes back through the pipe
+        plain = verify.sweep
+
+        def failing(Is, ths, crit, params):
+            if crit.k == 2:
+                raise pr.UnreachableBranch(f"sweep in {os.getpid()}")
+            return plain(Is, ths, crit, params)
+
+        monkeypatch.setattr(verify, "sweep", failing)
+        forks = self._count_forks(monkeypatch)
+        self._report_cores(monkeypatch, 2)
+        with pytest.raises(pr.UnreachableBranch) as err:
+            lemma_symmetry_check(p075)
+        assert type(err.value) is pr.UnreachableBranch
+        assert str(err.value) != f"sweep in {os.getpid()}"
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_r_not_one_refused_before_any_fork(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(verify, "sweep", no_fork)
+        self._report_cores(monkeypatch, 2)
+        p = pr.SystemParams(a1=0.75, a2=1.0, eps=0.01, r=0.5)
+        with pytest.raises(pr.ConfigError, match="r = 1"):
+            lemma_symmetry_check(p)
+        assert_no_child_left()
+
+    def test_child_flushes_no_inherited_buffer(self):
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(pr.__file__)))
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.run([sys.executable, "-c", _BUFFERED_SCRIPT],
+                              capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"written before the fork\n"
