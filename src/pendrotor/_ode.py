@@ -11,7 +11,7 @@ derivative the stage's own I value.  The step is accepted when the
 combined 5th/3rd-order error estimate of Hairer, Norsett & Wanner,
 "Solving Ordinary Differential Equations I" (2nd ed., Springer 1993),
 Sec. II.10, is at most 1: an RMS over (I, phi) of each component's error
-over atol + rtol * |y|.
+over tol + tol * |y|, with one tolerance tol.
 
 The stepper clips steps onto the requested end time, so states at arbitrary
 times come out at full integration accuracy (no interpolation error).  Each
@@ -150,7 +150,7 @@ _TABLEAU = (
 )
 
 
-def integrate_inner(y0, y1, s0, t0, t1, h, eps, a1, a2, r, rtol, atol):
+def integrate_inner(y0, y1, s0, t0, t1, h, eps, a1, a2, r, tol):
     """Advance (I, phi) from t0 to t1, trying a first step of size h > 0.
 
     Returns (I, phi, h_next, nsteps, status), where h_next > 0 is the step
@@ -253,7 +253,7 @@ def integrate_inner(y0, y1, s0, t0, t1, h, eps, a1, a2, r, rtol, atol):
             # max(abs(y), abs(z)), written out
             ay = y0 if y0 > 0.0 else -y0
             az = z0 if z0 > 0.0 else -z0
-            sc = atol + rtol * (az if az > ay else ay)
+            sc = tol + tol * (az if az > ay else ay)
             e = (_E1 * p1 + _E6 * p6 + _E7 * p7 + _E8 * p8 + _E9 * p9
                  + _E10 * p10 + _E11 * p11 + _E12 * p12) / sc
             n5 = e * e
@@ -261,7 +261,7 @@ def integrate_inner(y0, y1, s0, t0, t1, h, eps, a1, a2, r, rtol, atol):
             n3 = e * e
             ay = y1 if y1 > 0.0 else -y1
             az = z1 if z1 > 0.0 else -z1
-            sc = atol + rtol * (az if az > ay else ay)
+            sc = tol + tol * (az if az > ay else ay)
             e = (_E1 * y0 + _E6 * u6 + _E7 * u7 + _E8 * u8 + _E9 * u9
                  + _E10 * u10 + _E11 * u11 + _E12 * u12) / sc
             n5 += e * e

@@ -178,16 +178,34 @@ def _params_from(args) -> SystemParams:
                         r=1.0 if args.r is None else args.r)
 
 
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist yet
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _setup(args) -> SystemParams:
-    """Check what each flag's own type cannot: the window and the
-    parameters; return the run's parameters.
+    """Check what each flag's own type cannot: flags that others make
+    unread, the window, the parameters and the output paths; return the
+    run's parameters.
 
     Each output path is probed, so that one that cannot be written stops
     the run before any work: a new file is created and removed again, so
     a run that fails before writing it leaves none behind, and an existing
     one is opened for appending, so it is not truncated before its command
-    writes it.
+    writes it.  An --out and a --report that name one file are refused.
     """
+    if getattr(args, "I_list", None):
+        # crests: --I gives the actions, and with --angle-n the angle grid
+        overridden = {"I_min", "I_max"}
+        if args.angle_n is not None:
+            overridden.add("grid_n")
+        unread = sorted(overridden & getattr(args, "given", frozenset()))
+        if unread:
+            flags = ", ".join("--" + f.replace("_", "-") for f in unread)
+            raise ConfigError(f"crests with --I (and --angle-n) does not "
+                              f"read {flags}; drop them")
     if hasattr(args, "I_min") and args.I_min >= args.I_max:
         raise ConfigError("--I-min must be below --I-max")
     # np.linspace over a window wider than a float starts at nan
@@ -195,6 +213,10 @@ def _setup(args) -> SystemParams:
         raise ConfigError("the window --I-min to --I-max is wider than a "
                           "float can hold; narrow it to grid it")
     params = _params_from(args)
+    if (getattr(args, "report", None) is not None and args.out is not None
+            and _same_file(args.out, args.report)):
+        raise ConfigError(f"--out and --report name one file "
+                          f"{args.out!r}; give them two")
     for flag in ("out", "report"):
         path = getattr(args, flag, None)
         if path is not None:
@@ -216,6 +238,16 @@ def _header(params: SystemParams, extra: dict | None = None) -> dict:
     if extra:
         h.update(extra)
     return h
+
+
+def _write_report(payload: dict, path: str | None) -> None:
+    """The JSON report, indented by 2, to the file at path or to stdout."""
+    out = json.dumps(payload, indent=2)
+    if path:
+        with open(path, "w") as fh:
+            fh.write(out + "\n")
+    else:
+        print(out)
 
 
 def _config_args(path: str) -> list[str]:
@@ -240,8 +272,7 @@ def _config_args(path: str) -> list[str]:
 # subcommands
 # ----------------------------------------------------------------------
 
-def cmd_thresholds(args) -> int:
-    params = _setup(args)
+def cmd_thresholds(args, params: SystemParams) -> int:
     report = find_thresholds(params, (args.I_min, args.I_max))
     em = Emitter(args.out, args.format, "thresholds",
                  _header(params, {"I_min": args.I_min, "I_max": args.I_max}),
@@ -263,18 +294,7 @@ def cmd_thresholds(args) -> int:
     return EXIT_OK
 
 
-def cmd_crests(args) -> int:
-    if args.I_list:
-        # --I gives the actions, and with --angle-n the angle grid too
-        overridden = {"I_min", "I_max"}
-        if args.angle_n is not None:
-            overridden.add("grid_n")
-        unread = sorted(overridden & getattr(args, "given", frozenset()))
-        if unread:
-            flags = ", ".join("--" + f.replace("_", "-") for f in unread)
-            raise ConfigError(f"crests with --I (and --angle-n) does not "
-                              f"read {flags}; drop them")
-    params = _setup(args)
+def cmd_crests(args, params: SystemParams) -> int:
     n = args.angle_n or args.grid_n
     I_values = args.I_list or list(np.linspace(args.I_min, args.I_max,
                                                args.grid_n))
@@ -313,10 +333,10 @@ def _grid_sweep(args, params: SystemParams):
     return I_vals, th_vals, sweep(I_vals, th_vals, crit, params)
 
 
-def cmd_portrait(args) -> int:
-    params = _setup(args)
+def cmd_portrait(args, params: SystemParams) -> int:
     I_vals, th_vals, res = _grid_sweep(args, params)
     status, tau, band, margin, lstar, dth, dI = res
+    degen = scattering.unusable_contact(status, margin)
     em = Emitter(args.out, args.format, "portrait",
                  _header(params, {"criterion": args.criterion}),
                  ["I", "theta", "lstar", "dlstar_dtheta", "idot_sign",
@@ -329,18 +349,15 @@ def cmd_portrait(args) -> int:
             g = 0.0 if abs(dth[i, j]) <= zero else dth[i, j]
             em.row([float(I), float(th), lstar[i, j], g,
                     int(np.sign(g)) if status[i, j] == 0 else 0,
-                    region,
-                    int(margin[i, j] < scattering.TOL_DEGEN)
-                    if status[i, j] == 0 else 1,
-                    int(status[i, j])])
+                    region, int(degen[i, j]), int(status[i, j])])
     em.close()
     return EXIT_OK
 
 
-def cmd_tau_field(args) -> int:
-    params = _setup(args)
+def cmd_tau_field(args, params: SystemParams) -> int:
     I_vals, th_vals, res = _grid_sweep(args, params)
     status, tau, band, margin, lstar, dth, dI = res
+    degen = scattering.unusable_contact(status, margin)
     em = Emitter(args.out, args.format, "tau_field",
                  _header(params, {"criterion": args.criterion}),
                  ["I", "theta", "tau_star", "branch", "margin", "degenerate",
@@ -348,16 +365,12 @@ def cmd_tau_field(args) -> int:
     for i, I in enumerate(I_vals):
         for j, th in enumerate(th_vals):
             em.row([float(I), float(th), tau[i, j], int(band[i, j]),
-                    margin[i, j],
-                    int(margin[i, j] < scattering.TOL_DEGEN)
-                    if status[i, j] == 0 else 1,
-                    int(status[i, j])])
+                    margin[i, j], int(degen[i, j]), int(status[i, j])])
     em.close()
     return EXIT_OK
 
 
-def cmd_inner_portrait(args) -> int:
-    params = _setup(args)
+def cmd_inner_portrait(args, params: SystemParams) -> int:
     starts = [InnerState(I=float(I0), phi=0.0, s=0.0)
               for I0 in np.linspace(args.I_min, args.I_max, args.grid_n)]
     em = Emitter(args.out, args.format, "inner_portrait",
@@ -375,8 +388,7 @@ def cmd_inner_portrait(args) -> int:
     return EXIT_OK
 
 
-def cmd_diffuse(args) -> int:
-    params = _setup(args)
+def cmd_diffuse(args, params: SystemParams) -> int:
     orbit = build_pseudo_orbit(args.I_start, args.I_end, params)
     report = verify_pseudo_orbit(orbit)
     em = Emitter(args.out, args.format, "pseudo_orbit",
@@ -394,7 +406,7 @@ def cmd_diffuse(args) -> int:
             em.row([i, "inner", leg.src.I, leg.src.phi, leg.dst.I,
                     leg.dst.phi, "", "", leg.duration])
     em.close()
-    rep = {
+    _write_report({
         "ok": report.ok,
         "n_scatter": report.n_scatter,
         "n_inner": report.n_inner,
@@ -404,30 +416,18 @@ def cmd_diffuse(args) -> int:
         "max_reintegration_residual": report.max_reintegration_residual,
         "reintegration_budget": report.reintegration_budget,
         "failures": report.failures[:20],
-    }
-    out = json.dumps(rep, indent=2)
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(out + "\n")
-    else:
-        print(out)
+    }, args.report)
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
-def cmd_verify(args) -> int:
-    params = _setup(args)
+def cmd_verify(args, params: SystemParams) -> int:
     results = run_suite(params, n_melnikov=args.n_melnikov, n_tau=args.n_tau,
                         seed=args.seed, corrupt=args.inject_fault)
     payload = {"params": {"a1": params.a1, "a2": params.a2, "r": params.r,
                           "eps": params.eps},
                "checks": [c.as_dict() for c in results],
                "ok": all(c.passed for c in results)}
-    out = json.dumps(payload, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out + "\n")
-    else:
-        print(out)
+    _write_report(payload, args.out)
     return EXIT_OK if payload["ok"] else EXIT_VERIFY
 
 
@@ -483,7 +483,7 @@ def main(argv: list[str] | None = None) -> int:
             # file values go right after the subcommand, so real flags win
             args = parser.parse_args(argv[:1] + _config_args(args.config)
                                      + argv[1:])
-        code = args.func(args)
+        code = args.func(args, _setup(args))
         sys.stdout.flush()
         return code
     except BrokenPipeError as exc:

@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 
-from . import _kernels as K, scattering
+from . import _kernels as K
 from .errors import (ConfigError, SingularCrest, StepFailure,
                      StuckAtResonance, TangencyDegenerate, UnreachableBranch,
                      WindowEmpty)
@@ -28,7 +28,8 @@ from .inner import (InnerState, TorusRegion, inner_flow, region_of, sections,
 from .params import SystemParams
 from .scattering import (ODD, TAU_OK, ScatteringState, TauCriterion,
                          _grad_of, _jump, _lstar_raw, _mod_two_pi,
-                         grad_reduced_poincare, lstar, theta_plus)
+                         grad_reduced_poincare, lstar, theta_plus,
+                         unusable_contact)
 
 TWO_PI = 2.0 * math.pi
 
@@ -37,7 +38,7 @@ DELTA = 0.05              # rho = pi + delta
 MARGIN_COEFF = 10.0       # window margin = max(coeff*eps^2, floor)
 MARGIN_FLOOR = 0.01
 LEVEL_COEFF = 10.0        # per-leg |dL*| budget, in eps^2 units
-ARC_TOL = 1e-13           # inner-arc integrator rtol = atol
+ARC_TOL = 1e-13           # inner-arc integrator tolerance
 T_MAX_FACTOR = 1e3        # inner-return budget t_max = factor/eps
 MAX_LEGS = 500_000
 MAX_STALL_ARCS = 80
@@ -232,8 +233,7 @@ def build_pseudo_orbit(I_start: float, I_end: float,
         if res is None:
             res = lstar(I, th, ODD, canon)
         status, _, _, margin_t, _, _, L0, dth_L, dI_L = res
-        if (status != TAU_OK or margin_t < scattering.TOL_DEGEN
-                or dth_L <= 0.0):
+        if unusable_contact(status, margin_t) or dth_L <= 0.0:
             return None
         src = ScatteringState(I, th)
         dst = _jump(src, dI_L, dth_L, eps)

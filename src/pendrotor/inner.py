@@ -33,8 +33,8 @@ from .params import SystemParams
 
 TWO_PI = 2.0 * math.pi
 
-#: default rtol = atol of the inner-flow integrator: each step's error
-#: estimate, RMS over (I, phi) of the error over atol + rtol*|y|, is at most 1
+#: default tolerance of the inner-flow integrator: each step's error
+#: estimate, RMS over (I, phi) of the error over tol + tol*|y|, is at most 1
 TOL_ODE = 1e-10
 
 #: Half-width of the resonance bands in I.  It contains the pendulum zones
@@ -91,7 +91,7 @@ def inner_flow(state: InnerState, t: float, params: SystemParams,
     """Flow the inner equations for time t (exact in the eps = 0 limit)."""
     I, phi, _, _, status = integrate_inner(
         state.I, state.phi, state.s, 0.0, t, H_START, params.eps, params.a1,
-        params.a2, params.r, tol_ode, tol_ode)
+        params.a2, params.r, tol_ode)
     if status != ODE_OK:
         raise StepFailure(f"step size collapsed near t = {t}")
     return InnerState(I=I, phi=phi, s=state.s + t)
@@ -110,7 +110,7 @@ def sections(state: InnerState, params: SystemParams,
     for n in itertools.count():
         I, phi, h, _, status = integrate_inner(
             I, phi, state.s, t, t + TWO_PI, h, params.eps, params.a1,
-            params.a2, params.r, tol_ode, tol_ode)
+            params.a2, params.r, tol_ode)
         if status != ODE_OK:
             raise StepFailure(f"step size collapsed in period {n} at "
                               f"I = {I:.6f}")

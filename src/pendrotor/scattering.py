@@ -238,6 +238,14 @@ def lstar(I: float, theta: float, criterion: TauCriterion,
                           params.a2, criterion.code, criterion.k)
 
 
+def unusable_contact(status, margin):
+    """Whether a solve defines no scattering map: a status other than
+    ``TAU_OK``, or a degenerate critical point of tau -> L (margin below
+    ``TOL_DEGEN``), where the homoclinic intersection is not transversal.
+    Element-wise on the arrays of :func:`sweep`."""
+    return (status != TAU_OK) | (margin < TOL_DEGEN)
+
+
 def sweep(I_vals, th_vals, criterion: TauCriterion,
           params: SystemParams) -> tuple:
     """:func:`lstar` over the grid of the 1-D arrays I_vals x th_vals.
@@ -274,12 +282,12 @@ def solve_tau_star(I: float, theta: float, criterion: TauCriterion,
     (ridge transversality below ``TOL_DEGEN``) are returned with
     ``degenerate=True``; map evaluations refuse them.
     """
-    _, tau, kband, margin, phis, sigs = _lstar_raw(I, theta, criterion,
-                                                   params)[:6]
+    status, tau, kband, margin, phis, sigs = _lstar_raw(I, theta, criterion,
+                                                        params)[:6]
     return TauSolution(
         I=I, theta=_mod_two_pi(theta), tau_star=tau, band=kband,
         phi_star=phis, sigma_star=sigs, margin=margin,
-        degenerate=margin < TOL_DEGEN)
+        degenerate=unusable_contact(status, margin))
 
 
 def reduced_poincare(I: float, theta: float, criterion: TauCriterion,
@@ -302,8 +310,8 @@ def grad_reduced_poincare(I: float, theta: float, criterion: TauCriterion,
 
 def _grad_of(res, I: float, theta: float) -> tuple[float, float]:
     """(dL*/dI, dL*/dtheta) of an OK :func:`lstar` result at (I, theta)."""
-    _, tau, _, margin, _, _, _, dth, dI = res
-    if margin < TOL_DEGEN:
+    status, _, _, margin, _, _, _, dth, dI = res
+    if unusable_contact(status, margin):
         raise TangencyDegenerate(
             f"tau* transversality margin {margin:.3g} below tolerance at "
             f"(I, theta) = ({I}, {theta})")

@@ -1,5 +1,9 @@
 import argparse
+import ast
+import collections
 import functools
+import hashlib
+import inspect
 import json
 import math
 import os
@@ -14,7 +18,7 @@ import numpy as np
 import pytest
 
 import pendrotor as pr
-from pendrotor import cli, verify
+from pendrotor import cli, scattering, verify
 from conftest import assert_no_child_left
 from pendrotor.cli import DTH_ZERO_RTOL, main
 
@@ -138,6 +142,22 @@ class TestCrestsCmd:
             expected = 0.0 if int(r["branch"]) == 0 else math.pi
             assert phi == pytest.approx(expected, abs=1e-12)
             assert abs(float(r["residual"])) < 1e-12
+
+    def test_window_grid(self, tmp_path):
+        # without --I, --grid-n gives the actions over the window and the
+        # angles: n angles per branch at each of the n actions
+        n = 7
+        out = tmp_path / "crests.csv"
+        assert main(["crests", "--mu", "0.5", "--I-min", "-1",
+                     "--I-max", "1.5", "--grid-n", str(n),
+                     "--out", str(out)]) == 0
+        _, rows = _read_rows(out)
+        actions = [float(I) for I in dict.fromkeys(r["I"] for r in rows)]
+        assert actions == list(np.linspace(-1.0, 1.5, n))
+        counts = collections.Counter((r["I"], r["branch"]) for r in rows)
+        assert len(counts) == 2 * n and set(counts.values()) == {n}
+        assert {r["kind"] for r in rows} == {"horizontal", "vertical"}
+        assert max(abs(float(r["residual"])) for r in rows) < 1e-12
 
     def test_residuals_vanish(self, tmp_path):
         out = tmp_path / "crests.csv"
@@ -304,6 +324,27 @@ class TestTauFieldCmd:
         bands = {int(r["branch"]) for r in rows if r["status"] == "0"}
         assert bands <= {0, 1, 2}
         assert len(bands) >= 2
+
+    def test_degenerate_column_is_the_contact_verdict(self, tmp_path,
+                                                      monkeypatch):
+        # with TOL_DEGEN at the median OK margin, half the OK contacts and
+        # every unreachable one at the pole I = 1 read degenerate
+        out = tmp_path / "tau.csv"
+        argv = ["tau-field", "--mu", "0.75", "--criterion", "down",
+                "--I-min", "-1", "--I-max", "1", "--grid-n", "6",
+                "--out", str(out)]
+        assert main(argv) == 0
+        _, rows = _read_rows(out)
+        tol = float(np.median([float(r["margin"]) for r in rows
+                               if r["status"] == "0"]))
+        monkeypatch.setattr(scattering, "TOL_DEGEN", tol)
+        assert main(argv) == 0
+        _, rows = _read_rows(out)
+        verdict = [r["status"] != "0" or float(r["margin"]) < tol
+                   for r in rows]
+        assert [r["degenerate"] == "1" for r in rows] == verdict
+        assert {r["status"] for r in rows} == {"0", "2"}
+        assert 0 < sum(verdict) < len(verdict)
 
     def test_marching_rows_at_the_pole(self, tmp_path):
         # I = 1/r holds sigma fixed along every ray: down finds no contact
@@ -479,6 +520,37 @@ class TestDiffuseCmd:
         lines = out.read_text().splitlines()
         assert json.loads(lines[0])["kind"] == "pseudo_orbit"
 
+    def test_report_on_stdout_matches_the_file(self, tmp_path, capsys):
+        argv = ["diffuse", "--mu", "0.75", "--eps", "0.01",
+                "--I-start", "1.5", "--I-end", "1.52",
+                "--out", str(tmp_path / "orbit.csv")]
+        rep = tmp_path / "report.json"
+        assert main(argv + ["--report", str(rep)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(argv) == 0
+        assert capsys.readouterr().out == rep.read_text()
+
+    def test_out_and_report_naming_one_file_exit_2(self, tmp_path,
+                                                   monkeypatch, capsys):
+        # the report would overwrite the orbit: refused before any work,
+        # with the file left as found
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran with one file for --out and --report")
+
+        monkeypatch.setattr(cli, "build_pseudo_orbit", no_work)
+        monkeypatch.chdir(tmp_path)
+        argv = ["diffuse", "--mu", "0.75", "--eps", "0.01", "--out", "f",
+                "--report"]
+        assert main(argv + ["./f"]) == 2
+        assert "name one file" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+        (tmp_path / "f").write_bytes(b"kept\n")
+        os.link(tmp_path / "f", tmp_path / "g")
+        for report in ("f", str(tmp_path / "f"), "g"):
+            assert main(argv + [report]) == 2
+            assert "name one file" in capsys.readouterr().err
+            assert (tmp_path / "f").read_bytes() == b"kept\n"
+
     def test_cycling_range_exits_3_fast(self, capsys):
         # jump runs carry I to about +0.04 and inner arcs drop it back,
         # over and over; the stop rule must see it within seconds
@@ -523,6 +595,15 @@ class TestVerifyCmd:
         assert {c["name"] for c in rep["checks"]} == {
             "melnikov_closed_vs_quadrature", "tau_star_vs_ray_scan",
             "down_up_reflection_symmetry", "positive_drift_window"}
+
+    def test_report_on_stdout_matches_the_file(self, tmp_path, capsys):
+        argv = ["verify", "--mu", "0.75", "--eps", "0.01",
+                "--n-melnikov", "4", "--n-tau", "4"]
+        out = tmp_path / "verify.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out.read_text()
 
     def test_seed_gives_the_same_bytes(self, tmp_path):
         argv = ("verify --mu 0.75 --eps 0.01 --n-melnikov 6 --n-tau 5 "
@@ -851,6 +932,17 @@ class TestConfigFile:
         header2, _ = _read_rows(out2)
         assert float(header2["mu"]) == pytest.approx(0.5)
 
+    def test_comment_and_blank_lines_are_skipped(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# thresholds of the mu = 0.5 system\n\nmu = 0.5\n"
+                       "   \n  # I_min = 9\nI_max = 3\n")
+        out = tmp_path / "t.csv"
+        assert main(["thresholds", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        header, _ = _read_rows(out)
+        assert (header["mu"], header["I_min"], header["I_max"]) == (
+            "0.5", "-2", "3")
+
     @pytest.mark.parametrize("form", ["--config={}", "--conf {}",
                                       "--co={}"])
     def test_every_flag_form_applies_the_file(self, tmp_path, form):
@@ -1007,3 +1099,82 @@ class TestFlagSets:
         assert {argv[0] for argv in examples} == set(_subparsers())
         for argv in examples:
             cli.build_parser().parse_args(argv)
+
+
+#: (name, argv, SHA-256 of each output) of a small fixed run of every
+#: subcommand; a change that moves one output byte changes a digest.  The
+#: portrait and tau-field grids of the down map hold the pole I = 1, where
+#: every contact is unusable.
+GOLDEN = [
+    ("thresholds", "thresholds --mu 0.75",
+     ["82fdda7f6696c640cc193fd5f2e149b9b346b251be500b76fda725e6126aaea5"]),
+    ("portrait-csv",
+     "portrait --mu 0.75 --criterion down --I-min -1 --I-max 1 --grid-n 12",
+     ["a15de64c5ff0818aa49270d26ef693210169869c85437940170854ecff883736"]),
+    ("portrait-jsonl", "portrait --mu 0.75 --grid-n 12 --format jsonl",
+     ["6b1f630aa40bee63f533956d0a2a680823fed80b858199a67bc7da3cf2ce5453"]),
+    ("tau-field-csv",
+     "tau-field --mu 0.75 --criterion down --I-min -1 --I-max 1 --grid-n 12",
+     ["a8257d9da111a0497ded4b48662dff4ee222d6c3483a6918c349d11cee069012"]),
+    ("tau-field-jsonl",
+     "tau-field --mu 0.5 --criterion minabs --grid-n 12 --format jsonl",
+     ["1b57287f528b4105e657b36b1a921152c556375b3c232a560febb6d0ad12c9c0"]),
+    ("crests", "crests --mu 0.75 --grid-n 12",
+     ["088c70ca4fcc9103bdff722b727d5cf0219abe9967243a4a3da3f204cf1b644c"]),
+    ("inner-portrait",
+     "inner-portrait --mu 0.75 --eps 0.01 --grid-n 4 --periods 10",
+     ["6565fe3cf3a6d99f0714188b54191b39f3d5609f500750ca21d668378ddd608f"]),
+    ("diffuse", "diffuse --mu 0.75 --eps 0.01 --I-start 1.5 --I-end 1.52",
+     ["dbff78768455458dd1a50e2afb07a013e987ea5e8c1ade95d72a2922f1817799",
+      "2fc4ccf3c91069e3f47b3e1a641622c48d7595346f956cca0fc6ab1674637264"]),
+    ("diffuse-arcs",
+     "diffuse --mu 0.75 --eps 0.01 --I-start 0.25 --I-end 0.35",
+     ["2a2b18af0d34cbf16f31068c1631dc457a51c485f1a5906566c8a87e4a078208",
+      "70c809281c5ad5729fe76cf532c4113e9cf1d33cf7620db23ee2e5034840b386"]),
+    ("verify", "verify --mu 0.75 --eps 0.01 --n-melnikov 4 --n-tau 4",
+     ["0d602c01eb4ebf8b4d0cd6eb03f95e52b8d86eb44b28e5c54aa144047ca84f94"]),
+]
+
+
+@pytest.mark.parametrize("argv,digests", [g[1:] for g in GOLDEN],
+                         ids=[g[0] for g in GOLDEN])
+def test_golden_output_digests(argv, digests, tmp_path):
+    paths = [tmp_path / "out", tmp_path / "report"][:len(digests)]
+    flags = [arg for flag, path in zip(("--out", "--report"), paths)
+             for arg in (flag, str(path))]
+    assert main(argv.split() + flags) == 0
+    assert [hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in paths] == digests
+
+
+def _call_owners(match) -> list[str]:
+    """The function holding each call in cli.py that ``match`` accepts."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, ast.FunctionDef):
+            owner = node.name
+        if isinstance(node, ast.Call) and match(node):
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(Path(cli.__file__).read_text()), "<module>")
+    return found
+
+
+class TestOneHome:
+    def test_setup_runs_once_in_main(self):
+        # each cmd_* takes the run's parameters from main
+        assert _call_owners(lambda c: ast.unparse(c.func) == "_setup") == [
+            "main"]
+        assert {tuple(inspect.signature(f).parameters)
+                for name, f in vars(cli).items()
+                if name.startswith("cmd_")} == {("args", "params")}
+
+    def test_one_report_writer(self):
+        def indented_dump(call):
+            return (ast.unparse(call.func) == "json.dumps"
+                    and any(k.arg == "indent" for k in call.keywords))
+
+        assert _call_owners(indented_dump) == ["_write_report"]

@@ -1,8 +1,10 @@
+import ast
 import dataclasses
 import inspect
 import math
 import sys
 import types
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import pendrotor as pr
 from pendrotor import _kernels as K
-from pendrotor import crests, inner, model, oracles, scattering, verify
+from pendrotor import _ode, crests, inner, model, oracles, scattering, verify
 from conftest import alpha_direct, beta_direct
 
 E_PI_HALF = math.exp(math.pi / 2.0)
@@ -306,6 +308,22 @@ class TestSignatures:
             1e-9, 1e-9, 1e-6, 1e-10, 1e-12, 1e-10)
         assert (inspect.signature(inner.inner_flow).parameters["tol_ode"]
                 .default == inner.TOL_ODE)
+
+    def test_tol_degen_read_only_by_the_contact_verdict(self):
+        # a usable contact is one rule, scattering.unusable_contact; the
+        # source files are parsed, not imported
+        readers = set()
+        for path in Path(scattering.__file__).parent.glob("*.py"):
+            for fn in ast.walk(ast.parse(path.read_text())):
+                if isinstance(fn, ast.FunctionDef) and any(
+                        getattr(n, "id", getattr(n, "attr", None))
+                        == "TOL_DEGEN" for n in ast.walk(fn)):
+                    readers.add(f"{path.stem}.{fn.name}")
+        assert readers == {"scattering.unusable_contact"}
+
+    def test_integrate_inner_takes_one_tolerance(self):
+        assert list(inspect.signature(_ode.integrate_inner).parameters) == [
+            "y0", "y1", "s0", "t0", "t1", "h", "eps", "a1", "a2", "r", "tol"]
 
     def test_fixed_setting_constants(self):
         assert (verify.SYMMETRY_GRID, verify.DRIFT_GRID,
